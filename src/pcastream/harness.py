@@ -162,21 +162,32 @@ def _schedule_to_json(schedule):
     raise ConfigValidationError(f"unserializable schedule {schedule!r}")
 
 
+_COERCION_ERRORS = (TypeError, ValueError, OverflowError)
+
+
+def _finite_float(value):
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{value!r} is not finite")
+    return out
+
+
 def _schedule_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigValidationError("schedule must be an object with a 'kind'")
     kind = obj["kind"]
     try:
         if kind == "constant":
-            return Constant(float(obj["alpha"]))
+            return Constant(_finite_float(obj["alpha"]))
         if kind == "inverse_time":
-            return InverseTime(float(obj["numerator"]), float(obj["offset"]))
+            return InverseTime(_finite_float(obj["numerator"]),
+                               _finite_float(obj["offset"]))
         if kind == "piecewise":
             pieces = tuple(
-                (math.inf if t is None else float(t), float(a))
+                (math.inf if t is None else float(t), _finite_float(a))
                 for t, a in obj["pieces"])
             return PiecewiseConstant(pieces)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, *_COERCION_ERRORS) as exc:
         raise ConfigValidationError(f"bad schedule: {exc}") from exc
     raise ConfigValidationError(f"unknown schedule kind '{kind}'")
 
@@ -186,6 +197,39 @@ def _require(condition, message):
         raise ConfigValidationError(message)
 
 
+def _finite_floats(value):
+    out = np.asarray(value, dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{value!r} has non-finite entries")
+    return out
+
+
+def _ints(value):
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(int(t) for t in value)
+
+
+def _bool(value):
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _coerce(raw, key, convert, default=None):
+    """``convert`` applied to ``raw[key]`` (``default`` when absent).
+
+    Every numeric or boolean config value passes through here, so that a
+    value of the wrong type surfaces as a validation error, never a bare
+    ValueError or TypeError.
+    """
+    value = raw.get(key, default)
+    try:
+        return convert(value)
+    except _COERCION_ERRORS as exc:
+        raise ConfigValidationError(f"bad value for '{key}': {value!r}") from exc
+
+
 def parse_config(text):
     """Parse and validate a JSON experiment config.
 
@@ -193,9 +237,11 @@ def parse_config(text):
     overrides of preset-determined fields; custom configs must spell out
     the whole problem.
     """
+    # JSONDecodeError is a ValueError, as are integers too long to read;
+    # nesting too deep for the decoder raises RecursionError
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigParseError("config must be a JSON object")
@@ -236,38 +282,44 @@ def parse_config(text):
     else:
         missing = {"n", "k", "lambda", "tau", "schedule", "spectrum"} - raw.keys()
         _require(not missing, f"custom preset requires keys: {sorted(missing)}")
-        n = int(raw["n"])
-        k = int(raw["k"])
-        lam = np.asarray(raw["lambda"], dtype=float)
-        spectrum = np.asarray(raw["spectrum"], dtype=float)
-        tau = float(raw["tau"])
+        n = _coerce(raw, "n", int)
+        k = _coerce(raw, "k", int)
+        lam = _coerce(raw, "lambda", _finite_floats)
+        spectrum = _coerce(raw, "spectrum", _finite_floats)
+        tau = _coerce(raw, "tau", _finite_float)
         schedule = _schedule_from_json(raw["schedule"])
-        m_init = float(raw.get("m_init", 1.0))
-        w_init_std = float(raw.get("w_init_std", 1.0 / math.sqrt(n)))
+        m_init = _coerce(raw, "m_init", _finite_float, 1.0)
         _require(1 <= k < n, "require 1 <= k < n")
+        w_init_std = _coerce(raw, "w_init_std", _finite_float, 1.0 / math.sqrt(n))
         _require(lam.shape == (k,), "lambda must have length k")
         _require((lam > 0).all() and (np.diff(lam) < 0).all(),
                  "lambda must be strictly decreasing and positive")
         _require(spectrum.shape == (n,), "spectrum must have length n")
         _require((spectrum > 0).all() and not (np.diff(spectrum) > 0).any(),
                  "spectrum must be positive and nonincreasing")
+        # ground_truth needs a unique, ordered leading k-subspace
+        _require((-np.diff(spectrum[: k + 1]) > metrics.GAP_FLOOR).all(),
+                 f"leading k+1 spectrum values must differ by more than "
+                 f"{metrics.GAP_FLOOR:g}")
         _require(tau > 0, "tau must be positive")
         _require(m_init > 0, "m_init must be positive")
         _require(w_init_std > 0, "w_init_std must be positive")
 
-    t_max = int(raw.get("t_max", _DEFAULT_T_MAX[mode]))
+    t_max = _coerce(raw, "t_max", int, _DEFAULT_T_MAX[mode])
     _require(t_max >= 0, "t_max must be nonnegative")
-    checkpoints = raw.get("checkpoints", [t_max] if t_max > 0 else [])
-    checkpoints = tuple(int(t) for t in checkpoints)
+    checkpoints = _coerce(raw, "checkpoints", _ints, [t_max] if t_max > 0 else [])
     bad = [t for t in checkpoints if not 1 <= t <= t_max]
     _require(not bad, f"checkpoints outside [1, t_max]: {sorted(bad)}")
-    trials = int(raw.get("trials", 1))
+    trials = _coerce(raw, "trials", int, 1)
     _require(trials >= 1, "trials must be at least 1")
-    seed = int(raw.get("seed", 0))
-    workers = int(raw.get("workers", 1))
+    seed = _coerce(raw, "seed", int, 0)
+    _require(seed >= 0, "seed must be nonnegative")
+    workers = _coerce(raw, "workers", int, 1)
     _require(workers >= 1, "workers must be at least 1")
-    fixed_rotation = bool(raw.get("fixed_rotation", False))
+    fixed_rotation = _coerce(raw, "fixed_rotation", _bool, False)
     output_path = raw.get("output_path")
+    _require(output_path is None or isinstance(output_path, str),
+             "output_path must be a string")
 
     return ExperimentConfig(
         task=task, variant=variant, mode=mode, preset=preset_name,

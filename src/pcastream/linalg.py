@@ -1,11 +1,10 @@
-"""Minimal dense linear algebra for small matrices.
+"""Dense linear algebra for small matrices, backed by LAPACK.
 
-Everything here is deterministic: repeated calls on identical input
-produce identical output bit for bit. Problem sizes are small (tens of
-rows), so simple dense algorithms are used throughout: cyclic Jacobi
-rotations for symmetric eigenproblems, a Gram-matrix reduction for small
-SVDs, Householder reflections for QR, and partially pivoted LU for
-linear solves.
+Every kernel is a thin wrapper over ``numpy.linalg`` that adds the
+package's contracts: input checks, descending eigenvalue and singular
+value order, a nonnegative diagonal of R, a singularity test to working
+precision, and the package's error types in place of ``LinAlgError``.
+Repeated calls on identical input produce identical output bit for bit.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from .errors import (
     SingularMatrixError,
 )
 
-_JACOBI_SWEEP_CAP = 100
 _PIVOT_RTOL = 1e-14
 
 
@@ -30,7 +28,7 @@ def check_finite(a, name="array"):
 
 
 def sym_eig(a, tol=1e-10):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
     Parameters:
     ====================
@@ -50,72 +48,21 @@ def sym_eig(a, tol=1e-10):
     if tol <= 0:
         raise ValueError("tol must be positive")
     check_finite(a, "matrix")
-    n = a.shape[0]
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > tol * max(scale, 1e-300):
+    if np.linalg.norm(a - a.T) > tol * max(np.linalg.norm(a), 1e-300):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
-
-    # Work on the symmetrized copy so rounding in the input cannot leak
-    # into the rotation sequence.
-    m = 0.5 * (a + a.T)
-    v = np.eye(n)
-    if n == 1:
-        return m[0, 0].reshape(1), v
-
-    stop = max(1e-30, 1e-15 * scale)
-    others = [np.delete(np.arange(n), (p, q)) for p in range(n) for q in range(p + 1, n)]
-    for _ in range(_JACOBI_SWEEP_CAP):
-        # Off-diagonal norm measured entrywise; the subtraction form
-        # sum(m*m) - sum(diag^2) cancels catastrophically near convergence.
-        offd = m.copy()
-        np.fill_diagonal(offd, 0.0)
-        off = np.linalg.norm(offd)
-        if off <= stop:
-            break
-        idx = 0
-        for p in range(n):
-            for q in range(p + 1, n):
-                rest = others[idx]
-                idx += 1
-                apq = m[p, q]
-                if abs(apq) <= 1e-30 * max(scale, 1e-300):
-                    continue
-                # Symmetric Schur 2x2: choose c, s zeroing the (p,q) entry.
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                if theta >= 0:
-                    t = 1.0 / (theta + np.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                m[p, p] -= t * apq
-                m[q, q] += t * apq
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                mrp = m[rest, p]
-                mrq = m[rest, q]
-                m[rest, p] = c * mrp - s * mrq
-                m[p, rest] = m[rest, p]
-                m[rest, q] = s * mrp + c * mrq
-                m[q, rest] = m[rest, q]
-                vp = v[:, p].copy()
-                vq = v[:, q]
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise NoConvergenceError("Jacobi sweeps exceeded cap without converging")
-
-    w = np.diagonal(m).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    try:
+        # eigh reads one triangle; symmetrize so both contribute.
+        w, v = np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    return w[::-1], v[:, ::-1]
 
 
 def qr(a):
-    """Householder QR with nonnegative diagonal of R.
+    """Householder QR (LAPACK ``geqrf``) with nonnegative diagonal of R.
 
     The sign convention makes the factorization unique for full-rank
-    input, which both keeps repeated runs bit-identical and makes
-    QR-based orthogonal sampling uniform.
+    input, which makes QR-based orthogonal sampling uniform.
 
     Returns (q, r) with q of shape (rows, cols), r upper triangular
     (cols, cols) and ``a = q @ r``.
@@ -123,44 +70,24 @@ def qr(a):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ShapeMismatchError("expected a 2-d array")
-    rows, cols = a.shape
-    if rows < cols:
+    if a.shape[0] < a.shape[1]:
         raise ShapeMismatchError("qr requires rows >= cols")
     check_finite(a, "matrix")
-    scale = np.linalg.norm(a)
-
-    r = a.copy()
-    q = np.eye(rows)
-    for k in range(cols):
-        x = r[k:, k]
-        normx = np.linalg.norm(x)
-        if normx == 0.0:
-            continue
-        vec = x.copy()
-        vec[0] += np.copysign(normx, x[0])
-        beta = 2.0 / np.dot(vec, vec)
-        # Apply the reflector to the trailing block of R and to Q.
-        r[k:, k:] -= np.outer(beta * vec, vec @ r[k:, k:])
-        q[:, k:] -= np.outer(q[:, k:] @ (beta * vec), vec)
-    q = q[:, :cols]
-    r = r[:cols, :]
-
+    q, r = np.linalg.qr(a)
     diag = np.diagonal(r)
-    if np.any(np.abs(diag) < _PIVOT_RTOL * max(scale, 1e-300)):
+    if np.any(np.abs(diag) < _PIVOT_RTOL * max(np.linalg.norm(a), 1e-300)):
         raise RankDeficientError("R has a negligible diagonal entry")
     flip = np.sign(diag)
-    q = q * flip[None, :]
-    r = r * flip[:, None]
-    r = np.triu(r)  # zero the subdiagonal rounding residue
-    return q, r
+    return q * flip[None, :], r * flip[:, None]
 
 
 def svd_small(a):
-    """SVD of a small dense matrix via eigendecomposition of the Gram matrix.
+    """SVD of a small dense matrix (LAPACK ``gesdd``).
 
-    Intended for matrices with at most 64 rows and columns (the Procrustes
+    Limited to matrices with at most 64 rows and columns (the Procrustes
     and K-by-K use cases). Returns (u, s, v) with singular values sorted
-    descending and ``a = u @ diag(s) @ v.T``.
+    descending and ``a = u @ diag(s) @ v.T``; u and v have min(rows, cols)
+    orthonormal columns.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
@@ -168,82 +95,39 @@ def svd_small(a):
     if max(a.shape) > 64:
         raise ShapeMismatchError("svd_small is limited to 64 rows/cols")
     check_finite(a, "matrix")
-    rows, cols = a.shape
-    if rows < cols:
-        u, s, v = svd_small(a.T)
-        return v, s, u
-
-    gram = a.T @ a
-    w, v = sym_eig(0.5 * (gram + gram.T), tol=1e-8)
-    s = np.sqrt(np.maximum(w, 0.0))
-
-    # Left vectors: a @ v_i / s_i where the singular value is resolvable,
-    # orthonormal completion for the (near-)zero ones.
-    u = np.zeros((rows, cols))
-    smax = s[0] if cols else 0.0
-    cut = max(1e-300, 1e-12 * smax)
-    nkeep = int(np.sum(s > cut))
-    if nkeep:
-        u[:, :nkeep] = (a @ v[:, :nkeep]) / s[:nkeep]
-        for i in range(nkeep):  # re-orthonormalize against earlier columns
-            for j in range(i):
-                u[:, i] -= np.dot(u[:, j], u[:, i]) * u[:, j]
-            u[:, i] /= np.linalg.norm(u[:, i])
-    for i in range(nkeep, cols):
-        u[:, i] = _complete_column(u[:, :i], rows)
-    s[nkeep:] = 0.0
-    return u, s, v
-
-
-def _complete_column(u, rows):
-    """Unit vector orthogonal to the columns of ``u``."""
-    for k in range(rows):
-        cand = np.zeros(rows)
-        cand[k] = 1.0
-        if u.shape[1]:
-            cand -= u @ (u.T @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-6:
-            return cand / norm
-    raise NoConvergenceError("failed to complete orthonormal basis")
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"SVD did not converge: {exc}") from exc
+    return u, s, vt.T
 
 
 def lu_factor(a):
-    """LU with partial pivoting; raises SingularMatrixError on a tiny pivot.
+    """Factor a square matrix for :func:`lu_solve`.
 
-    Returns (lu, piv) where ``lu`` packs both factors and ``piv`` records
-    the row swap made at each elimination step.
+    LAPACK's partially pivoted LU (``gesv`` against the identity) is
+    carried through to the explicit inverse, so that each later solve is
+    one matrix product. Raises SingularMatrixError when ``a`` is singular
+    to working precision: exactly singular, or with Frobenius condition
+    number ``||a|| ||a^-1||`` above ``1 / _PIVOT_RTOL``.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ShapeMismatchError("expected square matrix")
-    lu = a.copy()
-    piv = np.arange(n)
-    floor = _PIVOT_RTOL * max(np.linalg.norm(a), 1e-300)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < floor:
-            raise SingularMatrixError(f"pivot {abs(lu[p, k]):.3e} below threshold")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        if k + 1 < n:
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
+    cond = np.linalg.norm(a) * np.linalg.norm(inv)
+    if not cond * _PIVOT_RTOL <= 1.0:  # also catches a NaN or Inf inverse
+        raise SingularMatrixError(f"condition number {cond:.3e} above threshold")
+    return inv
 
 
-def lu_solve(lu, piv, b):
+def lu_solve(factors, b):
     """Solve with factors from :func:`lu_factor`; ``b`` may be 1-d or 2-d."""
-    n = lu.shape[0]
-    x = np.asarray(b, dtype=float)[piv].copy()
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
-    return x
+    return factors @ b
 
 
 def solve_symmetric(m, b, tol=1e-10):
@@ -265,5 +149,4 @@ def solve_symmetric(m, b, tol=1e-10):
     check_finite(b, "right-hand side")
     if np.linalg.norm(m - m.T) > tol * max(np.linalg.norm(m), 1e-300):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
-    lu, piv = lu_factor(m)
-    return lu_solve(lu, piv, b)
+    return lu_solve(lu_factor(m), b)

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateSpectrumError, ShapeMismatchError
-from .model import Task, Variant, approx_inverse
+from .model import Task, neural_filter
 
-_GAP_FLOOR = 1e-10
+GAP_FLOOR = 1e-10
 
 
 @dataclass
@@ -49,7 +49,7 @@ def ground_truth(g, k):
         raise ValueError("k must lie in [1, n-1]")
     w, v = linalg.sym_eig(g)
     gaps = -np.diff(w[: k + 1])
-    if (gaps <= _GAP_FLOOR).any():
+    if (gaps <= GAP_FLOOR).any():
         raise DegenerateSpectrumError("leading eigenvalues are not separated")
     if w[k - 1] <= 0:
         raise ValueError("covariance must have positive leading eigenvalues")
@@ -62,11 +62,7 @@ def estimate_subspace(state, task, variant, sigma_k=None):
     The readout undoes the diagonal gain, and for whitening tasks also
     restores the component scales via the true root-eigenvalues.
     """
-    if variant is Variant.ITERATION_FREE:
-        filt = approx_inverse(state.m) @ state.w
-    else:
-        lu, piv = linalg.lu_factor(state.m)
-        filt = linalg.lu_solve(lu, piv, state.w)
+    filt = neural_filter(state, variant)
     scale = 1.0 / state.lam
     if task is Task.PSW:
         if sigma_k is None:
@@ -143,9 +139,9 @@ def closed_form_optimum(x, lam, k, task, signs=None):
     w, v = linalg.sym_eig(0.5 * (c + c.T))
     if k + 1 <= len(w):
         gaps = -np.diff(w[: k + 1])
-        if (gaps <= _GAP_FLOOR).any():
+        if (gaps <= GAP_FLOOR).any():
             raise DegenerateSpectrumError("top singular values are not distinct")
-    if w[k - 1] <= _GAP_FLOOR:
+    if w[k - 1] <= GAP_FLOOR:
         raise DegenerateSpectrumError("rank of x is below k")
     s = np.ones(k) if signs is None else np.asarray(signs, dtype=float)
     coef = lam * s

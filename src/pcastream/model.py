@@ -134,8 +134,7 @@ def forward(state, x, variant):
     if variant is Variant.EXACT_INVERSE:
         # state invariants already guarantee a symmetric finite m, so go
         # straight to the factorization
-        lu, piv = linalg.lu_factor(state.m)
-        return linalg.lu_solve(lu, piv, wx)
+        return linalg.lu_solve(linalg.lu_factor(state.m), wx)
     d = state.m.diagonal()
     if d.min() < DIAGONAL_FLOOR:
         raise DegenerateDiagonalError("diagonal entry below invertibility floor")
@@ -191,5 +190,4 @@ def neural_filter(state, variant):
     """
     if variant is Variant.ITERATION_FREE:
         return approx_inverse(state.m) @ state.w
-    lu, piv = linalg.lu_factor(state.m)
-    return linalg.lu_solve(lu, piv, state.w)
+    return linalg.lu_solve(linalg.lu_factor(state.m), state.w)

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcastream import data, harness
 from pcastream.checks import run_verification
@@ -25,6 +27,42 @@ def make_config(**overrides):
     }
     base.update(overrides)
     return json.dumps({k: v for k, v in base.items() if v is not None})
+
+
+def custom_config(**overrides):
+    base = {
+        "preset": "custom", "task": "psp", "variant": "exact",
+        "mode": "online", "n": 4, "k": 2, "lambda": [1.0, 0.8],
+        "tau": 0.5, "spectrum": [1.0, 0.6, 0.3, 0.3],
+        "schedule": {"kind": "constant", "alpha": 0.01},
+    }
+    base.update(overrides)
+    return json.dumps(base)
+
+
+def config_objects():
+    """JSON objects near valid configs: known keys with arbitrary values."""
+    leaves = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=6))
+    values = st.recursive(
+        leaves,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+        max_leaves=8)
+    plausible = st.sampled_from([
+        "small", "large", "custom", "psp", "psw", "iteration_free", "exact",
+        "online", "offline", 0, 1, 3, 4, 100, 0.5, [1.0, 0.8], [100],
+        [1.0, 0.6, 0.3, 0.3], [1.0, 0.5, 0.5, 0.1], {"kind": "constant"},
+        {"kind": "constant", "alpha": 0.1},
+        {"kind": "piecewise", "pieces": [[10, 0.1], [None, 0.01]]},
+        {"kind": "inverse_time", "numerator": 1, "offset": -1},
+    ])
+    keys = st.sampled_from(sorted(harness._KNOWN_KEYS) + ["junk"])
+    bases = st.sampled_from([json.loads(make_config()), json.loads(custom_config())])
+    overrides = st.dictionaries(keys, plausible | values, max_size=5)
+    return st.builds(lambda base, extra, drop: {
+        k: v for k, v in {**base, **extra}.items() if k not in drop},
+        bases, overrides, st.sets(keys, max_size=2))
 
 
 class TestParseConfig:
@@ -97,6 +135,37 @@ class TestParseConfig:
     def test_trials_floor(self):
         with pytest.raises(ConfigValidationError):
             harness.parse_config(make_config(trials=0))
+
+    @pytest.mark.parametrize("text", [
+        make_config(checkpoints=["x"]),
+        make_config(checkpoints="12"),
+        make_config(trials=[1]),
+        make_config(seed=1e400),
+        make_config(seed=-1),
+        make_config(output_path=5),
+        make_config(fixed_rotation="false"),
+        custom_config(n="four"),
+        custom_config(tau=float("nan")),
+        custom_config(**{"lambda": [1.0, "x"]}),
+        custom_config(schedule={"kind": "constant", "alpha": float("inf")}),
+    ])
+    def test_bad_values_rejected(self, text):
+        with pytest.raises(ConfigValidationError):
+            harness.parse_config(text)
+
+    def test_tie_at_k_rejected(self):
+        # the subspace of the top k=2 components is not unique
+        with pytest.raises(ConfigValidationError, match="k\\+1"):
+            harness.parse_config(custom_config(spectrum=[1.0, 0.5, 0.5, 0.1]))
+        harness.parse_config(custom_config(spectrum=[1.0, 0.5, 0.1, 0.1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), config_objects().map(json.dumps)))
+    def test_any_text_parses_or_raises_config_error(self, text):
+        try:
+            harness.parse_config(text)
+        except (ConfigParseError, ConfigValidationError):
+            pass
 
 
 class TestRunExperiment:
@@ -250,6 +319,13 @@ class TestCli:
         proc = run_cli("run", "--config", str(cfg_path))
         assert proc.returncode == 2
         assert "taus" in proc.stderr
+
+    def test_run_non_numeric_value_exits_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(make_config(checkpoints=["x"]))
+        proc = run_cli("run", "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert "checkpoints" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_missing_config_exits_2(self):
         proc = run_cli("run", "--config", "/nonexistent/cfg.json")

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcastream import linalg
 from pcastream.errors import (
@@ -8,6 +13,17 @@ from pcastream.errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
+
+
+def random_matrix(rows, cols, rank, seed, scale):
+    """Gaussian matrix of the given rank (almost surely) and scale."""
+    gen = np.random.default_rng(seed)
+    return scale * gen.normal(size=(rows, rank)) @ gen.normal(size=(rank, cols))
+
+
+dims = st.integers(1, 64)
+seeds = st.integers(0, 2**32 - 1)
+scales = st.sampled_from([1e-3, 1.0, 1e3])
 
 
 def triple_loop_matmul(a, b):
@@ -80,6 +96,18 @@ class TestSymEig:
         with pytest.raises(ValueError):
             linalg.sym_eig(a)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=dims, rank_frac=st.floats(0, 1), seed=seeds, scale=scales)
+    def test_orders_and_reconstructs(self, n, rank_frac, seed, scale):
+        # low rank gives repeated (zero) eigenvalues
+        b = random_matrix(n, n, round(rank_frac * n), seed, scale)
+        a = b + b.T
+        w, v = linalg.sym_eig(a)
+        assert w.shape == (n,) and v.shape == (n, n)
+        assert (np.diff(w) <= 0).all()
+        assert np.linalg.norm(v @ np.diag(w) @ v.T - a) <= 1e-12 * np.linalg.norm(a)
+        assert np.linalg.norm(v.T @ v - np.eye(n)) <= 1e-12
+
 
 class TestSvdSmall:
     def test_zero_matrix(self):
@@ -118,6 +146,18 @@ class TestSvdSmall:
         with pytest.raises(ShapeMismatchError):
             linalg.svd_small(np.zeros((65, 3)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=dims, cols=dims, rank_frac=st.floats(0, 1), seed=seeds, scale=scales)
+    def test_reconstructs_random_shapes(self, rows, cols, rank_frac, seed, scale):
+        p = min(rows, cols)
+        a = random_matrix(rows, cols, round(rank_frac * p), seed, scale)
+        u, s, v = linalg.svd_small(a)
+        assert u.shape == (rows, p) and s.shape == (p,) and v.shape == (cols, p)
+        assert (np.diff(s) <= 0).all() and (s >= 0).all()
+        assert np.linalg.norm(u @ np.diag(s) @ v.T - a) <= 1e-12 * np.linalg.norm(a)
+        assert np.linalg.norm(u.T @ u - np.eye(p)) <= 1e-12
+        assert np.linalg.norm(v.T @ v - np.eye(p)) <= 1e-12
+
 
 class TestQr:
     def test_identity(self):
@@ -155,6 +195,18 @@ class TestQr:
         with pytest.raises(ShapeMismatchError):
             linalg.qr(np.zeros((2, 3)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(cols=dims, extra=st.integers(0, 16), seed=seeds, scale=scales)
+    def test_sign_convention_and_orthonormality(self, cols, extra, seed, scale):
+        rows = cols + extra
+        a = scale * np.random.default_rng(seed).normal(size=(rows, cols))
+        q, r = linalg.qr(a)
+        assert q.shape == (rows, cols) and r.shape == (cols, cols)
+        assert (np.diagonal(r) >= 0).all()
+        assert np.array_equal(r, np.triu(r))
+        assert np.linalg.norm(q.T @ q - np.eye(cols)) <= 1e-12
+        assert np.linalg.norm(q @ r - a) <= 1e-12 * np.linalg.norm(a)
+
 
 class TestSolveSymmetric:
     def test_identity(self):
@@ -183,6 +235,12 @@ class TestSolveSymmetric:
         with pytest.raises(SingularMatrixError):
             linalg.solve_symmetric(m, np.array([1.0, 1.0]))
 
+    def test_singular_to_working_precision_raises(self):
+        # one ulp from exactly singular: LAPACK's elimination does not fail
+        m = np.array([[1.0, 1.0], [1.0, 1.0 + 4e-16]])
+        with pytest.raises(SingularMatrixError):
+            linalg.solve_symmetric(m, np.array([1.0, 1.0]))
+
     def test_asymmetric_rejected(self):
         m = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(NotSymmetricError):
@@ -197,3 +255,12 @@ class TestSolveSymmetric:
             x = linalg.solve_symmetric(m, b)
             w, v = linalg.sym_eig(m)
             assert np.linalg.norm(x - v @ ((v.T @ b) / w)) < 1e-9
+
+
+def test_import_leaves_scipy_unloaded():
+    """The kernels use numpy.linalg only; loading scipy would slow start-up."""
+    code = ("import sys, pcastream; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

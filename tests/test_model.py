@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcastream import linalg, model
-from pcastream.errors import DegenerateDiagonalError
+from pcastream.errors import DegenerateDiagonalError, SingularMatrixError
 from pcastream.model import ModelState, Task, Variant
 
 LAM3 = np.array([1.0, 0.85, 0.7])
@@ -160,6 +160,13 @@ class TestForward:
             rel.append(np.linalg.norm(y_if - y_ex) / np.linalg.norm(y_ex))
         slope = np.polyfit(np.log(eps_grid), np.log(rel), 1)[0]
         assert 1.8 <= slope <= 2.2
+
+    def test_exact_rejects_lateral_singular_to_working_precision(self):
+        # one ulp from exactly singular: LAPACK's elimination does not fail
+        m = np.array([[1.0, 1.0], [1.0, 1.0 + 4e-16]])
+        st = ModelState(m, np.eye(2), np.array([1.0, 0.5]), 1.0)
+        with pytest.raises(SingularMatrixError):
+            model.forward(st, np.array([1.0, 1.0]), Variant.EXACT_INVERSE)
 
 
 class TestPlasticity:
