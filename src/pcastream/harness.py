@@ -37,6 +37,7 @@ from .errors import (
 from .model import ModelState, Task, Variant, online_step
 
 _SAMPLE_CHUNK = 1024
+_MODEL_ERRORS = (DegenerateDiagonalError, LinalgError)
 
 _KNOWN_KEYS = {
     "task", "variant", "mode", "preset", "n", "k", "lambda", "tau",
@@ -107,6 +108,7 @@ class TrialOutcome:
     rows: list                   # (t, e_pro) pairs, completed trials only
     diverged_at: int = None
     wall_clock_s: float = 0.0
+    cause: str = None            # the model error of a diverged trial
 
 
 @dataclass
@@ -125,7 +127,8 @@ class SummaryReport:
             "config": self.config.to_json_dict(),
             "rows": self.rows,
             "medians": sorted(self.medians.items()),
-            "status": [(t.trial, t.status, t.diverged_at) for t in self.trials],
+            "status": [(t.trial, t.status, t.diverged_at, t.cause)
+                       for t in self.trials],
         }
 
     def to_json_dict(self):
@@ -142,6 +145,7 @@ class SummaryReport:
                     "trial": t.trial,
                     "status": t.status,
                     "diverged_at": t.diverged_at,
+                    "cause": t.cause,
                     "wall_clock_s": t.wall_clock_s,
                 }
                 for t in self.trials
@@ -204,10 +208,19 @@ def _finite_floats(value):
     return out
 
 
+def _int(value):
+    """A JSON number with no fractional part, as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _ints(value):
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {value!r}")
-    return tuple(int(t) for t in value)
+    return tuple(_int(t) for t in value)
 
 
 def _bool(value):
@@ -282,8 +295,8 @@ def parse_config(text):
     else:
         missing = {"n", "k", "lambda", "tau", "schedule", "spectrum"} - raw.keys()
         _require(not missing, f"custom preset requires keys: {sorted(missing)}")
-        n = _coerce(raw, "n", int)
-        k = _coerce(raw, "k", int)
+        n = _coerce(raw, "n", _int)
+        k = _coerce(raw, "k", _int)
         lam = _coerce(raw, "lambda", _finite_floats)
         spectrum = _coerce(raw, "spectrum", _finite_floats)
         tau = _coerce(raw, "tau", _finite_float)
@@ -298,23 +311,23 @@ def parse_config(text):
         _require((spectrum > 0).all() and not (np.diff(spectrum) > 0).any(),
                  "spectrum must be positive and nonincreasing")
         # ground_truth needs a unique, ordered leading k-subspace
-        _require((-np.diff(spectrum[: k + 1]) > metrics.GAP_FLOOR).all(),
+        _require(metrics.leading_separated(spectrum, k),
                  f"leading k+1 spectrum values must differ by more than "
                  f"{metrics.GAP_FLOOR:g}")
         _require(tau > 0, "tau must be positive")
         _require(m_init > 0, "m_init must be positive")
         _require(w_init_std > 0, "w_init_std must be positive")
 
-    t_max = _coerce(raw, "t_max", int, _DEFAULT_T_MAX[mode])
+    t_max = _coerce(raw, "t_max", _int, _DEFAULT_T_MAX[mode])
     _require(t_max >= 0, "t_max must be nonnegative")
     checkpoints = _coerce(raw, "checkpoints", _ints, [t_max] if t_max > 0 else [])
     bad = [t for t in checkpoints if not 1 <= t <= t_max]
     _require(not bad, f"checkpoints outside [1, t_max]: {sorted(bad)}")
-    trials = _coerce(raw, "trials", int, 1)
+    trials = _coerce(raw, "trials", _int, 1)
     _require(trials >= 1, "trials must be at least 1")
-    seed = _coerce(raw, "seed", int, 0)
+    seed = _coerce(raw, "seed", _int, 0)
     _require(seed >= 0, "seed must be nonnegative")
-    workers = _coerce(raw, "workers", int, 1)
+    workers = _coerce(raw, "workers", _int, 1)
     _require(workers >= 1, "workers must be at least 1")
     fixed_rotation = _coerce(raw, "fixed_rotation", _bool, False)
     output_path = raw.get("output_path")
@@ -358,39 +371,44 @@ def _run_trial(config, trial_idx, rotation=None):
     truth = metrics.ground_truth(g, config.k)
     state = _initial_state(config, rng.generator)
 
-    def error_of(st):
-        u_hat = metrics.estimate_subspace(st, config.task, config.variant,
-                                          truth.sigma_k)
-        return metrics.procrustes_error(u_hat, truth.u_k)
+    def row(t, st):
+        """(t, e_pro) of a snapshot; model errors count as divergence at t."""
+        try:
+            u_hat = metrics.estimate_subspace(st, config.task, config.variant,
+                                              truth.sigma_k)
+            return t, metrics.procrustes_error(u_hat, truth.u_k)
+        except _MODEL_ERRORS as exc:
+            raise TrialDivergedError(t, exc) from exc
 
     rows = []
-    t = 0
     try:
         if config.mode == "offline":
             traj = offline.run_offline(
                 state, g, config.schedule, config.t_max, config.checkpoints,
                 task=config.task, variant=config.variant)
-            rows = [(t, error_of(st)) for t, st in traj.checkpoints]
+            rows = [row(t, st) for t, st in traj.checkpoints]
         else:
             points = set(config.eval_points())
             if config.t_max == 0:
-                rows = [(0, error_of(state))]
+                rows = [row(0, state)]
+            t = 0
             while t < config.t_max:
                 block = data.sample_block(
                     spec, rng, min(_SAMPLE_CHUNK, config.t_max - t))
                 for x in block:
                     t += 1
-                    _, state = online_step(state, x, config.schedule.rate(t),
-                                           config.task, config.variant)
+                    try:
+                        _, state = online_step(
+                            state, x, config.schedule.rate(t), config.task,
+                            config.variant)
+                    except _MODEL_ERRORS as exc:
+                        raise TrialDivergedError(t, exc) from exc
                     if t in points:
-                        rows.append((t, error_of(state)))
+                        rows.append(row(t, state))
     except TrialDivergedError as exc:
+        cause = f"{type(exc.cause).__name__}: {exc.cause}"
         return TrialOutcome(trial_idx, "diverged", [], exc.iteration,
-                            time.perf_counter() - start)
-    except (DegenerateDiagonalError, LinalgError):
-        # online path raises model errors directly
-        return TrialOutcome(trial_idx, "diverged", [], t,
-                            time.perf_counter() - start)
+                            time.perf_counter() - start, cause)
     return TrialOutcome(trial_idx, "completed", rows, None,
                         time.perf_counter() - start)
 
@@ -493,7 +511,7 @@ def report_from_json(path):
     medians = {r["t"]: r["e_pro"] for r in obj["medians"]}
     trials = [
         TrialOutcome(r["trial"], r["status"], [], r.get("diverged_at"),
-                     r.get("wall_clock_s", 0.0))
+                     r.get("wall_clock_s", 0.0), r.get("cause"))
         for r in obj["trials"]
     ]
     return SummaryReport(config=config, rows=rows, medians=medians,

@@ -19,6 +19,12 @@ from .model import Task, neural_filter
 GAP_FLOOR = 1e-10
 
 
+def leading_separated(values, k):
+    """Whether the leading k+1 of the descending ``values`` (or all of
+    them, if fewer) are each more than GAP_FLOOR apart."""
+    return bool((-np.diff(values[: k + 1]) > GAP_FLOOR).all())
+
+
 @dataclass
 class GroundTruth:
     """Leading eigenvectors (columns of u_k) and root-eigenvalues of G."""
@@ -48,8 +54,7 @@ def ground_truth(g, k):
     if not 1 <= k <= n - 1:
         raise ValueError("k must lie in [1, n-1]")
     w, v = linalg.sym_eig(g)
-    gaps = -np.diff(w[: k + 1])
-    if (gaps <= GAP_FLOOR).any():
+    if not leading_separated(w, k):
         raise DegenerateSpectrumError("leading eigenvalues are not separated")
     if w[k - 1] <= 0:
         raise ValueError("covariance must have positive leading eigenvalues")
@@ -137,10 +142,8 @@ def closed_form_optimum(x, lam, k, task, signs=None):
         raise ShapeMismatchError("lam must have length k")
     c = x @ x.T
     w, v = linalg.sym_eig(0.5 * (c + c.T))
-    if k + 1 <= len(w):
-        gaps = -np.diff(w[: k + 1])
-        if (gaps <= GAP_FLOOR).any():
-            raise DegenerateSpectrumError("top singular values are not distinct")
+    if k + 1 <= len(w) and not leading_separated(w, k):
+        raise DegenerateSpectrumError("top singular values are not distinct")
     if w[k - 1] <= GAP_FLOOR:
         raise DegenerateSpectrumError("rank of x is below k")
     s = np.ones(k) if signs is None else np.asarray(signs, dtype=float)

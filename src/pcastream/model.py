@@ -105,43 +105,58 @@ def split_diag(m):
     return d, m_o
 
 
+def _lateral_solve(m, b, variant):
+    """``M^-1 b`` for a vector or a matrix b (one row per output).
+
+    Exact: one factorization of M. Iteration-free: the two-step pass,
+    ``D^-1 b - D^-1 M_o D^-1 b`` with D the diagonal and M_o the
+    off-diagonal part of M: b scaled by the diagonal, then one lateral
+    correction of that provisional signal, again scaled by the diagonal.
+    It uses no general inversion, and its error is quadratic in the
+    off-diagonal norm.
+    """
+    if variant is Variant.EXACT_INVERSE:
+        return linalg.lu_solve(linalg.lu_factor(m), b)
+    d = m.diagonal()
+    if d.min() < DIAGONAL_FLOOR:
+        raise DegenerateDiagonalError("diagonal entry below invertibility floor")
+    if b.ndim == 2:
+        d = d[:, None]
+    y_ff = b / d
+    return y_ff - (m @ y_ff - d * y_ff) / d
+
+
 def approx_inverse(m):
     """First-order near-diagonal inverse ``D^-1 - D^-1 (m - D) D^-1``.
 
-    D is the diagonal part of m. Only elementwise reciprocals and
-    diagonal scalings are used; no general inversion is performed. The
-    approximation error is quadratic in the off-diagonal norm.
+    D is the diagonal part of m: the two-step pass applied to the
+    identity.
     """
     m = np.asarray(m, dtype=float)
-    k = m.shape[0]
-    d = np.diagonal(m)
-    if np.any(np.abs(d) < DIAGONAL_FLOOR):
-        raise DegenerateDiagonalError("diagonal entry below invertibility floor")
-    inv_d = 1.0 / d
-    out = -(inv_d[:, None] * m) * inv_d[None, :]
-    out.flat[:: k + 1] = inv_d
-    return out
+    return _lateral_solve(m, np.eye(m.shape[0]), Variant.ITERATION_FREE)
 
 
 def forward(state, x, variant):
     """Output for one input vector, using the pre-update weights.
 
-    Iteration-free: a feed-forward pass scaled by the lateral diagonal,
-    followed by one lateral correction of that provisional signal. Exact:
-    solve ``m @ y = w @ x``.
+    Iteration-free: the two-step pass on ``w @ x``. Exact: solve
+    ``m @ y = w @ x``.
     """
-    wx = state.w @ x
-    if variant is Variant.EXACT_INVERSE:
-        # state invariants already guarantee a symmetric finite m, so go
-        # straight to the factorization
-        return linalg.lu_solve(linalg.lu_factor(state.m), wx)
-    d = state.m.diagonal()
-    if d.min() < DIAGONAL_FLOOR:
-        raise DegenerateDiagonalError("diagonal entry below invertibility floor")
-    y_ff = wx / d
-    # lateral pass: subtract the off-diagonal contribution of the
-    # provisional signal, again scaled by the diagonal
-    return y_ff - (state.m @ y_ff - d * y_ff) / d
+    return _lateral_solve(state.m, state.w @ x, variant)
+
+
+def lateral_drive(corr, state, task):
+    """Output correlation ``corr`` minus the lateral target, in place.
+
+    The target is ``lam M lam`` for projection and the fixed ``lam**2``
+    on the diagonal for whitening.
+    """
+    lam = state.lam
+    if task is Task.PSP:
+        corr -= lam[:, None] * state.m * lam[None, :]
+    else:
+        corr.flat[:: state.k + 1] -= lam * lam
+    return corr
 
 
 def plasticity(state, x, y, alpha, task):
@@ -155,13 +170,8 @@ def plasticity(state, x, y, alpha, task):
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    lam = state.lam
     w = state.w + alpha * (np.outer(y, x) - state.w)
-    drive = np.outer(y, y)
-    if task is Task.PSP:
-        drive -= lam[:, None] * state.m * lam[None, :]
-    else:
-        drive.flat[:: state.k + 1] -= lam * lam
+    drive = lateral_drive(np.outer(y, y), state, task)
     m = state.m + (alpha / state.tau) * drive
     m = 0.5 * (m + m.T)
     d = m.diagonal()
@@ -169,7 +179,7 @@ def plasticity(state, x, y, alpha, task):
         raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
     if not np.isfinite(m).all() or not np.isfinite(w).all():
         raise DegenerateDiagonalError("weights overflowed")
-    return ModelState(m, w, lam, state.tau, check=False)
+    return ModelState(m, w, state.lam, state.tau, check=False)
 
 
 def online_step(state, x, alpha, task, variant):
@@ -185,9 +195,6 @@ def online_step(state, x, alpha, task, variant):
 def neural_filter(state, variant):
     """The effective input-to-output linear map F, with ``forward == F @ x``.
 
-    Iteration-free uses the near-diagonal inverse approximation of M;
-    exact solves ``M F = W`` through one factorization.
+    The same solve as ``forward``, applied to W instead of ``W x``.
     """
-    if variant is Variant.ITERATION_FREE:
-        return approx_inverse(state.m) @ state.w
-    return linalg.lu_solve(linalg.lu_factor(state.m), state.w)
+    return _lateral_solve(state.m, state.w, variant)

@@ -14,14 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, metrics
 from .errors import (
     DegenerateDiagonalError,
     DegenerateSpectrumError,
     LinalgError,
     TrialDivergedError,
 )
-from .model import DIAGONAL_FLOOR, ModelState, Task, neural_filter
+from .model import (
+    DIAGONAL_FLOOR,
+    ModelState,
+    Task,
+    lateral_drive,
+    neural_filter,
+)
 
 
 @dataclass
@@ -45,25 +51,24 @@ class OfflineTrajectory:
         raise KeyError(f"no snapshot at iteration {t}")
 
 
-def _lateral_drive(state, fg, f, task):
-    """Expected lateral update direction for the given task."""
-    drive = fg @ f.T
-    lam = state.lam
-    if task is Task.PSP:
-        return drive - lam[:, None] * state.m * lam[None, :]
-    drive = drive.copy()
-    drive.flat[:: state.k + 1] -= lam * lam
-    return drive
+def _averaged_field(state, g, task, variant):
+    """The averaged update directions ``(F G - W, F G F' - target)``.
+
+    F is the learner's filter; the second entry is the lateral drive
+    before its 1/tau rate.
+    """
+    f = neural_filter(state, variant)
+    fg = f @ g
+    return fg - state.w, lateral_drive(fg @ f.T, state, task)
 
 
 def offline_step(state, g, alpha, task, variant):
     """One forward-Euler step of the averaged dynamics."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    f = neural_filter(state, variant)
-    fg = f @ g
-    w = state.w + alpha * (fg - state.w)
-    m = state.m + (alpha / state.tau) * _lateral_drive(state, fg, f, task)
+    dw, dm = _averaged_field(state, g, task, variant)
+    w = state.w + alpha * dw
+    m = state.m + (alpha / state.tau) * dm
     m = 0.5 * (m + m.T)
     if not (m.diagonal() > DIAGONAL_FLOOR).all():
         raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
@@ -88,9 +93,9 @@ def construct_fixed_point(g, lam, task, signs=None, tau=None, order=None):
     w, v = linalg.sym_eig(g)
     if k + 1 > len(w):
         raise ValueError("need at least k+1 eigenvalues")
-    gaps = -np.diff(w[: k + 1])
-    if (gaps <= 1e-10).any():
-        raise DegenerateSpectrumError("eigenvalue gap below 1e-10")
+    if not metrics.leading_separated(w, k):
+        raise DegenerateSpectrumError(
+            f"eigenvalue gap below {metrics.GAP_FLOOR:g}")
     if order is None:
         order = np.arange(k)
     else:
@@ -120,10 +125,8 @@ def fixed_point_residual(state, g, task, variant):
     the lateral drive (against lam M lam for projection, lam^2 for
     whitening).
     """
-    f = neural_filter(state, variant)
-    fg = f @ g
-    r_w = np.linalg.norm(fg - state.w)
-    return float(r_w + np.linalg.norm(_lateral_drive(state, fg, f, task)))
+    dw, dm = _averaged_field(state, g, task, variant)
+    return float(np.linalg.norm(dw) + np.linalg.norm(dm))
 
 
 def _pack(state):
@@ -142,12 +145,9 @@ def _unpack(vec, template):
 
 
 def _vector_field(state, g, task, variant):
-    f = neural_filter(state, variant)
-    fg = f @ g
-    dw = fg - state.w
-    dm = _lateral_drive(state, fg, f, task) / state.tau
+    dw, dm = _averaged_field(state, g, task, variant)
     iu = np.triu_indices(state.k)
-    return np.concatenate([dw.ravel(), dm[iu]])
+    return np.concatenate([dw.ravel(), dm[iu] / state.tau])
 
 
 def jacobian_spectrum(state, g, task, variant, eps=1e-5):

@@ -1,36 +1,42 @@
 """Acceptance suite.
 
 Each test enforces one numbered acceptance criterion at its stated
-tolerance and prints one pass/fail line. The expensive simulation
-fixtures (offline and online experiment batteries) are shared across
-criteria; their build time is what the runtime budgets are checked
-against.
+tolerance and prints one pass/fail line. Criteria 1-4 run experiment
+batteries through the harness; the expensive simulation fixtures are
+shared across them, and their build time is what the runtime budgets
+are checked against. Criteria 5-10 call the checks of
+``pcastream.checks``, the same functions ``pcastream verify`` runs, at
+the criteria's own seeds.
 """
 
 import json
 import time
 
-import numpy as np
 import pytest
 
-from pcastream import data, harness, linalg, metrics, model, offline
-from pcastream.data import RngStream
-from pcastream.model import ModelState, Task, Variant
-
-ALL_PAIRS = [(t, v) for t in Task for v in Variant]
-
-NAMES = {
-    (Task.PSP, Variant.ITERATION_FREE): "ifPSP",
-    (Task.PSP, Variant.EXACT_INVERSE): "PSP",
-    (Task.PSW, Variant.ITERATION_FREE): "ifPSW",
-    (Task.PSW, Variant.EXACT_INVERSE): "PSW",
-}
+from pcastream import checks, harness
+from pcastream.checks import ALL_PAIRS, pair_label
+from pcastream.model import Task, Variant
 
 
 def _criterion(number, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {number:02d}] {status}: {detail}")
     assert ok, f"criterion {number}: {detail}"
+
+
+def _check_criterion(number, seed, *check_funcs, budget=None):
+    """Criterion ``number``: every check passes at ``seed``, and all of
+    them together within ``budget`` seconds when one is given."""
+    start = time.perf_counter()
+    results = [check(seed) for check in check_funcs]
+    elapsed = time.perf_counter() - start
+    ok = all(passed for passed, _ in results)
+    detail = "; ".join(d for _, d in results)
+    if budget is not None:
+        ok = ok and elapsed < budget
+        detail += f"; runtime {elapsed:.1f}s<{budget:g}s"
+    _criterion(number, ok, detail)
 
 
 def _experiment(preset, mode, task, variant, trials, t_max, checkpoints, seed):
@@ -93,7 +99,7 @@ def test_criterion_01_offline_small_convergence(offline_small):
         e5000 = report.medians[5000]
         good = e1000 <= limits_1000[pair] and e5000 <= 1e-10
         ok &= good
-        parts.append(f"{NAMES[pair]} T1000={e1000:.1e} T5000={e5000:.1e}")
+        parts.append(f"{pair_label(*pair)} T1000={e1000:.1e} T5000={e5000:.1e}")
     _criterion(1, ok, "; ".join(parts))
 
 
@@ -112,7 +118,7 @@ def test_criterion_02_offline_large_convergence(offline_large):
         trend = report.medians[5000] < report.medians[1000]
         good = e5000 <= limits_5000[pair] and trend
         ok &= good
-        parts.append(f"{NAMES[pair]} T5000={e5000:.1e} decreasing:{trend}")
+        parts.append(f"{pair_label(*pair)} T5000={e5000:.1e} decreasing:{trend}")
     _criterion(2, ok, "; ".join(parts))
 
 
@@ -154,149 +160,26 @@ def test_criterion_04_online_variant_parity(online_small):
 
 
 def test_criterion_05_taylor_error_order():
-    gen = RngStream(500).generator
-    slopes = []
-    for _ in range(5):
-        d = np.diag(1.0 + gen.uniform(size=5))
-        e = gen.normal(size=(5, 5))
-        e = 0.5 * (e + e.T)
-        np.fill_diagonal(e, 0.0)
-        e /= np.linalg.norm(e)
-        offs, errs = [], []
-        for eps in (1e-1, 1e-2, 1e-3):
-            m = d + eps * e
-            approx = model.approx_inverse(m)
-            ident = np.eye(5)
-            exact = np.column_stack(
-                [linalg.solve_symmetric(m, ident[:, i]) for i in range(5)])
-            offs.append(eps)
-            errs.append(np.linalg.norm(approx - exact))
-        slopes.append(np.polyfit(np.log(offs), np.log(errs), 1)[0])
-    ok = all(1.8 <= s <= 2.2 for s in slopes)
-    _criterion(5, ok, "log-log slopes " + ", ".join(f"{s:.3f}" for s in slopes))
+    _check_criterion(5, 500, checks.check_approximation_order)
 
 
 def test_criterion_06_fixed_point_certification():
-    start = time.perf_counter()
-    pre = data.small_problem()
-    worst = 0.0
-    for i in range(20):
-        spec = pre.draw_covariance(RngStream(600, i))
-        g = data.build_covariance(spec)
-        for task, variant in ALL_PAIRS:
-            fp = offline.construct_fixed_point(g, pre.lam, task)
-            worst = max(worst, offline.fixed_point_residual(fp, g, task, variant))
-    elapsed = time.perf_counter() - start
-    ok = worst < 1e-10 and elapsed < 10.0
-    _criterion(6, ok,
-               f"worst residual {worst:.2e}<1e-10 over 20 covariances x 4 pairs; "
-               f"runtime {elapsed:.1f}s<10s")
+    _check_criterion(6, 600, checks.check_fixed_point_certification,
+                     budget=10.0)
 
 
 def test_criterion_07_stability_dichotomy():
-    start = time.perf_counter()
-    pre = data.small_problem()
-    spec = pre.draw_covariance(RngStream(700))
-    g = data.build_covariance(spec)
-    parts = []
-    ok = True
-    for task, variant in ALL_PAIRS:
-        fp = offline.construct_fixed_point(g, pre.lam, task)
-        top = offline.jacobian_spectrum(fp, g, task, variant)[0]
-        bad = offline.construct_fixed_point(g, pre.lam, task, order=[1, 0, 2])
-        top_bad = offline.jacobian_spectrum(bad, g, task, variant)[0]
-        good = top < -1e-6 and top_bad > 1e-6
-        ok &= good
-        parts.append(f"{NAMES[(task, variant)]}:{top:.1e}/{top_bad:+.1e}")
-    elapsed = time.perf_counter() - start
-    ok &= elapsed < 30.0
-    _criterion(7, ok, "max Re (ordered/permuted) " + ", ".join(parts)
-               + f"; runtime {elapsed:.1f}s<30s")
+    _check_criterion(7, 700, checks.check_stability_dichotomy, budget=30.0)
 
 
 def test_criterion_08_closed_form_optimum_oracles():
-    gen = RngStream(800).generator
-    worst_grad = 0.0
-    beaten = True
-    for i in range(10):
-        x = gen.normal(size=(4, 7))
-        lam = np.array([1.3, 1.0])
-
-        y_psp = metrics.closed_form_optimum(x, lam, 2, Task.PSP)
-        obj = metrics.objective_psp(y_psp, x, lam)
-        grad = _fd_gradient(lambda yy: metrics.objective_psp(yy, x, lam), y_psp)
-        worst_grad = max(worst_grad, np.linalg.norm(grad) / (1.0 + abs(obj)))
-        norm = np.linalg.norm(y_psp)
-        for _ in range(1000):
-            cand = gen.normal(size=y_psp.shape)
-            cand *= norm / np.linalg.norm(cand)
-            if metrics.objective_psp(cand, x, lam) < obj - 1e-9:
-                beaten = False
-
-        y_psw = metrics.closed_form_optimum(x, lam, 2, Task.PSW)
-        val, viol = metrics.objective_psw(y_psw, x, lam)
-        grad_w = _fd_gradient(lambda yy: metrics.objective_psw(yy, x, lam)[0],
-                              y_psw)
-        sym = grad_w @ y_psw.T + y_psw @ grad_w.T
-        xi = sym / (lam[:, None] ** 2 + lam[None, :] ** 2)
-        tangent = grad_w - xi @ y_psw
-        worst_grad = max(worst_grad, np.linalg.norm(tangent) / (1.0 + abs(val)))
-        for _ in range(1000):
-            q, _ = linalg.qr(gen.normal(size=(7, 2)))
-            cand = lam[:, None] * q.T
-            if metrics.objective_psw(cand, x, lam)[0] < val - 1e-9:
-                beaten = False
-    ok = worst_grad < 1e-6 and beaten
-    _criterion(8, ok,
-               f"worst scaled stationarity gradient {worst_grad:.2e}<1e-6; "
-               f"beat 1000 competitors on 10 instances per task: {beaten}")
-
-
-def _fd_gradient(func, y, h=1e-6):
-    grad = np.zeros_like(y)
-    for idx in np.ndindex(*y.shape):
-        step = h * (1.0 + abs(y[idx]))
-        up = y.copy()
-        up[idx] += step
-        dn = y.copy()
-        dn[idx] -= step
-        grad[idx] = (func(up) - func(dn)) / (2 * step)
-    return grad
+    _check_criterion(8, 800, checks.check_closed_form_stationarity,
+                     checks.check_closed_form_optimality)
 
 
 def test_criterion_09_procrustes_metric_suite():
-    gen = RngStream(900).generator
-    basis, _ = linalg.qr(gen.normal(size=(9, 6)))
-    u = basis[:, :3]
-    comp = basis[:, 3:]
-    q = data.haar_orthogonal(3, RngStream(901))
-    rotated = metrics.procrustes_error(u @ q, u)
-    complement = metrics.procrustes_error(comp, u)
-    theta = 0.7
-    k1 = metrics.procrustes_error(
-        np.array([[np.cos(theta)], [np.sin(theta)]]), np.array([[1.0], [0.0]]))
-    ok = (rotated < 1e-12
-          and abs(complement - 2.0) < 1e-12
-          and abs(k1 - 2 * (1 - np.cos(theta))) < 1e-12)
-    _criterion(9, ok,
-               f"rotated copy {rotated:.1e}; complement {complement:.15f}; "
-               f"k=1 gap {abs(k1 - 2 * (1 - np.cos(theta))):.1e}")
+    _check_criterion(9, 900, checks.check_procrustes_invariances)
 
 
 def test_criterion_10_lateral_weight_decay():
-    pre = data.small_problem()
-    spec = pre.draw_covariance(RngStream(1000))
-    g = data.build_covariance(spec)
-    worst = 0.0
-    for task, variant in ALL_PAIRS:
-        rng = RngStream(1001)
-        w0 = rng.generator.normal(0.0, pre.w_init_std, size=(pre.k, pre.n))
-        st = ModelState(pre.m_init[task] * np.eye(pre.k), w0, pre.lam,
-                        pre.tau[task])
-        traj = offline.run_offline(st, g, pre.offline_schedule, 5000,
-                                   task=task, variant=variant)
-        final = traj.final_state()
-        d, m_o = model.split_diag(final.m)
-        worst = max(worst, np.linalg.norm(m_o) / np.linalg.norm(np.diag(d)))
-    ok = worst < 1e-6
-    _criterion(10, ok, f"worst final off/diag ratio {worst:.2e}<1e-6")
+    _check_criterion(10, 1000, checks.check_lateral_decay)

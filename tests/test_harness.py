@@ -144,6 +144,13 @@ class TestParseConfig:
         make_config(seed=-1),
         make_config(output_path=5),
         make_config(fixed_rotation="false"),
+        make_config(checkpoints=[1.9, 5]),
+        make_config(t_max=5.7, checkpoints=[5]),
+        make_config(trials=True),
+        make_config(t_max="20", checkpoints=[10]),
+        make_config(seed=2.5),
+        make_config(workers=1.5),
+        custom_config(k=2.5),
         custom_config(n="four"),
         custom_config(tau=float("nan")),
         custom_config(**{"lambda": [1.0, "x"]}),
@@ -222,6 +229,18 @@ class TestRunExperiment:
         for outcome in report.trials:
             assert outcome.status == "diverged"
             assert outcome.diverged_at >= 1
+
+    def test_json_report_keeps_divergence_cause(self, tmp_path):
+        cfg = harness.parse_config(custom_config(
+            variant="iteration_free", trials=1, seed=1, t_max=50,
+            schedule={"kind": "constant", "alpha": 10.0}))
+        path = tmp_path / "out.json"
+        harness.emit_report(harness.run_experiment(cfg), "json", path)
+        (trial,) = json.loads(path.read_text())["trials"]
+        assert trial["status"] == "diverged"
+        assert trial["cause"].startswith("DegenerateDiagonalError: ")
+        (back,) = harness.report_from_json(path).trials
+        assert back.cause == trial["cause"]
 
     def test_medians_over_completed_only(self):
         cfg = harness.parse_config(make_config(trials=3))
@@ -326,6 +345,13 @@ class TestCli:
         proc = run_cli("run", "--config", str(cfg_path))
         assert proc.returncode == 2
         assert "checkpoints" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_run_fractional_integer_exits_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(make_config(t_max=5.7, checkpoints=[5]))
+        proc = run_cli("run", "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert "t_max" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_missing_config_exits_2(self):
         proc = run_cli("run", "--config", "/nonexistent/cfg.json")

@@ -56,6 +56,25 @@ class TestOfflineStep:
         assert np.allclose(new.w, w_expected, atol=1e-14)
         assert np.allclose(new.m, m_expected, atol=1e-14)
 
+    @pytest.mark.parametrize("task, variant", ALL_PAIRS)
+    def test_is_mean_of_online_updates(self, task, variant):
+        # the online rule averaged over samples is the averaged dynamics
+        # on their exact empirical covariance
+        pre = data.small_problem()
+        gen = RngStream(63).generator
+        x = gen.normal(size=(200, pre.n))
+        g = x.T @ x / len(x)
+        st = fresh_state(pre, task)
+        e = 0.02 * gen.normal(size=(pre.k, pre.k))
+        np.fill_diagonal(e, 0.0)
+        st = ModelState(st.m + e + e.T, st.w, st.lam, st.tau)
+        alpha = 0.05
+        online = [model.plasticity(st, xi, model.forward(st, xi, variant),
+                                   alpha, task) for xi in x]
+        new = offline.offline_step(st, g, alpha, task, variant)
+        assert np.abs(np.mean([s.w for s in online], 0) - new.w).max() <= 1e-12
+        assert np.abs(np.mean([s.m for s in online], 0) - new.m).max() <= 1e-12
+
 
 class TestConstructFixedPoint:
     def test_diagonal_projection_case(self):
