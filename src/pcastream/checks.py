@@ -15,6 +15,7 @@ This module is the single source of these checks. The checks that
 acceptance criteria at their own.
 """
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -234,8 +235,7 @@ def check_linearization_agreement():
     return worst <= 1e-4, f"worst relative spectrum gap {worst:.2e}"
 
 
-def _converged_offline_states(g_rng, w_rng, t_max=5000,
-                              checkpoints=(100, 1000)):
+def _converged_offline_states(g_rng, w_rng, checkpoints=(100, 1000)):
     """Averaged-dynamics runs of all four pairs on one small-preset problem.
 
     G is drawn from ``g_rng``, then the shared W initialization from
@@ -250,7 +250,7 @@ def _converged_offline_states(g_rng, w_rng, t_max=5000,
         st = ModelState(pre.m_init[task] * np.eye(pre.k), w0, pre.lam,
                         pre.tau[task])
         runs[(task, variant)] = offline.run_offline(
-            st, g, pre.offline_schedule, t_max, checkpoints,
+            st, g, pre.offline_schedule, 5000, checkpoints,
             task=task, variant=variant)
     return runs, metrics.ground_truth(g, pre.k)
 
@@ -266,9 +266,15 @@ def check_lateral_decay(seed=203):
     return worst < 1e-6, f"worst final off/diag ratio {worst:.2e}<1e-6"
 
 
-def check_monotone_tail():
+@functools.cache
+def _tail_runs():
+    """Stream-203 runs, read (never modified) by two checks."""
     rng = data.RngStream(203)
-    runs, truth = _converged_offline_states(rng, rng)
+    return _converged_offline_states(rng, rng)
+
+
+def check_monotone_tail():
+    runs, truth = _tail_runs()
     for (task, variant), traj in runs.items():
         errs = []
         for t, st in traj.checkpoints:
@@ -393,7 +399,7 @@ def _closed_form_oracles(seed):
     for _ in range(10):
         x = gen.normal(size=(4, 7))
 
-        y_psp = metrics.closed_form_optimum(x, lam, 2, Task.PSP)
+        y_psp = metrics.closed_form_optimum(x, lam, Task.PSP)
         obj = metrics.objective_psp(y_psp, x, lam)
         grad = _fd_gradient(lambda yy: metrics.objective_psp(yy, x, lam), y_psp)
         worst_grad = max(worst_grad, np.linalg.norm(grad) / (1.0 + abs(obj)))
@@ -404,7 +410,7 @@ def _closed_form_oracles(seed):
             if metrics.objective_psp(cand, x, lam) < obj - 1e-9:
                 beaten = False
 
-        y_psw = metrics.closed_form_optimum(x, lam, 2, Task.PSW)
+        y_psw = metrics.closed_form_optimum(x, lam, Task.PSW)
         val, _ = metrics.objective_psw(y_psw, x, lam)
         grad_w = _fd_gradient(lambda yy: metrics.objective_psw(yy, x, lam)[0],
                               y_psw)
@@ -458,9 +464,7 @@ def check_trial_isolation():
 
 
 def check_estimator_dispatch():
-    rng = data.RngStream(203)
-    runs, truth = _converged_offline_states(rng, rng, t_max=2000,
-                                            checkpoints=())
+    runs, truth = _tail_runs()
     final = runs[(Task.PSW, Variant.EXACT_INVERSE)].final_state()
     right = metrics.procrustes_error(
         metrics.estimate_subspace(final, Task.PSW, Variant.EXACT_INVERSE,

@@ -15,7 +15,27 @@ import sys
 from . import data, harness
 from .checks import run_verification
 from .data import DATAGEN_STREAM, PRESETS, RngStream
-from .errors import ConfigParseError, ConfigValidationError
+from .errors import ConfigParseError, ConfigValidationError, ReportFormatError
+
+
+def _int_at_least(low):
+    """argparse type: an integer of at least ``low``, as in the config rules."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
+def _write_report(report, fmt, out):
+    """Write a report; the exit code is 1 if that fails."""
+    try:
+        harness.emit_report(report, fmt, out)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {fmt} report to {out}")
+    return 0
 
 
 def _cmd_run(args):
@@ -27,21 +47,15 @@ def _cmd_run(args):
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    workers = args.workers if args.workers else None
-    report = harness.run_experiment(config, workers=workers)
+    report = harness.run_experiment(config, workers=args.workers)
     completed = len([t for t in report.trials if t.status == "completed"])
     for t, e in sorted(report.medians.items()):
         print(f"t={t}  median_e_pro={e:.6e}  (over {completed} trials)")
     if report.diverged:
         print(f"diverged trials: {report.diverged}")
     out = args.out or config.output_path
-    if out:
-        try:
-            harness.emit_report(report, args.format, out)
-        except OSError as exc:
-            print(f"cannot write report: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.format} report to {out}")
+    if out and _write_report(report, args.format, out):
+        return 1
     return 0 if completed else 1
 
 
@@ -77,17 +91,11 @@ def _cmd_verify(args):
 def _cmd_report(args):
     try:
         report = harness.report_from_json(args.infile)
-    except OSError as exc:
+    except (OSError, ReportFormatError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 2
-    out = args.out or (args.infile.rsplit(".", 1)[0] + ".csv")
-    try:
-        harness.emit_report(report, args.format, out)
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {args.format} report to {out}")
-    return 0
+    return _write_report(report, args.format,
+                         args.out or (args.infile.rsplit(".", 1)[0] + ".csv"))
 
 
 def build_parser():
@@ -100,13 +108,13 @@ def build_parser():
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=_int_at_least(1), default=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_gen = sub.add_parser("gen-data", help="sample a dataset from a preset")
     p_gen.add_argument("--preset", choices=sorted(PRESETS), required=True)
-    p_gen.add_argument("--samples", type=int, required=True)
-    p_gen.add_argument("--seed", type=int, required=True)
+    p_gen.add_argument("--samples", type=_int_at_least(1), required=True)
+    p_gen.add_argument("--seed", type=_int_at_least(0), required=True)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen_data)
 

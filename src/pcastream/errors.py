@@ -33,6 +33,10 @@ class DegenerateSpectrumError(Exception):
     """Leading eigenvalues are too close for a unique subspace."""
 
 
+# Model failures that end a learning run: recorded as its divergence.
+MODEL_ERRORS = (DegenerateDiagonalError, LinalgError)
+
+
 class TrialDivergedError(Exception):
     """A learning run failed mid-trajectory.
 
@@ -68,3 +72,7 @@ class ConfigParseError(Exception):
 
 class ConfigValidationError(Exception):
     """Configuration parsed but violates a constraint."""
+
+
+class ReportFormatError(Exception):
+    """A file is not a JSON report written by this package."""

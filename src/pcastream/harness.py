@@ -28,16 +28,15 @@ from .data import (
     RngStream,
 )
 from .errors import (
+    MODEL_ERRORS,
     ConfigParseError,
     ConfigValidationError,
-    DegenerateDiagonalError,
-    LinalgError,
+    ReportFormatError,
     TrialDivergedError,
 )
 from .model import ModelState, Task, Variant, online_step
 
 _SAMPLE_CHUNK = 1024
-_MODEL_ERRORS = (DegenerateDiagonalError, LinalgError)
 
 _KNOWN_KEYS = {
     "task", "variant", "mode", "preset", "n", "k", "lambda", "tau",
@@ -377,7 +376,7 @@ def _run_trial(config, trial_idx, rotation=None):
             u_hat = metrics.estimate_subspace(st, config.task, config.variant,
                                               truth.sigma_k)
             return t, metrics.procrustes_error(u_hat, truth.u_k)
-        except _MODEL_ERRORS as exc:
+        except MODEL_ERRORS as exc:
             raise TrialDivergedError(t, exc) from exc
 
     rows = []
@@ -401,7 +400,7 @@ def _run_trial(config, trial_idx, rotation=None):
                         _, state = online_step(
                             state, x, config.schedule.rate(t), config.task,
                             config.variant)
-                    except _MODEL_ERRORS as exc:
+                    except MODEL_ERRORS as exc:
                         raise TrialDivergedError(t, exc) from exc
                     if t in points:
                         rows.append(row(t, state))
@@ -503,16 +502,23 @@ def config_from_json_dict(obj):
 
 
 def report_from_json(path):
-    """Load the JSON form of a report for CSV re-emission."""
+    """Load the JSON form of a report for CSV re-emission.
+
+    Raises ReportFormatError when the file is not such a report.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    config = config_from_json_dict(obj["config"])
-    rows = [(r["t"], r["trial"], r["e_pro"]) for r in obj["rows"]]
-    medians = {r["t"]: r["e_pro"] for r in obj["medians"]}
-    trials = [
-        TrialOutcome(r["trial"], r["status"], [], r.get("diverged_at"),
-                     r.get("wall_clock_s", 0.0), r.get("cause"))
-        for r in obj["trials"]
-    ]
-    return SummaryReport(config=config, rows=rows, medians=medians,
-                         trials=trials, diverged=obj["diverged"])
+        try:
+            obj = json.load(fh)
+            return SummaryReport(
+                config=config_from_json_dict(obj["config"]),
+                rows=[(_int(r["t"]), _int(r["trial"]), float(r["e_pro"]))
+                      for r in obj["rows"]],
+                medians={_int(r["t"]): float(r["e_pro"]) for r in obj["medians"]},
+                trials=[TrialOutcome(r["trial"], r["status"], [],
+                                     r.get("diverged_at"),
+                                     r.get("wall_clock_s", 0.0), r.get("cause"))
+                        for r in obj["trials"]],
+                diverged=obj["diverged"])
+        except (KeyError, RecursionError, ConfigValidationError,
+                *_COERCION_ERRORS) as exc:
+            raise ReportFormatError(f"{type(exc).__name__}: {exc}") from exc

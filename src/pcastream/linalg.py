@@ -27,14 +27,17 @@ def check_finite(a, name="array"):
     return a
 
 
-def sym_eig(a, tol=1e-10):
+def is_symmetric(a):
+    """Whether ``||a - a.T|| <= 1e-10 ||a||`` (Frobenius) for a finite ``a``."""
+    return np.linalg.norm(a - a.T) <= 1e-10 * max(np.linalg.norm(a), 1e-300)
+
+
+def sym_eig(a):
     """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``).
 
     Parameters:
     ====================
-    a   -- square symmetric matrix
-    tol -- relative symmetry tolerance; ``||a - a.T|| > tol * ||a||`` is
-           rejected
+    a -- square matrix, symmetric within :func:`is_symmetric`
 
     Output:
     ====================
@@ -45,10 +48,8 @@ def sym_eig(a, tol=1e-10):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"expected square matrix, got {a.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     check_finite(a, "matrix")
-    if np.linalg.norm(a - a.T) > tol * max(np.linalg.norm(a), 1e-300):
+    if not is_symmetric(a):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     try:
         # eigh reads one triangle; symmetrize so both contribute.
@@ -130,14 +131,13 @@ def lu_solve(factors, b):
     return factors @ b
 
 
-def solve_symmetric(m, b, tol=1e-10):
+def solve_symmetric(m, b):
     """Solve ``m @ x = b`` for symmetric well-conditioned ``m``.
 
     Parameters:
     ====================
-    m   -- symmetric matrix
-    b   -- right-hand side vector
-    tol -- relative symmetry tolerance on ``m``
+    m -- matrix, symmetric within :func:`is_symmetric`
+    b -- right-hand side vector
     """
     m = np.asarray(m, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -147,6 +147,6 @@ def solve_symmetric(m, b, tol=1e-10):
         raise ShapeMismatchError("right-hand side length does not match matrix")
     check_finite(m, "matrix")
     check_finite(b, "right-hand side")
-    if np.linalg.norm(m - m.T) > tol * max(np.linalg.norm(m), 1e-300):
+    if not is_symmetric(m):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     return lu_solve(lu_factor(m), b)

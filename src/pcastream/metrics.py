@@ -45,20 +45,13 @@ class GroundTruth:
 def ground_truth(g, k):
     """Top-k eigenvectors of a covariance matrix and their root-eigenvalues.
 
-    Requires the leading k+1 eigenvalues to be separated by more than a
-    small gap so the subspace (and its per-component ordering) is
-    well defined.
+    They are the rows of the projection optimum at unit gain, so the
+    same separation and rank rules as :func:`optimal_filter` apply.
     """
-    g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    if not 1 <= k <= n - 1:
+    if not 1 <= k <= len(g) - 1:
         raise ValueError("k must lie in [1, n-1]")
-    w, v = linalg.sym_eig(g)
-    if not leading_separated(w, k):
-        raise DegenerateSpectrumError("leading eigenvalues are not separated")
-    if w[k - 1] <= 0:
-        raise ValueError("covariance must have positive leading eigenvalues")
-    return GroundTruth(u_k=v[:, :k].copy(), sigma_k=np.sqrt(w[:k]))
+    w, f = optimal_filter(g, np.ones(k), Task.PSP)
+    return GroundTruth(u_k=f.T.copy(), sigma_k=np.sqrt(w))
 
 
 def estimate_subspace(state, task, variant, sigma_k=None):
@@ -129,25 +122,38 @@ def objective_psw(y, x, lam):
     return float(np.sum(diff * diff)), float(np.linalg.norm(gram))
 
 
-def closed_form_optimum(x, lam, k, task, signs=None):
-    """Optimal K x T embedding of a data matrix, per-component sign free.
+def optimal_filter(c, lam, task, signs=None, order=None):
+    """(eigvals, F): top-K eigenvalues of c and the optimal K x N filter.
 
-    Projects onto the top-k left singular directions of x, scaled by the
-    gain (projection task) or by the gain over the singular values
-    (whitening task). ``signs`` flips individual components.
+    K is the length of the gain. Row i of F is the unit eigenvector of
+    ``eigvals[i]`` times ``lam[i] s[i]``, over ``sqrt(eigvals[i])`` for
+    whitening. ``signs`` s (default +1) flips rows; ``order`` permutes
+    which top-K eigenpair feeds which row. The leading K+1 eigenvalues
+    must be separated and the K-th positive.
     """
-    x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != (k,):
-        raise ShapeMismatchError("lam must have length k")
-    c = x @ x.T
-    w, v = linalg.sym_eig(0.5 * (c + c.T))
-    if k + 1 <= len(w) and not leading_separated(w, k):
-        raise DegenerateSpectrumError("top singular values are not distinct")
-    if w[k - 1] <= GAP_FLOOR:
-        raise DegenerateSpectrumError("rank of x is below k")
+    k = lam.shape[0]
+    w, v = linalg.sym_eig(c)
+    if k > len(w):
+        raise ShapeMismatchError("gain is longer than the covariance side")
+    if not leading_separated(w, k) or w[k - 1] <= GAP_FLOOR:
+        raise DegenerateSpectrumError(
+            f"top-{k} eigenvalues must be more than {GAP_FLOOR:g} apart and above 0")
+    order = np.arange(k) if order is None else np.asarray(order, dtype=int)
+    if sorted(order.tolist()) != list(range(k)):
+        raise ValueError("order must be a permutation of range(k)")
     s = np.ones(k) if signs is None else np.asarray(signs, dtype=float)
+    if not np.all(np.abs(s) == 1.0):
+        raise ValueError("signs must be +/-1")
+    eigvals = w[order]
     coef = lam * s
     if task is Task.PSW:
-        coef = coef / np.sqrt(w[:k])
-    return coef[:, None] * (v[:, :k].T @ x)
+        coef = coef / np.sqrt(eigvals)
+    return eigvals, coef[:, None] * v[:, order].T
+
+
+def closed_form_optimum(x, lam, task, signs=None):
+    """Optimal K x T embedding of x: the optimal filter of ``x x'`` applied
+    to x. ``signs`` flips individual components."""
+    x = np.asarray(x, dtype=float)
+    return optimal_filter(x @ x.T, lam, task, signs)[1] @ x

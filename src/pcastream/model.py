@@ -61,7 +61,7 @@ class ModelState:
             linalg.check_finite(m, "m")
             linalg.check_finite(w, "w")
             linalg.check_finite(lam, "lam")
-            if np.linalg.norm(m - m.T) > 1e-10 * max(np.linalg.norm(m), 1e-300):
+            if not linalg.is_symmetric(m):
                 raise ValueError("lateral matrix must be symmetric")
             if not (np.diagonal(m) > DIAGONAL_FLOOR).all():
                 raise DegenerateDiagonalError("lateral diagonal not strictly positive")
@@ -159,27 +159,33 @@ def lateral_drive(corr, state, task):
     return corr
 
 
+def _apply_update(state, dw, dm, alpha):
+    """The state moved by ``alpha * dw`` (W) and ``alpha / tau * dm`` (M).
+
+    Symmetry of M is restored exactly so that rounding cannot accumulate
+    over long runs. A diagonal at the floor or an overflow is divergence.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    w = state.w + alpha * dw
+    m = state.m + (alpha / state.tau) * dm
+    m = 0.5 * (m + m.T)
+    if not (m.diagonal() > DIAGONAL_FLOOR).all():
+        raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
+    if not np.isfinite(m).all() or not np.isfinite(w).all():
+        raise DegenerateDiagonalError("weights overflowed")
+    return ModelState(m, w, state.lam, state.tau, check=False)
+
+
 def plasticity(state, x, y, alpha, task):
     """One Hebbian/anti-Hebbian weight update for the pair (x, y).
 
     W moves toward the input/output correlation. M moves along the
     output correlation minus its target, ``lam M lam`` for projection or
-    the fixed ``lam**2`` for whitening, at 1/tau of the W rate. Symmetry
-    of M is restored exactly after the update so that rounding cannot
-    accumulate over long runs.
+    the fixed ``lam**2`` for whitening, at 1/tau of the W rate.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    w = state.w + alpha * (np.outer(y, x) - state.w)
-    drive = lateral_drive(np.outer(y, y), state, task)
-    m = state.m + (alpha / state.tau) * drive
-    m = 0.5 * (m + m.T)
-    d = m.diagonal()
-    if not (d > DIAGONAL_FLOOR).all():
-        raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
-    if not np.isfinite(m).all() or not np.isfinite(w).all():
-        raise DegenerateDiagonalError("weights overflowed")
-    return ModelState(m, w, state.lam, state.tau, check=False)
+    return _apply_update(state, np.outer(y, x) - state.w,
+                         lateral_drive(np.outer(y, y), state, task), alpha)
 
 
 def online_step(state, x, alpha, task, variant):

@@ -14,17 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, metrics
-from .errors import (
-    DegenerateDiagonalError,
-    DegenerateSpectrumError,
-    LinalgError,
-    TrialDivergedError,
-)
+from . import metrics
+from .errors import MODEL_ERRORS, TrialDivergedError
 from .model import (
-    DIAGONAL_FLOOR,
     ModelState,
     Task,
+    _apply_update,
     lateral_drive,
     neural_filter,
 )
@@ -64,56 +59,22 @@ def _averaged_field(state, g, task, variant):
 
 def offline_step(state, g, alpha, task, variant):
     """One forward-Euler step of the averaged dynamics."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    dw, dm = _averaged_field(state, g, task, variant)
-    w = state.w + alpha * dw
-    m = state.m + (alpha / state.tau) * dm
-    m = 0.5 * (m + m.T)
-    if not (m.diagonal() > DIAGONAL_FLOOR).all():
-        raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
-    if not np.isfinite(m).all() or not np.isfinite(w).all():
-        raise DegenerateDiagonalError("weights overflowed")
-    return ModelState(m, w, state.lam, state.tau, check=False)
+    return _apply_update(state, *_averaged_field(state, g, task, variant),
+                         alpha)
 
 
 def construct_fixed_point(g, lam, task, signs=None, tau=None, order=None):
     """Closed-form stationary state of the averaged dynamics.
 
-    The lateral matrix is set to the diagonal of the top-K eigenvalues of
-    g; the filter rows are the matching unit eigenvectors scaled by the
-    gain (projection task) or by gain over root-eigenvalue (whitening
-    task), with optional per-row sign flips. ``order`` permutes which
-    eigenpair feeds which row; mismatched orderings are still stationary
-    but linearly unstable, which the stability checks rely on.
+    The filter is the optimum of ``metrics.optimal_filter`` on g (with
+    its optional per-row sign flips and eigenpair ``order``), the
+    lateral matrix the diagonal of the matching eigenvalues, and
+    ``W = M F``. Mismatched orderings are still stationary but linearly
+    unstable, which the stability checks rely on.
     """
-    g = np.asarray(g, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    k = lam.shape[0]
-    w, v = linalg.sym_eig(g)
-    if k + 1 > len(w):
-        raise ValueError("need at least k+1 eigenvalues")
-    if not metrics.leading_separated(w, k):
-        raise DegenerateSpectrumError(
-            f"eigenvalue gap below {metrics.GAP_FLOOR:g}")
-    if order is None:
-        order = np.arange(k)
-    else:
-        order = np.asarray(order, dtype=int)
-        if sorted(order.tolist()) != list(range(k)):
-            raise ValueError("order must be a permutation of range(k)")
-    s = np.ones(k) if signs is None else np.asarray(signs, dtype=float)
-    if not np.all(np.abs(s) == 1.0):
-        raise ValueError("signs must be +/-1")
+    eigvals, f = metrics.optimal_filter(g, lam, task, signs, order)
     if tau is None:
         tau = 0.5 if task is Task.PSP else 1.0
-
-    eigvals = w[order]
-    vectors = v[:, order]
-    coef = lam * s
-    if task is Task.PSW:
-        coef = coef / np.sqrt(eigvals)
-    f = coef[:, None] * vectors.T
     m = np.diag(eigvals)
     return ModelState(m, m @ f, lam, tau)
 
@@ -129,9 +90,8 @@ def fixed_point_residual(state, g, task, variant):
     return float(np.linalg.norm(dw) + np.linalg.norm(dm))
 
 
-def _pack(state):
-    iu = np.triu_indices(state.k)
-    return np.concatenate([state.w.ravel(), state.m[iu]])
+def _pack(w, m):
+    return np.concatenate([w.ravel(), m[np.triu_indices(m.shape[0])]])
 
 
 def _unpack(vec, template):
@@ -146,8 +106,7 @@ def _unpack(vec, template):
 
 def _vector_field(state, g, task, variant):
     dw, dm = _averaged_field(state, g, task, variant)
-    iu = np.triu_indices(state.k)
-    return np.concatenate([dw.ravel(), dm[iu] / state.tau])
+    return _pack(dw, dm / state.tau)
 
 
 def jacobian_spectrum(state, g, task, variant, eps=1e-5):
@@ -164,7 +123,7 @@ def jacobian_spectrum(state, g, task, variant, eps=1e-5):
     g = np.asarray(g, dtype=float)
     if fixed_point_residual(state, g, task, variant) > 1e-6:
         raise ValueError("state is not close enough to a fixed point")
-    base = _pack(state)
+    base = _pack(state.w, state.m)
     dim = base.size
     jac = np.empty((dim, dim))
     for i in range(dim):
@@ -198,7 +157,7 @@ def run_offline(initial, g, schedule, t_max, checkpoints=(), *,
     for t in range(1, t_max + 1):
         try:
             state = offline_step(state, g, schedule.rate(t), task, variant)
-        except (DegenerateDiagonalError, LinalgError) as exc:
+        except MODEL_ERRORS as exc:
             raise TrialDivergedError(t, exc) from exc
         if t in wanted and t != t_max:
             snaps.append((t, state.copy()))

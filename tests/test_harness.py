@@ -5,12 +5,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pcastream import data, harness
-from pcastream.checks import run_verification
-from pcastream.errors import ConfigParseError, ConfigValidationError
+from pcastream.checks import CHECKS, run_verification
+from pcastream.errors import (
+    ConfigParseError,
+    ConfigValidationError,
+    ReportFormatError,
+)
 from pcastream.model import Variant
 
 
@@ -40,15 +44,15 @@ def custom_config(**overrides):
     return json.dumps(base)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8)
+
+
 def config_objects():
     """JSON objects near valid configs: known keys with arbitrary values."""
-    leaves = (st.none() | st.booleans() | st.integers() | st.floats()
-              | st.text(max_size=6))
-    values = st.recursive(
-        leaves,
-        lambda inner: (st.lists(inner, max_size=4)
-                       | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
-        max_leaves=8)
     plausible = st.sampled_from([
         "small", "large", "custom", "psp", "psw", "iteration_free", "exact",
         "online", "offline", 0, 1, 3, 4, 100, 0.5, [1.0, 0.8], [100],
@@ -59,10 +63,27 @@ def config_objects():
     ])
     keys = st.sampled_from(sorted(harness._KNOWN_KEYS) + ["junk"])
     bases = st.sampled_from([json.loads(make_config()), json.loads(custom_config())])
-    overrides = st.dictionaries(keys, plausible | values, max_size=5)
+    overrides = st.dictionaries(keys, plausible | JSON_VALUES, max_size=5)
     return st.builds(lambda base, extra, drop: {
         k: v for k, v in {**base, **extra}.items() if k not in drop},
         bases, overrides, st.sets(keys, max_size=2))
+
+
+def report_objects():
+    """JSON values near a valid report: its keys with arbitrary values."""
+    cfg = harness.parse_config(make_config(trials=1))
+    valid = harness.SummaryReport(
+        cfg, [(100, 0, 0.5)], {100: 0.5},
+        [harness.TrialOutcome(0, "completed", [])], 0).to_json_dict()
+    entry = st.dictionaries(st.sampled_from(["t", "trial", "e_pro", "status"]),
+                            JSON_VALUES, max_size=4)
+    keys = st.sampled_from(sorted(valid))
+    overrides = st.dictionaries(keys, JSON_VALUES | st.lists(entry, max_size=3),
+                                max_size=3)
+    near = st.builds(lambda extra, drop: {
+        k: v for k, v in {**valid, **extra}.items() if k not in drop},
+        overrides, st.sets(keys, max_size=1))
+    return near | JSON_VALUES
 
 
 class TestParseConfig:
@@ -293,6 +314,18 @@ class TestEmitReport:
         with pytest.raises(ValueError):
             harness.emit_report(report, "xml", tmp_path / "out.xml")
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(report_objects())
+    def test_any_json_converts_or_raises_report_error(self, tmp_path, obj):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        try:
+            report = harness.report_from_json(path)
+        except ReportFormatError:
+            return
+        harness.emit_report(report, "csv", tmp_path / "out.csv")
+
 
 class TestVerificationSuite:
     def test_filter_selects_checks(self):
@@ -301,9 +334,11 @@ class TestVerificationSuite:
         assert all(r.name.startswith("linalg.") for r in results)
         assert all(r.passed for r in results)
 
-    def test_estimator_dispatch_guard(self):
-        (result,) = run_verification("estimator_dispatch")
-        assert result.passed, result.detail
+    @pytest.mark.parametrize("check", [c for _, c in CHECKS],
+                             ids=[name for name, _ in CHECKS])
+    def test_check_passes(self, check):
+        passed, detail = check()
+        assert passed, detail
 
 
 def run_cli(*args):
@@ -394,3 +429,30 @@ class TestCli:
     def test_usage_error_exits_2(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("text", ['{"rows": 1}', "not json"])
+    def test_report_bad_input_exits_2(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        proc = run_cli("report", "--in", str(path))
+        assert proc.returncode == 2
+        assert "cannot read report" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("samples, seed, flag", [
+        ("0", "5", "--samples"), ("-1", "5", "--samples"), ("20", "-1", "--seed")])
+    def test_gen_data_out_of_range_flag_exits_2(self, tmp_path, samples, seed,
+                                                flag):
+        out = tmp_path / "xs.csv"
+        proc = run_cli("gen-data", "--preset", "small", "--samples", samples,
+                       "--seed", seed, "--out", str(out))
+        assert proc.returncode == 2
+        assert flag in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_run_negative_workers_exits_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(make_config(trials=1))
+        proc = run_cli("run", "--config", str(cfg_path), "--workers", "-3")
+        assert proc.returncode == 2
+        assert "--workers" in proc.stderr and "Traceback" not in proc.stderr

@@ -164,7 +164,7 @@ class TestObjectives:
         rng = np.random.default_rng(47)
         x = rng.normal(size=(4, 6))
         lam = np.array([1.2, 0.9])
-        y_opt = metrics.closed_form_optimum(x, lam, 2, Task.PSP)
+        y_opt = metrics.closed_form_optimum(x, lam, Task.PSP)
         base = metrics.objective_psp(y_opt, x, lam)
         for _ in range(100):
             delta = rng.normal(size=y_opt.shape)
@@ -184,7 +184,7 @@ class TestObjectives:
         rng = np.random.default_rng(49)
         x = rng.normal(size=(4, 7))
         lam = np.array([1.1, 0.8])
-        y_opt = metrics.closed_form_optimum(x, lam, 2, Task.PSW)
+        y_opt = metrics.closed_form_optimum(x, lam, Task.PSW)
         _, violation = metrics.objective_psw(y_opt, x, lam)
         assert violation < 1e-10
 
@@ -200,20 +200,20 @@ class TestObjectives:
 class TestClosedFormOptimum:
     def test_axis_aligned_projection(self):
         x = np.diag([2.0, 1.0])
-        y = metrics.closed_form_optimum(x, np.array([1.0]), 1, Task.PSP)
+        y = metrics.closed_form_optimum(x, np.array([1.0]), Task.PSP)
         assert np.allclose(np.abs(y), [[2.0, 0.0]], atol=1e-12)
 
     def test_axis_aligned_whitening(self):
         x = np.diag([2.0, 1.0])
-        y = metrics.closed_form_optimum(x, np.array([1.0]), 1, Task.PSW)
+        y = metrics.closed_form_optimum(x, np.array([1.0]), Task.PSW)
         assert np.allclose(np.abs(y), [[1.0, 0.0]], atol=1e-12)
 
     def test_signs_flip_rows(self):
         rng = np.random.default_rng(51)
         x = rng.normal(size=(4, 6))
         lam = np.array([1.2, 0.9])
-        base = metrics.closed_form_optimum(x, lam, 2, Task.PSP)
-        flipped = metrics.closed_form_optimum(x, lam, 2, Task.PSP,
+        base = metrics.closed_form_optimum(x, lam, Task.PSP)
+        flipped = metrics.closed_form_optimum(x, lam, Task.PSP,
                                               signs=np.array([-1.0, 1.0]))
         assert np.allclose(flipped[0], -base[0], atol=1e-14)
         assert np.allclose(flipped[1], base[1], atol=1e-14)
@@ -222,7 +222,7 @@ class TestClosedFormOptimum:
         rng = np.random.default_rng(52)
         x = rng.normal(size=(4, 6))
         lam = np.array([1.2, 0.9])
-        y_opt = metrics.closed_form_optimum(x, lam, 2, Task.PSP)
+        y_opt = metrics.closed_form_optimum(x, lam, Task.PSP)
         best = metrics.objective_psp(y_opt, x, lam)
         norm = np.linalg.norm(y_opt)
         for _ in range(1000):
@@ -233,4 +233,4 @@ class TestClosedFormOptimum:
     def test_degenerate_spectrum_rejected(self):
         x = np.diag([1.0, 1.0, 0.5])
         with pytest.raises(DegenerateSpectrumError):
-            metrics.closed_form_optimum(x, np.array([1.0]), 1, Task.PSP)
+            metrics.closed_form_optimum(x, np.array([1.0]), Task.PSP)
