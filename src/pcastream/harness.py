@@ -7,13 +7,19 @@ count, seed, horizon and checkpoints. Each trial gets its own random
 stream derived from (seed, trial index), so results do not depend on
 execution order or worker count, and the run is reproducible bit for
 bit (wall-clock fields aside) within one implementation.
+
+The online trials that one process runs advance together as a stack of
+learners, one ``online_step`` call per step for all of them. Each
+learner's arithmetic is the same in any stack, so which trials share a
+stack (one per worker process) does not change any result either.
 """
 
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -108,6 +114,8 @@ class TrialOutcome:
     diverged_at: int = None
     wall_clock_s: float = 0.0
     cause: str = None            # the model error of a diverged trial
+    # (t, off-diagonal ratio, floor margin) per row, completed trials only
+    diagnostics: list = field(default_factory=list)
 
 
 @dataclass
@@ -119,6 +127,8 @@ class SummaryReport:
     medians: dict                # t -> median e_pro over completed trials
     trials: list                 # TrialOutcome, by trial index
     diverged: int
+    # (t, trial) -> (off-diagonal ratio, floor margin) of M at that row
+    diagnostics: dict = field(default_factory=dict)
 
     def comparable(self):
         """Everything except wall-clock, for reproducibility comparisons."""
@@ -128,14 +138,19 @@ class SummaryReport:
             "medians": sorted(self.medians.items()),
             "status": [(t.trial, t.status, t.diverged_at, t.cause)
                        for t in self.trials],
+            "diagnostics": sorted(self.diagnostics.items()),
         }
+
+    def _json_row(self, t, trial, e):
+        row = {"t": t, "trial": trial, "e_pro": e}
+        if (t, trial) in self.diagnostics:
+            row["offdiag_ratio"], row["floor_margin"] = self.diagnostics[(t, trial)]
+        return row
 
     def to_json_dict(self):
         return {
             "config": self.config.to_json_dict(),
-            "rows": [
-                {"t": t, "trial": trial, "e_pro": e} for t, trial, e in self.rows
-            ],
+            "rows": [self._json_row(*row) for row in self.rows],
             "medians": [
                 {"t": t, "e_pro": e} for t, e in sorted(self.medians.items())
             ],
@@ -354,67 +369,152 @@ def _initial_state(config, gen):
     return ModelState(m0, w0, config.lam, config.tau)
 
 
-def _run_trial(config, trial_idx, rotation=None):
-    """One independent trial; returns a TrialOutcome.
+class _Trial:
+    """One trial's random stream, problem and record.
 
-    The trial's stream provides, in order: the covariance rotation
-    (unless a shared one is supplied), the W initialization, and the
-    sample draws (online mode only).
+    The stream provides, in order: the covariance rotation (unless a
+    shared one is supplied), the W initialization, and the sample draws
+    (online mode only).
+    """
+
+    def __init__(self, config, index, rotation):
+        self.config = config
+        self.index = index
+        self.rng = RngStream(config.seed, index)
+        if rotation is None:
+            rotation = data.haar_orthogonal(config.n, self.rng)
+        self.spec = CovarianceSpec(config.n, rotation, config.spectrum)
+        self.g = data.build_covariance(self.spec)
+        self.truth = metrics.ground_truth(self.g, config.k)
+        self.initial = _initial_state(config, self.rng.generator)
+        self.rows = []            # (t, e_pro)
+        self.diagnostics = []     # (t, off-diagonal ratio, floor margin)
+        self.divergence = None    # (t, cause)
+
+    def record(self, t, state):
+        """Evaluate a snapshot at t; False if a model error ended the trial."""
+        cfg = self.config
+        try:
+            u_hat = metrics.estimate_subspace(state, cfg.task, cfg.variant,
+                                              self.truth.sigma_k)
+            e_pro = metrics.procrustes_error(u_hat, self.truth.u_k)
+        except MODEL_ERRORS as exc:
+            self.diverge(t, exc)
+            return False
+        self.rows.append((t, e_pro))
+        self.diagnostics.append((t, *metrics.lateral_diagnostics(state.m)))
+        return True
+
+    def diverge(self, t, exc):
+        self.divergence = (t, f"{type(exc).__name__}: {exc}")
+
+    def outcome(self, wall_clock_s):
+        if self.divergence is not None:
+            t, cause = self.divergence
+            return TrialOutcome(self.index, "diverged", [], t, wall_clock_s, cause)
+        return TrialOutcome(self.index, "completed", self.rows, None,
+                            wall_clock_s, diagnostics=self.diagnostics)
+
+
+def _run_offline_trial(config, index, rotation):
+    start = time.perf_counter()
+    trial = _Trial(config, index, rotation)
+    try:
+        traj = offline.run_offline(
+            trial.initial, trial.g, config.schedule, config.t_max,
+            config.checkpoints, task=config.task, variant=config.variant)
+    except TrialDivergedError as exc:
+        trial.diverge(exc.iteration, exc.cause)
+    else:
+        for t, state in traj.checkpoints:
+            if not trial.record(t, state):
+                break
+    return trial.outcome(time.perf_counter() - start)
+
+
+def _replay(live, state, x, t, rate, config):
+    """Step ``t`` of the stack, one trial at a time, after it raised.
+
+    A trial whose own step fails is recorded as diverged at t. Returns
+    the stack of the other trials' new states (None if there are none)
+    and their positions in ``live``.
+    """
+    kept, steps = [], []
+    for j, trial in enumerate(live):
+        try:
+            steps.append(online_step(state[j], x[j], rate, config.task,
+                                     config.variant)[1])
+        except MODEL_ERRORS as exc:
+            trial.diverge(t, exc)
+        else:
+            kept.append(j)
+    return (ModelState.stack(steps) if steps else None), kept
+
+
+def _run_online_stack(config, indices, rotation):
+    """Online trials advanced in lockstep, one ``online_step`` per step.
+
+    Each trial draws its samples from its own stream in the same chunks
+    as when run alone. A trial that diverges, in a step or at a
+    checkpoint, leaves the stack and the others go on. A trial's
+    arithmetic is the same in any stack, so its outcome does not depend
+    on which trials share its stack. Every trial reports the stack's
+    wall time.
     """
     start = time.perf_counter()
-    rng = RngStream(config.seed, trial_idx)
-    if rotation is None:
-        rotation = data.haar_orthogonal(config.n, rng)
-    spec = CovarianceSpec(config.n, rotation, config.spectrum)
-    g = data.build_covariance(spec)
-    truth = metrics.ground_truth(g, config.k)
-    state = _initial_state(config, rng.generator)
-
-    def row(t, st):
-        """(t, e_pro) of a snapshot; model errors count as divergence at t."""
-        try:
-            u_hat = metrics.estimate_subspace(st, config.task, config.variant,
-                                              truth.sigma_k)
-            return t, metrics.procrustes_error(u_hat, truth.u_k)
-        except MODEL_ERRORS as exc:
-            raise TrialDivergedError(t, exc) from exc
-
-    rows = []
-    try:
-        if config.mode == "offline":
-            traj = offline.run_offline(
-                state, g, config.schedule, config.t_max, config.checkpoints,
-                task=config.task, variant=config.variant)
-            rows = [row(t, st) for t, st in traj.checkpoints]
-        else:
-            points = set(config.eval_points())
-            if config.t_max == 0:
-                rows = [row(0, state)]
-            t = 0
-            while t < config.t_max:
-                block = data.sample_block(
-                    spec, rng, min(_SAMPLE_CHUNK, config.t_max - t))
-                for x in block:
-                    t += 1
-                    try:
-                        _, state = online_step(
-                            state, x, config.schedule.rate(t), config.task,
-                            config.variant)
-                    except MODEL_ERRORS as exc:
-                        raise TrialDivergedError(t, exc) from exc
-                    if t in points:
-                        rows.append(row(t, state))
-    except TrialDivergedError as exc:
-        cause = f"{type(exc.cause).__name__}: {exc.cause}"
-        return TrialOutcome(trial_idx, "diverged", [], exc.iteration,
-                            time.perf_counter() - start, cause)
-    return TrialOutcome(trial_idx, "completed", rows, None,
-                        time.perf_counter() - start)
+    trials = [_Trial(config, i, rotation) for i in indices]
+    live = trials
+    state = ModelState.stack([trial.initial for trial in live])
+    points = set(config.eval_points())
+    if config.t_max == 0:  # the initial state is the only snapshot
+        for j, trial in enumerate(trials):
+            trial.record(0, state[j])
+    t = 0
+    while t < config.t_max and live:
+        count = min(_SAMPLE_CHUNK, config.t_max - t)
+        # (count, trials, n): row r holds every live trial's r-th draw
+        block = np.stack([data.sample_block(trial.spec, trial.rng, count)
+                          for trial in live], axis=1)
+        for r in range(count):
+            t += 1
+            x = block[r]
+            rate = config.schedule.rate(t)
+            try:
+                _, state = online_step(state, x, rate, config.task, config.variant)
+            except MODEL_ERRORS:
+                state, kept = _replay(live, state, x, t, rate, config)
+                live, block = [live[j] for j in kept], block[:, kept]
+            if t in points and live:
+                kept = [j for j, trial in enumerate(live) if trial.record(t, state[j])]
+                if len(kept) < len(live):
+                    live, state, block = ([live[j] for j in kept], state[kept],
+                                          block[:, kept])
+            if not live:
+                break
+    wall_clock_s = time.perf_counter() - start
+    return [trial.outcome(wall_clock_s) for trial in trials]
 
 
-def _trial_worker(args):
-    config, trial_idx, rotation = args
-    return _run_trial(config, trial_idx, rotation)
+def _run_stack(config, indices, rotation=None):
+    """Outcomes of the trials ``indices``, in order.
+
+    Online trials run in lockstep as one stack; offline trials one after
+    another.
+    """
+    if config.mode == "offline":
+        return [_run_offline_trial(config, i, rotation) for i in indices]
+    return _run_online_stack(config, indices, rotation)
+
+
+def trial_stacks(trials, workers):
+    """Contiguous ranges of trial indices, one stack per worker process.
+
+    There are ``min(workers, trials)`` stacks, so no process goes without
+    a trial; one worker runs every trial in one stack.
+    """
+    count = min(workers, trials)
+    bounds = [trials * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def run_experiment(config, workers=None):
@@ -430,27 +530,36 @@ def run_experiment(config, workers=None):
         rotation = data.haar_orthogonal(
             config.n, RngStream(config.seed, FIXED_ROTATION_STREAM))
 
-    jobs = [(config, i, rotation) for i in range(config.trials)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_trial_worker, jobs))
+    stacks = trial_stacks(config.trials, workers)
+    if len(stacks) > 1:
+        with ProcessPoolExecutor(max_workers=len(stacks)) as pool:
+            parts = list(pool.map(_run_stack, repeat(config), stacks,
+                                  repeat(rotation)))
     else:
-        outcomes = [_run_trial(config, i, rotation) for i in range(config.trials)]
-    outcomes.sort(key=lambda o: o.trial)
+        parts = [_run_stack(config, stacks[0], rotation)]
+    return _summarize(config, [out for part in parts for out in part])
 
+
+def _summarize(config, outcomes):
+    """The summary report of an experiment's trial outcomes."""
+    outcomes = sorted(outcomes, key=lambda o: o.trial)
     rows = []
     per_point = {}
+    diagnostics = {}
     for out in outcomes:
         if out.status != "completed":
             continue
         for t, e in out.rows:
             rows.append((t, out.trial, e))
             per_point.setdefault(t, []).append(e)
+        for t, ratio, margin in out.diagnostics:
+            diagnostics[(t, out.trial)] = (ratio, margin)
     rows.sort(key=lambda r: (r[0], r[1]))
     medians = {t: float(np.median(es)) for t, es in per_point.items()}
     diverged = sum(1 for o in outcomes if o.status != "completed")
     return SummaryReport(config=config, rows=rows, medians=medians,
-                         trials=outcomes, diverged=diverged)
+                         trials=outcomes, diverged=diverged,
+                         diagnostics=diagnostics)
 
 
 def _fmt(value):
@@ -509,16 +618,23 @@ def report_from_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
+            rows = [(_int(r["t"]), _int(r["trial"]), float(r["e_pro"]))
+                    for r in obj["rows"]]
+            # reports written before the diagnostics existed have none
+            diagnostics = {
+                (t, trial): (float(r["offdiag_ratio"]), float(r["floor_margin"]))
+                for (t, trial, _), r in zip(rows, obj["rows"])
+                if "offdiag_ratio" in r or "floor_margin" in r}
             return SummaryReport(
                 config=config_from_json_dict(obj["config"]),
-                rows=[(_int(r["t"]), _int(r["trial"]), float(r["e_pro"]))
-                      for r in obj["rows"]],
+                rows=rows,
                 medians={_int(r["t"]): float(r["e_pro"]) for r in obj["medians"]},
                 trials=[TrialOutcome(r["trial"], r["status"], [],
                                      r.get("diverged_at"),
                                      r.get("wall_clock_s", 0.0), r.get("cause"))
                         for r in obj["trials"]],
-                diverged=obj["diverged"])
+                diverged=obj["diverged"],
+                diagnostics=diagnostics)
         except (KeyError, RecursionError, ConfigValidationError,
                 *_COERCION_ERRORS) as exc:
             raise ReportFormatError(f"{type(exc).__name__}: {exc}") from exc

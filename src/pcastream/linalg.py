@@ -7,6 +7,8 @@ precision, and the package's error types in place of ``LinAlgError``.
 Repeated calls on identical input produce identical output bit for bit.
 """
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -103,31 +105,44 @@ def svd_small(a):
     return u, s, vt.T
 
 
+def _squared_frobenius(a, size):
+    """Squared Frobenius norm of each of the ``size``-entry matrices in
+    ``a``, as a list; the same dot product as ``np.linalg.norm`` takes."""
+    flat = a.reshape(-1, size)
+    return np.vecdot(flat, flat).tolist()
+
+
 def lu_factor(a):
-    """Factor a square matrix for :func:`lu_solve`.
+    """Factor a square matrix, or each matrix of a stack, for :func:`lu_solve`.
 
     LAPACK's partially pivoted LU (``gesv`` against the identity) is
     carried through to the explicit inverse, so that each later solve is
-    one matrix product. Raises SingularMatrixError when ``a`` is singular
-    to working precision: exactly singular, or with Frobenius condition
-    number ``||a|| ||a^-1||`` above ``1 / _PIVOT_RTOL``.
+    one matrix product. Raises SingularMatrixError when a matrix is
+    singular to working precision: exactly singular, or with Frobenius
+    condition number ``||a|| ||a^-1||`` above ``1 / _PIVOT_RTOL``.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeMismatchError("expected square matrix")
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is singular: {exc}") from exc
-    cond = np.linalg.norm(a) * np.linalg.norm(inv)
-    if not cond * _PIVOT_RTOL <= 1.0:  # also catches a NaN or Inf inverse
-        raise SingularMatrixError(f"condition number {cond:.3e} above threshold")
+    # Python floats per matrix: a stack is small, and NumPy calls on tiny
+    # arrays cost more than the arithmetic
+    size = a.shape[-1] ** 2
+    for a2, inv2 in zip(_squared_frobenius(a, size), _squared_frobenius(inv, size)):
+        cond = math.sqrt(a2) * math.sqrt(inv2)
+        if not cond * _PIVOT_RTOL <= 1.0:  # also catches a NaN or Inf inverse
+            raise SingularMatrixError(f"condition number {cond:.3e} above threshold")
     return inv
 
 
 def lu_solve(factors, b):
-    """Solve with factors from :func:`lu_factor`; ``b`` may be 1-d or 2-d."""
+    """Solve with factors from :func:`lu_factor`; ``b`` is a vector or a
+    matrix per factored matrix."""
+    if b.ndim == factors.ndim - 1:
+        return np.matvec(factors, b)
     return factors @ b
 
 

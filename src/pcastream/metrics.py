@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateSpectrumError, ShapeMismatchError
-from .model import Task, neural_filter
+from .model import DIAGONAL_FLOOR, Task, neural_filter
 
 GAP_FLOOR = 1e-10
 
@@ -67,6 +67,19 @@ def estimate_subspace(state, task, variant, sigma_k=None):
             raise ValueError("sigma_k is required for whitening estimates")
         scale = scale * np.asarray(sigma_k, dtype=float)
     return (scale[:, None] * filt).T
+
+
+def lateral_diagnostics(m):
+    """(off-diagonal ratio, floor margin) of a lateral matrix M.
+
+    The ratio ``||M_o|| / ||diag M||`` (Frobenius) measures how far M is
+    from the diagonal form that justifies the two-step pass; the margin
+    ``min diag(M) - DIAGONAL_FLOOR`` how far it is from the floor at
+    which a run counts as diverged.
+    """
+    d = np.diagonal(m)
+    ratio = np.linalg.norm(m - np.diag(d)) / np.linalg.norm(d)
+    return float(ratio), float(d.min() - DIAGONAL_FLOOR)
 
 
 def procrustes_error(u_hat, u_true):

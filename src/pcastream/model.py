@@ -8,6 +8,14 @@ because M stays near-diagonal, each output can be produced with a fixed
 two-step feed-forward/lateral pass instead of running recurrent dynamics
 to a fixed point. An exact-inverse variant (solving M y = W x per input)
 is kept as the reference learner.
+
+The online kernels (``forward``, ``plasticity``, ``online_step`` and the
+helpers they call) also take a stack of B independent learners that
+share the gain and time constant: W of shape B x K x N, M of B x K x K
+and one input per learner, B x N. Every operation acts on each slice
+alone, with the same arithmetic as on a single learner, so each slice of
+a stacked result equals the single-learner result bit for bit; a check
+that fails on any slice fails the whole call.
 """
 
 from enum import Enum
@@ -40,11 +48,14 @@ class ModelState:
     Parameters:
     ====================
     m     -- lateral weights, K x K, symmetric, strictly positive diagonal
-    w     -- feed-forward weights, K x N
+             (B x K x K for a stack of B learners)
+    w     -- feed-forward weights, K x N (B x K x N for a stack)
     lam   -- diagonal gain, length K, strictly decreasing positive
     tau   -- time-constant ratio between the M and W updates, > 0
     check -- validate invariants on construction (disable only on hot
-             paths that already guarantee them)
+             paths that already guarantee them); only a single learner
+             can be checked, so stacks are built from checked states by
+             :meth:`stack`
     """
 
     __slots__ = ("m", "w", "lam", "tau")
@@ -76,11 +87,23 @@ class ModelState:
 
     @property
     def k(self):
-        return self.w.shape[0]
+        return self.w.shape[-2]
 
     @property
     def n(self):
-        return self.w.shape[1]
+        return self.w.shape[-1]
+
+    @classmethod
+    def stack(cls, states):
+        """One stack of learners that share the gain and time constant."""
+        first = states[0]
+        return cls(np.stack([s.m for s in states]), np.stack([s.w for s in states]),
+                   first.lam, first.tau, check=False)
+
+    def __getitem__(self, index):
+        """Learner ``index`` of a stack, or the sub-stack of an index list."""
+        return ModelState(self.m[index], self.w[index], self.lam, self.tau,
+                          check=False)
 
     def copy(self):
         return ModelState(self.m.copy(), self.w.copy(), self.lam.copy(),
@@ -106,7 +129,8 @@ def split_diag(m):
 
 
 def _lateral_solve(m, b, variant):
-    """``M^-1 b`` for a vector or a matrix b (one row per output).
+    """``M^-1 b`` for a vector or a matrix b (one row per output), per
+    slice of a stack of M.
 
     Exact: one factorization of M. Iteration-free: the two-step pass,
     ``D^-1 b - D^-1 M_o D^-1 b`` with D the diagonal and M_o the
@@ -117,13 +141,17 @@ def _lateral_solve(m, b, variant):
     """
     if variant is Variant.EXACT_INVERSE:
         return linalg.lu_solve(linalg.lu_factor(m), b)
-    d = m.diagonal()
+    d = m.diagonal(0, -2, -1)
     if d.min() < DIAGONAL_FLOOR:
         raise DegenerateDiagonalError("diagonal entry below invertibility floor")
-    if b.ndim == 2:
-        d = d[:, None]
+    if b.ndim == m.ndim - 1:
+        product = np.matvec
+        d = d.copy()  # contiguous: cheaper in the three elementwise steps
+    else:
+        product = np.matmul
+        d = d[..., None]
     y_ff = b / d
-    return y_ff - (m @ y_ff - d * y_ff) / d
+    return y_ff - (product(m, y_ff) - d * y_ff) / d
 
 
 def approx_inverse(m):
@@ -142,7 +170,7 @@ def forward(state, x, variant):
     Iteration-free: the two-step pass on ``w @ x``. Exact: solve
     ``m @ y = w @ x``.
     """
-    return _lateral_solve(state.m, state.w @ x, variant)
+    return _lateral_solve(state.m, np.matvec(state.w, x), variant)
 
 
 def lateral_drive(corr, state, task):
@@ -155,7 +183,14 @@ def lateral_drive(corr, state, task):
     if task is Task.PSP:
         corr -= lam[:, None] * state.m * lam[None, :]
     else:
-        corr.flat[:: state.k + 1] -= lam * lam
+        # a matrix's diagonal is every (K+1)-th entry of its flat view;
+        # ``flat`` is the cheaper way to that view for a single matrix
+        # (or a stack of one)
+        k = state.k
+        if corr.size == k * k:
+            corr.flat[:: k + 1] -= lam * lam
+        else:
+            corr.reshape(-1, k * k, copy=False)[:, :: k + 1] -= lam * lam
     return corr
 
 
@@ -169,12 +204,17 @@ def _apply_update(state, dw, dm, alpha):
         raise ValueError("alpha must be nonnegative")
     w = state.w + alpha * dw
     m = state.m + (alpha / state.tau) * dm
-    m = 0.5 * (m + m.T)
-    if not (m.diagonal() > DIAGONAL_FLOOR).all():
+    m = 0.5 * (m + m.mT)
+    if not m.diagonal(0, -2, -1).min() > DIAGONAL_FLOOR:  # a NaN fails too
         raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
     if not np.isfinite(m).all() or not np.isfinite(w).all():
         raise DegenerateDiagonalError("weights overflowed")
     return ModelState(m, w, state.lam, state.tau, check=False)
+
+
+def _outer(a, b):
+    """``np.outer`` of each pair of vectors in two stacks."""
+    return a[..., :, None] * b[..., None, :]
 
 
 def plasticity(state, x, y, alpha, task):
@@ -184,15 +224,16 @@ def plasticity(state, x, y, alpha, task):
     output correlation minus its target, ``lam M lam`` for projection or
     the fixed ``lam**2`` for whitening, at 1/tau of the W rate.
     """
-    return _apply_update(state, np.outer(y, x) - state.w,
-                         lateral_drive(np.outer(y, y), state, task), alpha)
+    return _apply_update(state, _outer(y, x) - state.w,
+                         lateral_drive(_outer(y, y), state, task), alpha)
 
 
 def online_step(state, x, alpha, task, variant):
     """Process one sample: compute the output, then update the weights.
 
     Returns (y, new_state). The output is computed from the pre-update
-    state; plasticity is applied afterwards.
+    state; plasticity is applied afterwards. For a stack of learners, x
+    holds one sample per learner and all of them step at rate ``alpha``.
     """
     y = forward(state, x, variant)
     return y, plasticity(state, x, y, alpha, task)

@@ -263,12 +263,45 @@ class TestRunExperiment:
         (back,) = harness.report_from_json(path).trials
         assert back.cause == trial["cause"]
 
+    @pytest.mark.parametrize("task, variant, alpha, expected", [
+        ("psw", "iteration_free", 0.2, {0: 33, 1: 8, 2: 89, 3: 60, 4: 4, 5: 3, 6: 3}),
+        ("psp", "exact", 0.5, {6: 83}),
+    ])
+    def test_mixed_divergence_outcomes(self, task, variant, alpha, expected):
+        cfg = harness.parse_config(custom_config(
+            task=task, variant=variant, schedule={"kind": "constant", "alpha": alpha},
+            trials=8, seed=1, t_max=200))
+        report = harness.run_experiment(cfg)
+        floor = "DegenerateDiagonalError: updated lateral diagonal hit the floor"
+        assert [(o.status, o.diverged_at, o.cause) for o in report.trials] == [
+            ("diverged", expected[i], floor) if i in expected
+            else ("completed", None, None) for i in range(8)]
+        assert sorted(trial for _, trial, _ in report.rows) == sorted(
+            set(range(8)) - set(expected))
+
     def test_medians_over_completed_only(self):
         cfg = harness.parse_config(make_config(trials=3))
         report = harness.run_experiment(cfg)
         for t in (100, 200):
             vals = [e for tt, _, e in report.rows if tt == t]
             assert report.medians[t] == np.median(vals)
+
+
+class TestTrialStacks:
+    def test_one_worker_runs_one_stack(self):
+        assert harness.trial_stacks(8, 1) == [range(0, 8)]
+
+    def test_no_more_stacks_than_trials(self):
+        assert harness.trial_stacks(1, 4) == [range(0, 1)]
+        assert harness.trial_stacks(3, 8) == [range(0, 1), range(1, 2), range(2, 3)]
+
+    @given(st.integers(1, 60), st.integers(1, 64))
+    def test_stacks_split_trials_contiguously_and_evenly(self, trials, workers):
+        stacks = harness.trial_stacks(trials, workers)
+        assert len(stacks) == min(trials, workers)
+        assert [i for stack in stacks for i in stack] == list(range(trials))
+        sizes = [len(stack) for stack in stacks]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
 class TestEmitReport:
@@ -308,6 +341,29 @@ class TestEmitReport:
         assert back.rows == report.rows
         assert back.medians == report.medians
         assert back.config.to_json_dict() == report.config.to_json_dict()
+
+    def test_json_rows_carry_lateral_diagnostics(self, tmp_path):
+        report = self._report(trials=2, t_max=0, checkpoints=[])
+        path = tmp_path / "out.json"
+        harness.emit_report(report, "json", path)
+        rows = json.loads(path.read_text())["rows"]
+        # M starts at the identity: diagonal, a distance 1 above the floor
+        assert [(r["offdiag_ratio"], r["floor_margin"]) for r in rows] == [
+            (0.0, 1.0 - 1e-12)] * 2
+        back = harness.report_from_json(path)
+        assert back.diagnostics == report.diagnostics
+        assert len(back.diagnostics) == 2
+
+    def test_json_report_without_diagnostics_loads(self, tmp_path):
+        report = self._report(trials=2)
+        obj = report.to_json_dict()
+        for row in obj["rows"]:
+            del row["offdiag_ratio"], row["floor_margin"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(obj))
+        back = harness.report_from_json(path)
+        assert back.rows == report.rows
+        assert back.diagnostics == {}
 
     def test_unknown_format_rejected(self, tmp_path):
         report = self._report(trials=1)

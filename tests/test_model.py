@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcastream import linalg, model
-from pcastream.errors import DegenerateDiagonalError, SingularMatrixError
+from pcastream.errors import MODEL_ERRORS, DegenerateDiagonalError, SingularMatrixError
 from pcastream.model import ModelState, Task, Variant
 
 LAM3 = np.array([1.0, 0.85, 0.7])
@@ -285,3 +287,56 @@ class TestNeuralFilter:
         monkeypatch.setattr(linalg, "sym_eig", boom)
         model.online_step(st, x, 0.01, Task.PSP, Variant.ITERATION_FREE)
         model.neural_filter(st, Variant.ITERATION_FREE)
+
+
+@st.composite
+def stacked_steps(draw):
+    """A stack of 1-6 small learners with near-diagonal M, their inputs and
+    a step; large steps and small diagonals make some slices fail."""
+    b = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, 8))
+    off = draw(st.sampled_from([0.0, 0.01, 0.1, 0.4]))
+    low = draw(st.sampled_from([1e-13, 0.05, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = rng.normal(size=(b, k, k))
+    m = off * (e + e.mT)
+    idx = np.arange(k)
+    m[:, idx, idx] = rng.uniform(low, 1.5, size=(b, k))
+    lam = np.linspace(1.0, 0.6, k)
+    state = ModelState(m, rng.normal(size=(b, k, n)), lam, 0.5, check=False)
+    alpha = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 4.0]))
+    return (state, rng.normal(size=(b, n)), alpha, draw(st.sampled_from(list(Task))),
+            draw(st.sampled_from(list(Variant))))
+
+
+class TestStackedStep:
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_steps())
+    def test_each_slice_is_the_single_learner_step(self, case):
+        state, x, alpha, task, variant = case
+        singles = []
+        for i in range(x.shape[0]):
+            try:
+                singles.append(model.online_step(state[i], x[i], alpha, task, variant))
+            except MODEL_ERRORS:
+                singles.append(None)
+        if None in singles:
+            with pytest.raises(MODEL_ERRORS):
+                model.online_step(state, x, alpha, task, variant)
+            return
+        y, new = model.online_step(state, x, alpha, task, variant)
+        for i, (y_i, new_i) in enumerate(singles):
+            assert np.array_equal(y[i], y_i)
+            assert np.array_equal(new.w[i], new_i.w)
+            assert np.array_equal(new.m[i], new_i.m)
+
+    def test_stack_and_index_round_trip(self):
+        states = [random_state(seed) for seed in (30, 31, 32)]
+        stack = ModelState.stack(states)
+        assert stack.m.shape == (3, 3, 3) and stack.w.shape == (3, 3, 10)
+        assert (stack.k, stack.n) == (3, 10)
+        for i, st_i in enumerate(states):
+            assert np.array_equal(stack[i].m, st_i.m)
+            assert np.array_equal(stack[i].w, st_i.w)
+        assert np.array_equal(stack[[0, 2]].w, stack.w[[0, 2]])
