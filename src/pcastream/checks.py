@@ -453,30 +453,34 @@ def check_harness_reproducibility():
     return same, "identical reports" if same else "reports differ"
 
 
-# Trials 0-6 diverge (at iterations 33, 8, 89, 60, 4, 3 and 3), trial 7
-# completes, so stacks lose members mid-run and the step replay runs.
-_MIXED_DIVERGENCE_CONFIG = json.dumps({
+# Online, trials 0-6 diverge (at iterations 33, 8, 89, 60, 4, 3 and 3);
+# offline, trials 1, 4, 5 and 6 (at 11, 2, 11 and 2). Either way stacks
+# lose members mid-run and the step replay runs.
+_MIXED_DIVERGENCE_CONFIGS = [json.dumps({
     "preset": "custom", "task": "psw", "variant": "iteration_free",
-    "mode": "online", "n": 4, "k": 2, "lambda": [1.0, 0.8], "tau": 0.5,
+    "mode": mode, "n": 4, "k": 2, "lambda": [1.0, 0.8], "tau": 0.5,
     "spectrum": [1.0, 0.6, 0.3, 0.3],
-    "schedule": {"kind": "constant", "alpha": 0.2},
-    "trials": 8, "seed": 1, "t_max": 200,
-})
+    "schedule": {"kind": "constant", "alpha": alpha},
+    "trials": 8, "seed": 1, "t_max": 200, "checkpoints": [checkpoint],
+}) for mode, alpha, checkpoint in (("online", 0.2, 200), ("offline", 0.5, 50))]
 
 
 def check_trial_isolation():
     """One stack (one worker), a split over two worker processes and
-    every trial alone give identical reports."""
-    cfg = harness.parse_config(_MIXED_DIVERGENCE_CONFIG)
-    one = harness.run_experiment(cfg, workers=1).comparable()
-    split = harness.run_experiment(cfg, workers=2).comparable()
-    alone = harness._summarize(cfg, [out for i in range(cfg.trials)
-                                     for out in harness._run_stack(cfg, [i])])
-    diverged = sum(status == "diverged" for _, status, _, _ in one["status"])
-    ok = one == split == alone.comparable() and 0 < diverged < cfg.trials
-    return ok, (f"one stack, two processes, {cfg.trials} single-trial stacks: "
-                f"{'identical' if ok else 'differ'}; {diverged} of {cfg.trials} "
-                f"trials diverged")
+    every trial alone give identical reports, online and offline."""
+    ok, diverged = True, []
+    for text in _MIXED_DIVERGENCE_CONFIGS:
+        cfg = harness.parse_config(text)
+        one = harness.run_experiment(cfg, workers=1).comparable()
+        split = harness.run_experiment(cfg, workers=2).comparable()
+        alone = harness._summarize(cfg, [out for i in range(cfg.trials)
+                                         for out in harness._run_stack(cfg, [i])])
+        count = sum(status == "diverged" for _, status, _, _ in one["status"])
+        ok &= one == split == alone.comparable() and 0 < count < cfg.trials
+        diverged.append(f"{count} of {cfg.trials} {cfg.mode}")
+    return ok, (f"one stack, two processes, single-trial stacks: "
+                f"{'identical' if ok else 'differ'}; trials diverged: "
+                f"{', '.join(diverged)}")
 
 
 def check_estimator_dispatch():

@@ -8,10 +8,12 @@ stream derived from (seed, trial index), so results do not depend on
 execution order or worker count, and the run is reproducible bit for
 bit (wall-clock fields aside) within one implementation.
 
-The online trials that one process runs advance together as a stack of
-learners, one ``online_step`` call per step for all of them. Each
-learner's arithmetic is the same in any stack, so which trials share a
-stack (one per worker process) does not change any result either.
+The trials that one process runs advance together as a stack of
+learners through one trial loop, one step call per step for all of
+them: ``online_step`` on a sample per trial, or ``offline_step`` on
+each trial's covariance. Each learner's arithmetic is the same in any
+stack, so which trials share a stack (one per worker process) does not
+change any result either.
 """
 
 import json
@@ -38,7 +40,6 @@ from .errors import (
     ConfigParseError,
     ConfigValidationError,
     ReportFormatError,
-    TrialDivergedError,
 )
 from .model import ModelState, Task, Variant, online_step
 
@@ -370,11 +371,12 @@ def _initial_state(config, gen):
 
 
 class _Trial:
-    """One trial's random stream, problem and record.
+    """One trial's random stream, problem and record, in either mode.
 
     The stream provides, in order: the covariance rotation (unless a
     shared one is supplied), the W initialization, and the sample draws
-    (online mode only).
+    (online mode only). The covariance ``g`` is what an offline trial
+    steps on; ``truth`` scores every checkpoint.
     """
 
     def __init__(self, config, index, rotation):
@@ -416,23 +418,7 @@ class _Trial:
                             wall_clock_s, diagnostics=self.diagnostics)
 
 
-def _run_offline_trial(config, index, rotation):
-    start = time.perf_counter()
-    trial = _Trial(config, index, rotation)
-    try:
-        traj = offline.run_offline(
-            trial.initial, trial.g, config.schedule, config.t_max,
-            config.checkpoints, task=config.task, variant=config.variant)
-    except TrialDivergedError as exc:
-        trial.diverge(exc.iteration, exc.cause)
-    else:
-        for t, state in traj.checkpoints:
-            if not trial.record(t, state):
-                break
-    return trial.outcome(time.perf_counter() - start)
-
-
-def _replay(live, state, x, t, rate, config):
+def _replay(live, state, x, t, rate, step):
     """Step ``t`` of the stack, one trial at a time, after it raised.
 
     A trial whose own step fails is recorded as diverged at t. Returns
@@ -442,8 +428,7 @@ def _replay(live, state, x, t, rate, config):
     kept, steps = [], []
     for j, trial in enumerate(live):
         try:
-            steps.append(online_step(state[j], x[j], rate, config.task,
-                                     config.variant)[1])
+            steps.append(step(state[j], x[j], rate))
         except MODEL_ERRORS as exc:
             trial.diverge(t, exc)
         else:
@@ -451,17 +436,32 @@ def _replay(live, state, x, t, rate, config):
     return (ModelState.stack(steps) if steps else None), kept
 
 
-def _run_online_stack(config, indices, rotation):
-    """Online trials advanced in lockstep, one ``online_step`` per step.
+def _run_stack(config, indices, rotation=None):
+    """Outcomes of the trials ``indices``, in order, advanced in lockstep.
 
-    Each trial draws its samples from its own stream in the same chunks
-    as when run alone. A trial that diverges, in a step or at a
-    checkpoint, leaves the stack and the others go on. A trial's
-    arithmetic is the same in any stack, so its outcome does not depend
-    on which trials share its stack. Every trial reports the stack's
-    wall time.
+    One step call per step moves every trial of the stack: ``online_step``
+    on one sample per trial, drawn from the trial's own stream in the
+    same chunks as when run alone, or ``offline_step`` on the trials'
+    covariances. A trial that diverges, in a step or at a checkpoint,
+    leaves the stack and the others go on. A trial's arithmetic is the
+    same in any stack, so its outcome does not depend on which trials
+    share its stack. Every trial reports the stack's wall time.
     """
     start = time.perf_counter()
+    if config.mode == "online":
+        def draw(live, count):  # row r holds every live trial's r-th draw
+            return np.stack([data.sample_block(trial.spec, trial.rng, count)
+                             for trial in live], axis=1)
+
+        def step(state, x, rate):
+            return online_step(state, x, rate, config.task, config.variant)[1]
+    else:
+        def draw(live, count):  # no samples: one row of covariances
+            return np.stack([trial.g for trial in live])[None]
+
+        def step(state, g, rate):
+            return offline.offline_step(state, g, rate, config.task, config.variant)
+
     trials = [_Trial(config, i, rotation) for i in indices]
     live = trials
     state = ModelState.stack([trial.initial for trial in live])
@@ -472,17 +472,15 @@ def _run_online_stack(config, indices, rotation):
     t = 0
     while t < config.t_max and live:
         count = min(_SAMPLE_CHUNK, config.t_max - t)
-        # (count, trials, n): row r holds every live trial's r-th draw
-        block = np.stack([data.sample_block(trial.spec, trial.rng, count)
-                          for trial in live], axis=1)
+        block = draw(live, count)  # (rows, trials, ...)
         for r in range(count):
             t += 1
-            x = block[r]
+            x = block[r % len(block)]  # an offline row serves every step
             rate = config.schedule.rate(t)
             try:
-                _, state = online_step(state, x, rate, config.task, config.variant)
+                state = step(state, x, rate)
             except MODEL_ERRORS:
-                state, kept = _replay(live, state, x, t, rate, config)
+                state, kept = _replay(live, state, x, t, rate, step)
                 live, block = [live[j] for j in kept], block[:, kept]
             if t in points and live:
                 kept = [j for j, trial in enumerate(live) if trial.record(t, state[j])]
@@ -493,17 +491,6 @@ def _run_online_stack(config, indices, rotation):
                 break
     wall_clock_s = time.perf_counter() - start
     return [trial.outcome(wall_clock_s) for trial in trials]
-
-
-def _run_stack(config, indices, rotation=None):
-    """Outcomes of the trials ``indices``, in order.
-
-    Online trials run in lockstep as one stack; offline trials one after
-    another.
-    """
-    if config.mode == "offline":
-        return [_run_offline_trial(config, i, rotation) for i in indices]
-    return _run_online_stack(config, indices, rotation)
 
 
 def trial_stacks(trials, workers):
@@ -598,15 +585,18 @@ def config_from_json_dict(obj):
     """Rebuild an ExperimentConfig from its own JSON echo (no re-expansion)."""
     return ExperimentConfig(
         task=Task(obj["task"]), variant=Variant(obj["variant"]),
-        mode=obj["mode"], preset=obj["preset"], n=int(obj["n"]),
-        k=int(obj["k"]), lam=np.asarray(obj["lambda"], dtype=float),
-        tau=float(obj["tau"]), schedule=_schedule_from_json(obj["schedule"]),
-        spectrum=np.asarray(obj["spectrum"], dtype=float),
-        m_init=float(obj["m_init"]), w_init_std=float(obj["w_init_std"]),
-        t_max=int(obj["t_max"]), checkpoints=tuple(obj["checkpoints"]),
-        trials=int(obj["trials"]), seed=int(obj["seed"]),
-        fixed_rotation=bool(obj["fixed_rotation"]),
-        workers=int(obj["workers"]), output_path=obj.get("output_path"),
+        mode=obj["mode"], preset=obj["preset"], n=_coerce(obj, "n", _int),
+        k=_coerce(obj, "k", _int), lam=_coerce(obj, "lambda", _finite_floats),
+        tau=_coerce(obj, "tau", _finite_float),
+        schedule=_schedule_from_json(obj["schedule"]),
+        spectrum=_coerce(obj, "spectrum", _finite_floats),
+        m_init=_coerce(obj, "m_init", _finite_float),
+        w_init_std=_coerce(obj, "w_init_std", _finite_float),
+        t_max=_coerce(obj, "t_max", _int),
+        checkpoints=_coerce(obj, "checkpoints", _ints),
+        trials=_coerce(obj, "trials", _int), seed=_coerce(obj, "seed", _int),
+        fixed_rotation=_coerce(obj, "fixed_rotation", _bool),
+        workers=_coerce(obj, "workers", _int), output_path=obj.get("output_path"),
     )
 
 
@@ -625,16 +615,19 @@ def report_from_json(path):
                 (t, trial): (float(r["offdiag_ratio"]), float(r["floor_margin"]))
                 for (t, trial, _), r in zip(rows, obj["rows"])
                 if "offdiag_ratio" in r or "floor_margin" in r}
+            trials = [TrialOutcome(_int(r["trial"]), r["status"], [],
+                                   r.get("diverged_at"),
+                                   r.get("wall_clock_s", 0.0), r.get("cause"))
+                      for r in obj["trials"]]
+            statuses, diverged = [t.status for t in trials], _int(obj["diverged"])
+            if (not {"completed", "diverged"}.issuperset(statuses)
+                    or statuses.count("diverged") != diverged):
+                raise ValueError("trial statuses disagree with 'diverged'")
             return SummaryReport(
                 config=config_from_json_dict(obj["config"]),
                 rows=rows,
                 medians={_int(r["t"]): float(r["e_pro"]) for r in obj["medians"]},
-                trials=[TrialOutcome(r["trial"], r["status"], [],
-                                     r.get("diverged_at"),
-                                     r.get("wall_clock_s", 0.0), r.get("cause"))
-                        for r in obj["trials"]],
-                diverged=obj["diverged"],
-                diagnostics=diagnostics)
+                trials=trials, diverged=diverged, diagnostics=diagnostics)
         except (KeyError, RecursionError, ConfigValidationError,
                 *_COERCION_ERRORS) as exc:
             raise ReportFormatError(f"{type(exc).__name__}: {exc}") from exc

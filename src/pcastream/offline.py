@@ -54,11 +54,12 @@ def _averaged_field(state, g, task, variant):
     """
     f = neural_filter(state, variant)
     fg = f @ g
-    return fg - state.w, lateral_drive(fg @ f.T, state, task)
+    return fg - state.w, lateral_drive(fg @ f.mT, state, task)
 
 
 def offline_step(state, g, alpha, task, variant):
-    """One forward-Euler step of the averaged dynamics."""
+    """One forward-Euler step of the averaged dynamics; a stack of learners
+    steps on one covariance each, every slice bit for bit as alone."""
     return _apply_update(state, *_averaged_field(state, g, task, variant),
                          alpha)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pcastream import data, harness
+from pcastream import data, harness, metrics, offline
 from pcastream.checks import CHECKS, run_verification
 from pcastream.errors import (
     ConfigParseError,
@@ -49,6 +49,11 @@ JSON_VALUES = st.recursive(
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
     max_leaves=8)
+
+
+# config echo values that parse_config rejects and a report must not load
+BAD_ECHO_VALUES = [("fixed_rotation", "false"), ("t_max", 2.7),
+                   ("checkpoints", ["x"]), ("trials", "3")]
 
 
 def config_objects():
@@ -268,16 +273,50 @@ class TestRunExperiment:
         ("psp", "exact", 0.5, {6: 83}),
     ])
     def test_mixed_divergence_outcomes(self, task, variant, alpha, expected):
-        cfg = harness.parse_config(custom_config(
+        self._assert_outcomes(custom_config(
             task=task, variant=variant, schedule={"kind": "constant", "alpha": alpha},
-            trials=8, seed=1, t_max=200))
+            trials=8, seed=1, t_max=200), expected)
+
+    def test_offline_mixed_divergence_outcomes(self):
+        self._assert_outcomes(custom_config(
+            task="psw", variant="iteration_free", mode="offline",
+            schedule={"kind": "constant", "alpha": 0.5},
+            trials=8, seed=1, t_max=200, checkpoints=[50]),
+            {1: 11, 4: 2, 5: 11, 6: 2})
+
+    @staticmethod
+    def _assert_outcomes(text, expected):
+        cfg = harness.parse_config(text)
         report = harness.run_experiment(cfg)
         floor = "DegenerateDiagonalError: updated lateral diagonal hit the floor"
         assert [(o.status, o.diverged_at, o.cause) for o in report.trials] == [
             ("diverged", expected[i], floor) if i in expected
             else ("completed", None, None) for i in range(8)]
         assert sorted(trial for _, trial, _ in report.rows) == sorted(
-            set(range(8)) - set(expected))
+            list(set(range(8)) - set(expected)) * len(cfg.eval_points()))
+
+    @pytest.mark.parametrize("task, variant", [
+        ("psp", "iteration_free"), ("psp", "exact"),
+        ("psw", "iteration_free"), ("psw", "exact")])
+    def test_offline_rows_match_single_trajectories(self, task, variant):
+        # the lockstep loop against offline.run_offline, trial by trial
+        cfg = harness.parse_config(make_config(
+            task=task, variant=variant, mode="offline", trials=3, t_max=300,
+            checkpoints=[1, 50, 100, 300]))
+        report = harness.run_experiment(cfg)
+        expected = []
+        for i in range(cfg.trials):
+            trial = harness._Trial(cfg, i, None)
+            traj = offline.run_offline(trial.initial, trial.g, cfg.schedule,
+                                       cfg.t_max, cfg.checkpoints,
+                                       task=cfg.task, variant=cfg.variant)
+            for t, state in traj.checkpoints:
+                u_hat = metrics.estimate_subspace(state, cfg.task, cfg.variant,
+                                                  trial.truth.sigma_k)
+                expected.append((t, i, metrics.procrustes_error(u_hat, trial.truth.u_k)))
+        assert report.diverged == 0
+        assert report.rows == sorted(expected)
+        assert len(report.rows) == 12
 
     def test_medians_over_completed_only(self):
         cfg = harness.parse_config(make_config(trials=3))
@@ -364,6 +403,34 @@ class TestEmitReport:
         back = harness.report_from_json(path)
         assert back.rows == report.rows
         assert back.diagnostics == {}
+
+    def _edited_report(self, tmp_path, edit):
+        obj = self._report(trials=2).to_json_dict()
+        edit(obj)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize("key, value", BAD_ECHO_VALUES,
+                             ids=[key for key, _ in BAD_ECHO_VALUES])
+    def test_config_echo_values_checked(self, tmp_path, key, value):
+        path = self._edited_report(
+            tmp_path, lambda obj: obj["config"].update({key: value}))
+        with pytest.raises(ReportFormatError, match=key):
+            harness.report_from_json(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj["trials"][0].update(status="bogus"),
+        lambda obj: obj["trials"][0].update(trial="1"),
+        lambda obj: obj.update(diverged="lots"),
+        lambda obj: obj.update(diverged=1),
+        lambda obj: obj["trials"][0].update(status="diverged"),
+    ], ids=["status", "trial", "diverged-type", "diverged-count",
+            "diverged-status-count"])
+    def test_trial_records_checked(self, tmp_path, edit):
+        path = self._edited_report(tmp_path, edit)
+        with pytest.raises(ReportFormatError):
+            harness.report_from_json(path)
 
     def test_unknown_format_rejected(self, tmp_path):
         report = self._report(trials=1)
@@ -494,6 +561,18 @@ class TestCli:
         assert proc.returncode == 2
         assert "cannot read report" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key, value", BAD_ECHO_VALUES,
+                             ids=[key for key, _ in BAD_ECHO_VALUES])
+    def test_report_bad_config_echo_exits_2(self, tmp_path, key, value):
+        obj = harness.run_experiment(
+            harness.parse_config(make_config(trials=1))).to_json_dict()
+        obj["config"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        proc = run_cli("report", "--in", str(path))
+        assert proc.returncode == 2
+        assert key in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("samples, seed, flag", [
         ("0", "5", "--samples"), ("-1", "5", "--samples"), ("20", "-1", "--seed")])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcastream import data, metrics, model, offline
 from pcastream.data import Constant, RngStream
-from pcastream.errors import DegenerateSpectrumError, TrialDivergedError
+from pcastream.errors import MODEL_ERRORS, DegenerateSpectrumError, TrialDivergedError
 from pcastream.model import ModelState, Task, Variant
 
 ALL_PAIRS = [(t, v) for t in Task for v in Variant]
@@ -74,6 +76,51 @@ class TestOfflineStep:
         new = offline.offline_step(st, g, alpha, task, variant)
         assert np.abs(np.mean([s.w for s in online], 0) - new.w).max() <= 1e-12
         assert np.abs(np.mean([s.m for s in online], 0) - new.m).max() <= 1e-12
+
+
+@st.composite
+def stacked_learners(draw):
+    """A stack of 1-4 small learners with near-diagonal M, one covariance
+    per learner and a step; large steps and small diagonals make some
+    slices fail."""
+    b = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 6))
+    off = draw(st.sampled_from([0.0, 0.01, 0.1, 0.4]))
+    low = draw(st.sampled_from([1e-13, 0.05, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = rng.normal(size=(b, k, k))
+    m = off * (e + e.mT)
+    idx = np.arange(k)
+    m[:, idx, idx] = rng.uniform(low, 1.5, size=(b, k))
+    a = rng.normal(size=(b, n, n))
+    state = ModelState(m, rng.normal(size=(b, k, n)), np.linspace(1.0, 0.6, k),
+                       0.5, check=False)
+    alpha = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 4.0]))
+    return state, a @ a.mT / n, alpha
+
+
+class TestStackedOfflineStep:
+    @pytest.mark.parametrize("task, variant", ALL_PAIRS)
+    @settings(max_examples=100, deadline=None)
+    @given(case=stacked_learners())
+    def test_each_slice_is_the_single_learner_step(self, task, variant, case):
+        state, g, alpha = case
+        singles = []
+        for i in range(g.shape[0]):
+            try:
+                singles.append(offline.offline_step(state[i], g[i], alpha, task,
+                                                    variant))
+            except MODEL_ERRORS:
+                singles.append(None)
+        if None in singles:
+            with pytest.raises(MODEL_ERRORS):
+                offline.offline_step(state, g, alpha, task, variant)
+            return
+        new = offline.offline_step(state, g, alpha, task, variant)
+        for i, new_i in enumerate(singles):
+            assert np.array_equal(new.w[i], new_i.w)
+            assert np.array_equal(new.m[i], new_i.m)
 
 
 class TestConstructFixedPoint:
