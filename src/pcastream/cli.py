@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 check/experiment failure, 2 usage or config error.
 """
 
 import argparse
+import os
 import sys
 
 from . import data, harness
@@ -88,14 +89,26 @@ def _cmd_verify(args):
     return 1 if failures else 0
 
 
+def _same_file(a, b):
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # a path that does not exist is no other file
+        return False
+
+
 def _cmd_report(args):
     try:
         report = harness.report_from_json(args.infile)
     except (OSError, ReportFormatError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 2
-    return _write_report(report, args.format,
-                         args.out or (args.infile.rsplit(".", 1)[0] + ".csv"))
+    out = args.out or os.path.splitext(args.infile)[0] + ".csv"
+    if any(_same_file(path, args.infile)
+           for path in (out, harness._summary_path(out))):
+        print(f"refusing to overwrite the input report {args.infile}",
+              file=sys.stderr)
+        return 2
+    return _write_report(report, args.format, out)
 
 
 def build_parser():

@@ -50,9 +50,6 @@ _KNOWN_KEYS = {
     "schedule", "spectrum", "m_init", "w_init_std", "t_max", "checkpoints",
     "trials", "seed", "fixed_rotation", "workers", "output_path",
 }
-_PRESET_FIXED_KEYS = {
-    "n", "k", "lambda", "tau", "schedule", "spectrum", "m_init", "w_init_std",
-}
 _DEFAULT_T_MAX = {"online": 10000, "offline": 1000}
 
 
@@ -184,31 +181,38 @@ def _schedule_to_json(schedule):
 _COERCION_ERRORS = (TypeError, ValueError, OverflowError)
 
 
-def _finite_float(value):
+def _number(value):
+    """A finite JSON number, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
     out = float(value)
     if not math.isfinite(out):
         raise ValueError(f"{value!r} is not finite")
     return out
 
 
+_SCHEDULE_KEYS = {"constant": {"alpha"}, "inverse_time": {"numerator", "offset"},
+                  "piecewise": {"pieces"}}
+
+
 def _schedule_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigValidationError("schedule must be an object with a 'kind'")
     kind = obj["kind"]
+    _require(isinstance(kind, str) and kind in _SCHEDULE_KEYS,
+             f"unknown schedule kind '{kind}'")
+    unknown = sorted(obj.keys() - _SCHEDULE_KEYS[kind] - {"kind"})
+    _require(not unknown, f"unknown schedule keys: {unknown}")
     try:
         if kind == "constant":
-            return Constant(_finite_float(obj["alpha"]))
+            return Constant(_number(obj["alpha"]))
         if kind == "inverse_time":
-            return InverseTime(_finite_float(obj["numerator"]),
-                               _finite_float(obj["offset"]))
-        if kind == "piecewise":
-            pieces = tuple(
-                (math.inf if t is None else float(t), _finite_float(a))
-                for t, a in obj["pieces"])
-            return PiecewiseConstant(pieces)
+            return InverseTime(_number(obj["numerator"]), _number(obj["offset"]))
+        return PiecewiseConstant(tuple(  # a null threshold is the open tail
+            (math.inf if t is None else _number(t), _number(a))
+            for t, a in obj["pieces"]))
     except (KeyError, *_COERCION_ERRORS) as exc:
         raise ConfigValidationError(f"bad schedule: {exc}") from exc
-    raise ConfigValidationError(f"unknown schedule kind '{kind}'")
 
 
 def _require(condition, message):
@@ -216,11 +220,10 @@ def _require(condition, message):
         raise ConfigValidationError(message)
 
 
-def _finite_floats(value):
-    out = np.asarray(value, dtype=float)
-    if not np.isfinite(out).all():
-        raise ValueError(f"{value!r} has non-finite entries")
-    return out
+def _numbers(value):
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return np.array([_number(v) for v in value], dtype=float)
 
 
 def _int(value):
@@ -244,94 +247,76 @@ def _bool(value):
     return value
 
 
+def _choice(*options):
+    def choose(value):
+        if value not in options:
+            raise ValueError(f"expected {'|'.join(options)}")
+        return value
+    return choose
+
+
 def _coerce(raw, key, convert, default=None):
     """``convert`` applied to ``raw[key]`` (``default`` when absent).
 
-    Every numeric or boolean config value passes through here, so that a
-    value of the wrong type surfaces as a validation error, never a bare
-    ValueError or TypeError.
+    Every config value of a fixed type passes through here, so that a
+    value of the wrong type surfaces as a validation error naming its
+    key, never a bare ValueError or TypeError.
     """
     value = raw.get(key, default)
     try:
         return convert(value)
     except _COERCION_ERRORS as exc:
-        raise ConfigValidationError(f"bad value for '{key}': {value!r}") from exc
-
-
-def parse_config(text):
-    """Parse and validate a JSON experiment config.
-
-    Unknown keys are rejected by name; preset configs reject explicit
-    overrides of preset-determined fields; custom configs must spell out
-    the whole problem.
-    """
-    # JSONDecodeError is a ValueError, as are integers too long to read;
-    # nesting too deep for the decoder raises RecursionError
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ConfigParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigParseError("config must be a JSON object")
-    for key in raw:
-        if key not in _KNOWN_KEYS:
-            raise ConfigParseError(f"unknown key '{key}'")
-
-    for req in ("task", "variant", "mode", "preset"):
-        if req not in raw:
-            raise ConfigValidationError(f"missing required key '{req}'")
-    try:
-        task = Task(raw["task"])
-    except ValueError:
-        raise ConfigValidationError(f"task must be one of psp|psw, got {raw['task']!r}")
-    try:
-        variant = Variant(raw["variant"])
-    except ValueError:
         raise ConfigValidationError(
-            f"variant must be iteration_free|exact, got {raw['variant']!r}")
-    mode = raw["mode"]
-    _require(mode in ("online", "offline"), f"mode must be online|offline, got {mode!r}")
-    preset_name = raw["preset"]
-    _require(preset_name in ("small", "large", "custom"),
-             f"preset must be small|large|custom, got {preset_name!r}")
+            f"bad value for '{key}': {value!r} ({exc})") from exc
 
-    if preset_name in PRESETS:
-        clash = _PRESET_FIXED_KEYS & raw.keys()
-        _require(not clash,
-                 f"keys fixed by preset '{preset_name}': {sorted(clash)}")
-        preset = PRESETS[preset_name]()
-        n, k = preset.n, preset.k
-        lam = preset.lam
-        spectrum = preset.spectrum
-        tau = preset.tau[task]
-        m_init = preset.m_init[task]
-        w_init_std = preset.w_init_std
-        schedule = preset.schedule(task, mode)
-    else:
-        missing = {"n", "k", "lambda", "tau", "schedule", "spectrum"} - raw.keys()
-        _require(not missing, f"custom preset requires keys: {sorted(missing)}")
-        n = _coerce(raw, "n", _int)
-        k = _coerce(raw, "k", _int)
-        lam = _coerce(raw, "lambda", _finite_floats)
-        spectrum = _coerce(raw, "spectrum", _finite_floats)
-        tau = _coerce(raw, "tau", _finite_float)
-        schedule = _schedule_from_json(raw["schedule"])
-        m_init = _coerce(raw, "m_init", _finite_float, 1.0)
-        _require(1 <= k < n, "require 1 <= k < n")
-        w_init_std = _coerce(raw, "w_init_std", _finite_float, 1.0 / math.sqrt(n))
-        _require(lam.shape == (k,), "lambda must have length k")
-        _require((lam > 0).all() and (np.diff(lam) < 0).all(),
-                 "lambda must be strictly decreasing and positive")
-        _require(spectrum.shape == (n,), "spectrum must have length n")
-        _require((spectrum > 0).all() and not (np.diff(spectrum) > 0).any(),
-                 "spectrum must be positive and nonincreasing")
-        # ground_truth needs a unique, ordered leading k-subspace
-        _require(metrics.leading_separated(spectrum, k),
-                 f"leading k+1 spectrum values must differ by more than "
-                 f"{metrics.GAP_FLOOR:g}")
-        _require(tau > 0, "tau must be positive")
-        _require(m_init > 0, "m_init must be positive")
-        _require(w_init_std > 0, "w_init_std must be positive")
+
+def _decode(raw):
+    """The config that the JSON object ``raw`` describes, under every rule
+    of ``parse_config``; each key has one conversion and one set of rules,
+    whatever the preset."""
+    for req in ("task", "variant", "mode", "preset"):
+        _require(req in raw, f"missing required key '{req}'")
+    task = Task(_coerce(raw, "task", _choice("psp", "psw")))
+    variant = Variant(_coerce(raw, "variant", _choice("iteration_free", "exact")))
+    mode = _coerce(raw, "mode", _choice("online", "offline"))
+    preset = _coerce(raw, "preset", _choice("small", "large", "custom"))
+    fixed = {}
+    if preset in PRESETS:  # the JSON values of the keys the preset fixes
+        p = PRESETS[preset]()
+        fixed = {"n": p.n, "k": p.k, "lambda": p.lam.tolist(), "tau": p.tau[task],
+                 "schedule": _schedule_to_json(p.schedule(task, mode)),
+                 "spectrum": p.spectrum.tolist(), "m_init": p.m_init[task],
+                 "w_init_std": p.w_init_std}
+    # a restated value is itself converted below, under the same type rules
+    clash = sorted(key for key, value in fixed.items()
+                   if raw.get(key, value) != value)
+    _require(not clash, f"keys fixed by preset '{preset}': {clash}")
+    raw = {**fixed, **raw}
+    missing = {"n", "k", "lambda", "tau", "schedule", "spectrum"} - raw.keys()
+    _require(not missing, f"custom preset requires keys: {sorted(missing)}")
+
+    n = _coerce(raw, "n", _int)
+    k = _coerce(raw, "k", _int)
+    lam = _coerce(raw, "lambda", _numbers)
+    spectrum = _coerce(raw, "spectrum", _numbers)
+    tau = _coerce(raw, "tau", _number)
+    schedule = _schedule_from_json(raw["schedule"])
+    m_init = _coerce(raw, "m_init", _number, 1.0)
+    _require(1 <= k < n, "require 1 <= k < n")
+    w_init_std = _coerce(raw, "w_init_std", _number, 1.0 / math.sqrt(n))
+    _require(lam.shape == (k,), "lambda must have length k")
+    _require((lam > 0).all() and (np.diff(lam) < 0).all(),
+             "lambda must be strictly decreasing and positive")
+    _require(spectrum.shape == (n,), "spectrum must have length n")
+    _require((spectrum > 0).all() and not (np.diff(spectrum) > 0).any(),
+             "spectrum must be positive and nonincreasing")
+    # ground_truth needs a unique, ordered leading k-subspace
+    _require(metrics.leading_separated(spectrum, k),
+             f"leading k+1 spectrum values must differ by more than "
+             f"{metrics.GAP_FLOOR:g}")
+    _require(tau > 0, "tau must be positive")
+    _require(m_init > 0, "m_init must be positive")
+    _require(w_init_std > 0, "w_init_std must be positive")
 
     t_max = _coerce(raw, "t_max", _int, _DEFAULT_T_MAX[mode])
     _require(t_max >= 0, "t_max must be nonnegative")
@@ -350,13 +335,34 @@ def parse_config(text):
              "output_path must be a string")
 
     return ExperimentConfig(
-        task=task, variant=variant, mode=mode, preset=preset_name,
+        task=task, variant=variant, mode=mode, preset=preset,
         n=n, k=k, lam=lam, tau=tau, schedule=schedule, spectrum=spectrum,
         m_init=m_init, w_init_std=w_init_std, t_max=t_max,
         checkpoints=checkpoints, trials=trials, seed=seed,
         fixed_rotation=fixed_rotation, workers=workers,
         output_path=output_path,
     )
+
+
+def parse_config(text):
+    """Parse and validate a JSON experiment config.
+
+    Unknown keys are rejected by name. A config may omit the keys its
+    named preset fixes, or restate them with the preset's values only, so
+    a report's config echo is a config; a custom config spells them out.
+    """
+    # JSONDecodeError is a ValueError, as are integers too long to read;
+    # nesting too deep for the decoder raises RecursionError
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigParseError("config must be a JSON object")
+    for key in raw:
+        if key not in _KNOWN_KEYS:
+            raise ConfigParseError(f"unknown key '{key}'")
+    return _decode(raw)
 
 
 def load_config(path):
@@ -582,51 +588,54 @@ def _summary_path(path):
 
 
 def config_from_json_dict(obj):
-    """Rebuild an ExperimentConfig from its own JSON echo (no re-expansion)."""
-    return ExperimentConfig(
-        task=Task(obj["task"]), variant=Variant(obj["variant"]),
-        mode=obj["mode"], preset=obj["preset"], n=_coerce(obj, "n", _int),
-        k=_coerce(obj, "k", _int), lam=_coerce(obj, "lambda", _finite_floats),
-        tau=_coerce(obj, "tau", _finite_float),
-        schedule=_schedule_from_json(obj["schedule"]),
-        spectrum=_coerce(obj, "spectrum", _finite_floats),
-        m_init=_coerce(obj, "m_init", _finite_float),
-        w_init_std=_coerce(obj, "w_init_std", _finite_float),
-        t_max=_coerce(obj, "t_max", _int),
-        checkpoints=_coerce(obj, "checkpoints", _ints),
-        trials=_coerce(obj, "trials", _int), seed=_coerce(obj, "seed", _int),
-        fixed_rotation=_coerce(obj, "fixed_rotation", _bool),
-        workers=_coerce(obj, "workers", _int), output_path=obj.get("output_path"),
-    )
+    """The config of a report's echo: every key present, every rule kept."""
+    keys = set(obj) if isinstance(obj, dict) else set()
+    _require(keys == _KNOWN_KEYS,
+             f"config echo keys: missing {sorted(_KNOWN_KEYS - keys)}, "
+             f"unknown {sorted(keys - _KNOWN_KEYS)}")
+    return _decode(obj)
+
+
+def _trial_from_json(r):
+    """A trial record; only a diverged trial has a 'diverged_at' and 'cause'."""
+    status = r["status"]
+    _require(status in ("completed", "diverged"), f"bad trial status {status!r}")
+    diverged_at = cause = None
+    if status == "diverged":
+        diverged_at = _coerce(r, "diverged_at", _int)
+        cause = r.get("cause")  # reports written before causes have none
+        _require(cause is None or isinstance(cause, str), "cause must be a string")
+    else:
+        _require(r.get("diverged_at") is None and r.get("cause") is None,
+                 "a completed trial has no 'diverged_at' or 'cause'")
+    return TrialOutcome(_coerce(r, "trial", _int), status, [], diverged_at,
+                        _coerce(r, "wall_clock_s", _number, 0.0), cause)
 
 
 def report_from_json(path):
     """Load the JSON form of a report for CSV re-emission.
 
-    Raises ReportFormatError when the file is not such a report.
+    Raises ReportFormatError when the file is not such a report,
+    including when its config echo breaks a rule of ``parse_config``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-            rows = [(_int(r["t"]), _int(r["trial"]), float(r["e_pro"]))
+            rows = [(_int(r["t"]), _int(r["trial"]), _number(r["e_pro"]))
                     for r in obj["rows"]]
             # reports written before the diagnostics existed have none
             diagnostics = {
-                (t, trial): (float(r["offdiag_ratio"]), float(r["floor_margin"]))
+                (t, trial): (_number(r["offdiag_ratio"]), _number(r["floor_margin"]))
                 for (t, trial, _), r in zip(rows, obj["rows"])
                 if "offdiag_ratio" in r or "floor_margin" in r}
-            trials = [TrialOutcome(_int(r["trial"]), r["status"], [],
-                                   r.get("diverged_at"),
-                                   r.get("wall_clock_s", 0.0), r.get("cause"))
-                      for r in obj["trials"]]
-            statuses, diverged = [t.status for t in trials], _int(obj["diverged"])
-            if (not {"completed", "diverged"}.issuperset(statuses)
-                    or statuses.count("diverged") != diverged):
-                raise ValueError("trial statuses disagree with 'diverged'")
+            trials = [_trial_from_json(r) for r in obj["trials"]]
+            diverged = _int(obj["diverged"])
+            _require(sum(t.status == "diverged" for t in trials) == diverged,
+                     "trial statuses disagree with 'diverged'")
             return SummaryReport(
                 config=config_from_json_dict(obj["config"]),
                 rows=rows,
-                medians={_int(r["t"]): float(r["e_pro"]) for r in obj["medians"]},
+                medians={_int(r["t"]): _number(r["e_pro"]) for r in obj["medians"]},
                 trials=trials, diverged=diverged, diagnostics=diagnostics)
         except (KeyError, RecursionError, ConfigValidationError,
                 *_COERCION_ERRORS) as exc:

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pcastream import data, harness, metrics, offline
@@ -51,35 +51,49 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 
 
-# config echo values that parse_config rejects and a report must not load
-BAD_ECHO_VALUES = [("fixed_rotation", "false"), ("t_max", 2.7),
-                   ("checkpoints", ["x"]), ("trials", "3")]
+# config echo values that parse_config rejects and a report must not load,
+# by test id
+BAD_ECHO_VALUES = {
+    "fixed_rotation": ("fixed_rotation", "false"), "t_max": ("t_max", 2.7),
+    "checkpoints": ("checkpoints", ["x"]), "trials": ("trials", "3"),
+    "mode": ("mode", "bogus"), "preset": ("preset", "nope"), "k": ("k", 50),
+    "checkpoints-past-t_max": ("checkpoints", [5000]),
+    "trials-zero": ("trials", 0), "seed": ("seed", -1),
+    "workers": ("workers", 0), "output_path": ("output_path", 5),
+}
+
+
+PLAUSIBLE_VALUES = st.sampled_from([
+    "small", "large", "custom", "psp", "psw", "iteration_free", "exact",
+    "online", "offline", 0, 1, 3, 4, 10, 100, 0.5, 1.0, [1.0, 0.8], [100],
+    [1.0, 0.85, 0.7], [1.0, 0.6, 0.3, 0.3], [1.0, 0.5, 0.5, 0.1],
+    {"kind": "constant"}, {"kind": "constant", "alpha": 0.1},
+    {"kind": "piecewise", "pieces": [[10, 0.1], [None, 0.01]]},
+    {"kind": "inverse_time", "numerator": 1, "offset": -1},
+    {"kind": "inverse_time", "numerator": 10, "offset": 250},
+])
 
 
 def config_objects():
     """JSON objects near valid configs: known keys with arbitrary values."""
-    plausible = st.sampled_from([
-        "small", "large", "custom", "psp", "psw", "iteration_free", "exact",
-        "online", "offline", 0, 1, 3, 4, 100, 0.5, [1.0, 0.8], [100],
-        [1.0, 0.6, 0.3, 0.3], [1.0, 0.5, 0.5, 0.1], {"kind": "constant"},
-        {"kind": "constant", "alpha": 0.1},
-        {"kind": "piecewise", "pieces": [[10, 0.1], [None, 0.01]]},
-        {"kind": "inverse_time", "numerator": 1, "offset": -1},
-    ])
     keys = st.sampled_from(sorted(harness._KNOWN_KEYS) + ["junk"])
     bases = st.sampled_from([json.loads(make_config()), json.loads(custom_config())])
-    overrides = st.dictionaries(keys, plausible | JSON_VALUES, max_size=5)
+    overrides = st.dictionaries(keys, PLAUSIBLE_VALUES | JSON_VALUES, max_size=5)
     return st.builds(lambda base, extra, drop: {
         k: v for k, v in {**base, **extra}.items() if k not in drop},
         bases, overrides, st.sets(keys, max_size=2))
 
 
-def report_objects():
-    """JSON values near a valid report: its keys with arbitrary values."""
-    cfg = harness.parse_config(make_config(trials=1))
-    valid = harness.SummaryReport(
+def tiny_report(cfg):
+    """The JSON form of a one-row, one-trial report of ``cfg``."""
+    return harness.SummaryReport(
         cfg, [(100, 0, 0.5)], {100: 0.5},
         [harness.TrialOutcome(0, "completed", [])], 0).to_json_dict()
+
+
+def report_objects():
+    """JSON values near a valid report: its keys with arbitrary values."""
+    valid = tiny_report(harness.parse_config(make_config(trials=1)))
     entry = st.dictionaries(st.sampled_from(["t", "trial", "e_pro", "status"]),
                             JSON_VALUES, max_size=4)
     keys = st.sampled_from(sorted(valid))
@@ -145,18 +159,50 @@ class TestParseConfig:
                 "preset": "custom", "task": "psp",
                 "variant": "exact", "mode": "online"}))
 
-    def test_custom_roundtrip(self):
-        cfg = harness.parse_config(json.dumps({
-            "preset": "custom", "task": "psw", "variant": "exact",
-            "mode": "online", "n": 4, "k": 2, "lambda": [1.0, 0.8],
-            "tau": 1.0, "spectrum": [1.0, 0.6, 0.3, 0.3],
-            "schedule": {"kind": "inverse_time", "numerator": 5, "offset": 100},
-            "trials": 1, "seed": 3, "t_max": 50,
-        }))
+    CUSTOM_PSW = {
+        "preset": "custom", "task": "psw", "variant": "exact",
+        "mode": "online", "n": 4, "k": 2, "lambda": [1.0, 0.8],
+        "tau": 1.0, "spectrum": [1.0, 0.6, 0.3, 0.3],
+        "schedule": {"kind": "inverse_time", "numerator": 5, "offset": 100},
+        "trials": 1, "seed": 3, "t_max": 50,
+    }
+
+    def test_custom_config_parses(self):
+        cfg = harness.parse_config(json.dumps(self.CUSTOM_PSW))
         assert cfg.variant is Variant.EXACT_INVERSE
         assert cfg.schedule.rate(0) == 0.05
-        echo = harness.config_from_json_dict(cfg.to_json_dict())
-        assert echo.to_json_dict() == cfg.to_json_dict()
+
+    @settings(max_examples=300, deadline=None)
+    @given(config_objects())
+    @example(CUSTOM_PSW)
+    def test_custom_roundtrip(self, obj):
+        # every config that parses: its echo reads back, as a report's
+        # config and as a config, to the same config
+        try:
+            cfg = harness.parse_config(json.dumps(obj))
+        except (ConfigParseError, ConfigValidationError):
+            return
+        echo = cfg.to_json_dict()
+        assert harness.config_from_json_dict(
+            json.loads(json.dumps(echo))).to_json_dict() == echo
+        assert harness.parse_config(json.dumps(echo)).to_json_dict() == echo
+
+    def test_preset_fixed_keys_restated(self):
+        # a preset's own values may be restated; any other is an override
+        cfg = harness.parse_config(make_config(
+            task="psw", tau=1, m_init=0.3, k=3, schedule={
+                "kind": "inverse_time", "numerator": 10, "offset": 250}))
+        assert (cfg.tau, cfg.m_init, cfg.k) == (1.0, 0.3, 3)
+        for key, value in [("k", 50), ("m_init", 1.0), ("lambda", [1.0, 0.85]),
+                           ("schedule", {"kind": "constant", "alpha": 0.1})]:
+            with pytest.raises(ConfigValidationError,
+                               match=f"fixed by preset 'small': \\['{key}'\\]"):
+                harness.parse_config(make_config(task="psw", **{key: value}))
+
+    def test_schedule_unknown_key_named(self):
+        with pytest.raises(ConfigValidationError, match="junk"):
+            harness.parse_config(custom_config(
+                schedule={"kind": "constant", "alpha": 0.1, "junk": 3}))
 
     def test_trials_floor(self):
         with pytest.raises(ConfigValidationError):
@@ -181,6 +227,16 @@ class TestParseConfig:
         custom_config(tau=float("nan")),
         custom_config(**{"lambda": [1.0, "x"]}),
         custom_config(schedule={"kind": "constant", "alpha": float("inf")}),
+        custom_config(tau="0.5"),
+        custom_config(tau=True),
+        custom_config(m_init="2"),
+        custom_config(k=1, **{"lambda": [True]}),
+        custom_config(schedule={"kind": "inverse_time", "numerator": True,
+                                "offset": 100}),
+        custom_config(schedule={"kind": "piecewise",
+                                "pieces": [["10", 0.1], [None, 0.01]]}),
+        custom_config(schedule={"kind": "piecewise",
+                                "pieces": [[float("nan"), 0.1], [None, 0.01]]}),
     ])
     def test_bad_values_rejected(self, text):
         with pytest.raises(ConfigValidationError):
@@ -411,13 +467,60 @@ class TestEmitReport:
         path.write_text(json.dumps(obj))
         return path
 
-    @pytest.mark.parametrize("key, value", BAD_ECHO_VALUES,
-                             ids=[key for key, _ in BAD_ECHO_VALUES])
+    @pytest.mark.parametrize("key, value", BAD_ECHO_VALUES.values(),
+                             ids=list(BAD_ECHO_VALUES))
     def test_config_echo_values_checked(self, tmp_path, key, value):
         path = self._edited_report(
             tmp_path, lambda obj: obj["config"].update({key: value}))
         with pytest.raises(ReportFormatError, match=key):
             harness.report_from_json(path)
+
+    def test_config_echo_missing_key_rejected(self, tmp_path):
+        path = self._edited_report(tmp_path, lambda obj: obj["config"].pop("workers"))
+        with pytest.raises(ReportFormatError, match="missing \\['workers'\\]"):
+            harness.report_from_json(path)
+
+    def test_config_echo_extra_key_rejected(self, tmp_path):
+        path = self._edited_report(
+            tmp_path, lambda obj: obj["config"].update(junk=1))
+        with pytest.raises(ReportFormatError, match="unknown \\['junk'\\]"):
+            harness.report_from_json(path)
+
+    def test_report_config_reruns(self):
+        # a report's config echo is a config, and it reproduces the run
+        report = self._report(trials=2, mode="offline", fixed_rotation=True)
+        echo = json.dumps(report.to_json_dict()["config"])
+        rerun = harness.run_experiment(harness.parse_config(echo))
+        assert rerun.comparable() == report.comparable()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from([make_config(trials=1), custom_config(trials=1),
+                            make_config(preset="large", mode="offline",
+                                        task="psw", variant="exact")]),
+           st.sampled_from(sorted(harness._KNOWN_KEYS)),
+           PLAUSIBLE_VALUES | JSON_VALUES)
+    def test_config_echo_checked_like_a_config(self, tmp_path, text, key, value):
+        # one validator: an edited echo loads exactly when it parses as a
+        # config, and then to the same config
+        obj = tiny_report(harness.parse_config(text))
+        obj["config"][key] = value
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj))
+        try:
+            expected = harness.parse_config(json.dumps(obj["config"]))
+        except (ConfigParseError, ConfigValidationError):
+            with pytest.raises(ReportFormatError):
+                harness.report_from_json(path)
+            return
+        back = harness.report_from_json(path).config
+        assert back.to_json_dict() == expected.to_json_dict()
+
+    @staticmethod
+    def _diverge(obj, **fields):
+        obj["diverged"] = 1
+        obj["trials"][0].update({"status": "diverged", "diverged_at": 3,
+                                 "cause": "DegenerateDiagonalError: x", **fields})
 
     @pytest.mark.parametrize("edit", [
         lambda obj: obj["trials"][0].update(status="bogus"),
@@ -425,12 +528,34 @@ class TestEmitReport:
         lambda obj: obj.update(diverged="lots"),
         lambda obj: obj.update(diverged=1),
         lambda obj: obj["trials"][0].update(status="diverged"),
+        lambda obj: TestEmitReport._diverge(obj, diverged_at="x"),
+        lambda obj: TestEmitReport._diverge(obj, cause=5),
+        lambda obj: obj["trials"][0].update(diverged_at=3),
+        lambda obj: obj["trials"][0].update(cause="x"),
+        lambda obj: obj["trials"][0].update(wall_clock_s="slow"),
+        lambda obj: obj["rows"][0].update(e_pro="0.5"),
+        lambda obj: obj["rows"][0].update(e_pro=True),
+        lambda obj: obj["rows"][0].update(offdiag_ratio="0"),
+        lambda obj: obj["medians"][0].update(e_pro=None),
     ], ids=["status", "trial", "diverged-type", "diverged-count",
-            "diverged-status-count"])
+            "diverged-status-count", "diverged_at-type", "cause-type",
+            "completed-diverged_at", "completed-cause", "wall_clock_s",
+            "e_pro-string", "e_pro-bool", "offdiag_ratio", "median-e_pro"])
     def test_trial_records_checked(self, tmp_path, edit):
         path = self._edited_report(tmp_path, edit)
         with pytest.raises(ReportFormatError):
             harness.report_from_json(path)
+
+    def test_diverged_trial_records_load(self, tmp_path):
+        (back, _) = harness.report_from_json(self._edited_report(
+            tmp_path, TestEmitReport._diverge)).trials
+        assert (back.status, back.diverged_at, back.cause) == (
+            "diverged", 3, "DegenerateDiagonalError: x")
+        # reports written before causes were recorded have none
+        (back, _) = harness.report_from_json(self._edited_report(
+            tmp_path, lambda obj: (TestEmitReport._diverge(obj),
+                                   obj["trials"][0].pop("cause")))).trials
+        assert (back.diverged_at, back.cause) == (3, None)
 
     def test_unknown_format_rejected(self, tmp_path):
         report = self._report(trials=1)
@@ -549,6 +674,35 @@ class TestCli:
         assert lines[0] == "t,trial,e_pro"
         assert len(lines) == 3
 
+    def _json_report(self, path):
+        obj = harness.run_experiment(
+            harness.parse_config(make_config(trials=1))).to_json_dict()
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(obj))
+        return path.read_text()
+
+    def test_report_default_out_beside_input(self, tmp_path):
+        self._json_report(tmp_path / "runs.d" / "out")
+        proc = run_cli("report", "--in", str(tmp_path / "runs.d" / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in (tmp_path / "runs.d").iterdir()) == [
+            "out", "out.csv", "out_summary.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.d"]
+
+    @pytest.mark.parametrize("out", [None, "res.csv", "res"])
+    def test_report_never_overwrites_input(self, tmp_path, out):
+        # a JSON report under a .csv name is its own default output
+        path = tmp_path / "res.csv"
+        text = self._json_report(path)
+        if out == "res":  # the summary of res would be ..._summary.csv
+            path = path.rename(tmp_path / "res_summary.csv")
+        args = ["--out", str(tmp_path / out)] if out else []
+        proc = run_cli("report", "--in", str(path), *args)
+        assert proc.returncode == 2
+        assert "input report" in proc.stderr and "Traceback" not in proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.read_text() == text
+
     def test_usage_error_exits_2(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
@@ -562,8 +716,8 @@ class TestCli:
         assert "cannot read report" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("key, value", BAD_ECHO_VALUES,
-                             ids=[key for key, _ in BAD_ECHO_VALUES])
+    @pytest.mark.parametrize("key, value", BAD_ECHO_VALUES.values(),
+                             ids=list(BAD_ECHO_VALUES))
     def test_report_bad_config_echo_exits_2(self, tmp_path, key, value):
         obj = harness.run_experiment(
             harness.parse_config(make_config(trials=1))).to_json_dict()
