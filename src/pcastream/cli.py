@@ -48,13 +48,16 @@ def _cmd_run(args):
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
+    out = args.out or config.output_path
+    if out and _overwrites(out, args.config):
+        print(f"refusing to overwrite the config {args.config}", file=sys.stderr)
+        return 2
     report = harness.run_experiment(config, workers=args.workers)
     completed = len([t for t in report.trials if t.status == "completed"])
     for t, e in sorted(report.medians.items()):
         print(f"t={t}  median_e_pro={e:.6e}  (over {completed} trials)")
     if report.diverged:
         print(f"diverged trials: {report.diverged}")
-    out = args.out or config.output_path
     if out and _write_report(report, args.format, out):
         return 1
     return 0 if completed else 1
@@ -96,6 +99,13 @@ def _same_file(a, b):
         return False
 
 
+def _overwrites(out, infile):
+    """Whether a report written to ``out`` (or its summary file) would
+    replace ``infile``."""
+    return any(_same_file(path, infile)
+               for path in (out, harness._summary_path(out)))
+
+
 def _cmd_report(args):
     try:
         report = harness.report_from_json(args.infile)
@@ -103,8 +113,7 @@ def _cmd_report(args):
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 2
     out = args.out or os.path.splitext(args.infile)[0] + ".csv"
-    if any(_same_file(path, args.infile)
-           for path in (out, harness._summary_path(out))):
+    if _overwrites(out, args.infile):
         print(f"refusing to overwrite the input report {args.infile}",
               file=sys.stderr)
         return 2

@@ -537,22 +537,28 @@ def _summarize(config, outcomes):
     """The summary report of an experiment's trial outcomes."""
     outcomes = sorted(outcomes, key=lambda o: o.trial)
     rows = []
-    per_point = {}
     diagnostics = {}
     for out in outcomes:
         if out.status != "completed":
             continue
         for t, e in out.rows:
             rows.append((t, out.trial, e))
-            per_point.setdefault(t, []).append(e)
         for t, ratio, margin in out.diagnostics:
             diagnostics[(t, out.trial)] = (ratio, margin)
     rows.sort(key=lambda r: (r[0], r[1]))
-    medians = {t: float(np.median(es)) for t, es in per_point.items()}
+    medians = _medians(rows)
     diverged = sum(1 for o in outcomes if o.status != "completed")
     return SummaryReport(config=config, rows=rows, medians=medians,
                          trials=outcomes, diverged=diverged,
                          diagnostics=diagnostics)
+
+
+def _medians(rows):
+    """t -> median e_pro over the rows ``(t, trial, e_pro)`` at t."""
+    per_point = {}
+    for t, _, e in rows:
+        per_point.setdefault(t, []).append(e)
+    return {t: float(np.median(es)) for t, es in per_point.items()}
 
 
 def _fmt(value):
@@ -612,6 +618,23 @@ def _trial_from_json(r):
                         _coerce(r, "wall_clock_s", _number, 0.0), cause)
 
 
+def _check_rows(rows, medians, trials):
+    """Rows belong to completed trials, one per (t, trial), and each
+    median is the median of its rows, exactly as ``_summarize`` wrote it.
+    Diagnostics are read from the rows, so each sits on a row."""
+    completed = {t.trial for t in trials if t.status == "completed"}
+    for t, trial, _ in rows:
+        _require(trial in completed,
+                 f"row (t={t}, trial={trial}) is not of a completed trial")
+    _require(len({row[:2] for row in rows}) == len(rows),
+             "more than one row for a (t, trial)")
+    expected = _medians(rows)
+    _require(medians.keys() == expected.keys(),
+             f"medians at t={sorted(medians)}, rows at t={sorted(expected)}")
+    bad = sorted(t for t in expected if medians[t] != expected[t])
+    _require(not bad, f"medians at t={bad} are not the medians of their rows")
+
+
 def report_from_json(path):
     """Load the JSON form of a report for CSV re-emission.
 
@@ -632,10 +655,11 @@ def report_from_json(path):
             diverged = _int(obj["diverged"])
             _require(sum(t.status == "diverged" for t in trials) == diverged,
                      "trial statuses disagree with 'diverged'")
+            medians = {_int(r["t"]): _number(r["e_pro"]) for r in obj["medians"]}
+            _check_rows(rows, medians, trials)
             return SummaryReport(
                 config=config_from_json_dict(obj["config"]),
-                rows=rows,
-                medians={_int(r["t"]): _number(r["e_pro"]) for r in obj["medians"]},
+                rows=rows, medians=medians,
                 trials=trials, diverged=diverged, diagnostics=diagnostics)
         except (KeyError, RecursionError, ConfigValidationError,
                 *_COERCION_ERRORS) as exc:

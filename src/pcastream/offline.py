@@ -7,7 +7,7 @@ current input-to-output filter. This module steps those averaged
 dynamics with forward Euler, constructs their fixed points in closed
 form from the eigendecomposition of G, and probes linear stability with
 a finite-difference Jacobian on the flattened (W, upper-triangular M)
-coordinates.
+coordinates, whose perturbed states are all evaluated as one stack.
 """
 
 from dataclasses import dataclass
@@ -92,48 +92,53 @@ def fixed_point_residual(state, g, task, variant):
 
 
 def _pack(w, m):
-    return np.concatenate([w.ravel(), m[np.triu_indices(m.shape[0])]])
+    """W and the upper triangle of M as one coordinate vector, one row
+    per learner of a stack."""
+    rows, cols = np.triu_indices(m.shape[-1])
+    return np.concatenate([w.reshape(*w.shape[:-2], -1), m[..., rows, cols]],
+                          axis=-1)
 
 
-def _unpack(vec, template):
-    k, n = template.k, template.n
-    w = vec[: k * n].reshape(k, n)
-    m = np.zeros((k, k))
-    iu = np.triu_indices(k)
-    m[iu] = vec[k * n:]
-    m = m + np.triu(m, 1).T
-    return ModelState(m, w, template.lam, template.tau, check=False)
+def _jacobian(state, g, task, variant, eps):
+    """Central-difference Jacobian of the packed vector field, column i
+    from the pair of states ``base +- eps`` on coordinate i.
 
-
-def _vector_field(state, g, task, variant):
-    dw, dm = _averaged_field(state, g, task, variant)
-    return _pack(dw, dm / state.tau)
+    All 2 * dim perturbed states go through one stacked field
+    evaluation. M is rebuilt from its upper triangle as the triangle
+    plus its strict part transposed, so the diagonal is never doubled.
+    """
+    base = _pack(state.w, state.m)
+    dim = base.size
+    k, n = state.k, state.n
+    step = eps * np.eye(dim)
+    coords = np.concatenate([base + step, base - step])
+    w = coords[:, : k * n].reshape(-1, k, n)
+    m = np.zeros((2 * dim, k, k))
+    rows, cols = np.triu_indices(k)
+    m[:, rows, cols] = coords[:, k * n:]
+    m = m + np.triu(m, 1).mT
+    stack = ModelState(m, w, state.lam, state.tau, check=False)
+    dw, dm = _averaged_field(stack, g, task, variant)
+    field = _pack(dw, dm / state.tau)
+    return ((field[:dim] - field[dim:]) / (2.0 * eps)).T
 
 
 def jacobian_spectrum(state, g, task, variant, eps=1e-5):
     """Real parts of the eigenvalues of the linearized averaged dynamics.
 
     Central finite differences of the flattened vector field around a
-    near-stationary state. The symmetric lateral matrix contributes only
-    its upper triangle as coordinates, so symmetry-redundant directions
-    cannot produce spurious eigenvalues. Negative real parts throughout
-    mean the state is linearly stable.
+    near-stationary state, with every perturbed state evaluated in one
+    stack. The symmetric lateral matrix contributes only its upper
+    triangle as coordinates, so symmetry-redundant directions cannot
+    produce spurious eigenvalues. Negative real parts throughout mean
+    the state is linearly stable.
     """
     if not 1e-7 <= eps <= 1e-4:
         raise ValueError("eps must lie in [1e-7, 1e-4]")
     g = np.asarray(g, dtype=float)
     if fixed_point_residual(state, g, task, variant) > 1e-6:
         raise ValueError("state is not close enough to a fixed point")
-    base = _pack(state.w, state.m)
-    dim = base.size
-    jac = np.empty((dim, dim))
-    for i in range(dim):
-        bump = np.zeros(dim)
-        bump[i] = eps
-        hi = _vector_field(_unpack(base + bump, state), g, task, variant)
-        lo = _vector_field(_unpack(base - bump, state), g, task, variant)
-        jac[:, i] = (hi - lo) / (2.0 * eps)
-    eig = np.linalg.eigvals(jac)
+    eig = np.linalg.eigvals(_jacobian(state, g, task, variant, eps))
     return np.sort(eig.real)[::-1]
 
 
@@ -148,7 +153,7 @@ def run_offline(initial, g, schedule, t_max, checkpoints=(), *,
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     wanted = {int(t) for t in checkpoints}
-    bad = [t for t in wanted if not 1 <= t <= max(t_max, 1)]
+    bad = [t for t in wanted if not 1 <= t <= t_max]
     if bad:
         raise ValueError(f"checkpoints outside [1, t_max]: {sorted(bad)}")
     state = initial.copy()

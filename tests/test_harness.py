@@ -460,8 +460,8 @@ class TestEmitReport:
         assert back.rows == report.rows
         assert back.diagnostics == {}
 
-    def _edited_report(self, tmp_path, edit):
-        obj = self._report(trials=2).to_json_dict()
+    def _edited_report(self, tmp_path, edit, trials=2):
+        obj = self._report(trials=trials).to_json_dict()
         edit(obj)
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(obj))
@@ -518,9 +518,12 @@ class TestEmitReport:
 
     @staticmethod
     def _diverge(obj, **fields):
+        # trial 0 of two diverged: its rows go, and each median is trial 1's row
         obj["diverged"] = 1
         obj["trials"][0].update({"status": "diverged", "diverged_at": 3,
                                  "cause": "DegenerateDiagonalError: x", **fields})
+        obj["rows"] = [r for r in obj["rows"] if r["trial"] == 1]
+        obj["medians"] = [{"t": r["t"], "e_pro": r["e_pro"]} for r in obj["rows"]]
 
     @pytest.mark.parametrize("edit", [
         lambda obj: obj["trials"][0].update(status="bogus"),
@@ -545,6 +548,43 @@ class TestEmitReport:
         path = self._edited_report(tmp_path, edit)
         with pytest.raises(ReportFormatError):
             harness.report_from_json(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj["medians"][0].update(e_pro=123.0),
+         "medians at t=\\[100\\] are not"),
+        (lambda obj: obj["medians"][0].update(
+            e_pro=float(np.nextafter(obj["medians"][0]["e_pro"], 1.0))),
+         "medians at t=\\[100\\] are not"),
+        (lambda obj: obj["rows"].append({**obj["rows"][0], "trial": 7}),
+         "row \\(t=100, trial=7\\) is not of a completed trial"),
+        (lambda obj: obj["rows"].append(dict(obj["rows"][0])), "more than one row"),
+        (lambda obj: obj["medians"].pop(), "medians at t=\\[100\\], rows at"),
+        (lambda obj: obj["medians"].append({"t": 300, "e_pro": 0.5}),
+         "medians at t=\\[100, 200, 300\\], rows at"),
+        (lambda obj: (obj["trials"][0].update(
+            status="diverged", diverged_at=3, cause="x"), obj.update(diverged=1)),
+         "row \\(t=100, trial=0\\) is not of a completed trial"),
+    ], ids=["median-value", "median-ulp", "row-of-unknown-trial", "duplicate-row",
+            "median-missing", "median-extra", "row-of-diverged-trial"])
+    def test_rows_checked_against_trials(self, tmp_path, edit, message):
+        path = self._edited_report(tmp_path, edit, trials=1)
+        with pytest.raises(ReportFormatError, match=message):
+            harness.report_from_json(path)
+
+    @pytest.mark.parametrize("text", [
+        custom_config(task="psw", variant="iteration_free",
+                      schedule={"kind": "constant", "alpha": 0.2},
+                      trials=8, seed=1, t_max=200),
+        custom_config(task="psw", variant="iteration_free", mode="offline",
+                      schedule={"kind": "constant", "alpha": 0.5},
+                      trials=8, seed=1, t_max=200, checkpoints=[50]),
+    ], ids=["online", "offline"])
+    def test_report_with_diverged_trials_loads(self, tmp_path, text):
+        report = harness.run_experiment(harness.parse_config(text))
+        assert 0 < report.diverged < 8
+        path = tmp_path / "out.json"
+        harness.emit_report(report, "json", path)
+        assert harness.report_from_json(path).comparable() == report.comparable()
 
     def test_diverged_trial_records_load(self, tmp_path):
         (back, _) = harness.report_from_json(self._edited_report(
@@ -614,6 +654,20 @@ class TestCli:
                        "--format", "json")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["diverged"] == 0
+
+    @pytest.mark.parametrize("out", ["cfg.json", "cfg", "output_path"])
+    def test_run_never_overwrites_config(self, tmp_path, out):
+        cfg_path = tmp_path / ("cfg_summary.csv" if out == "cfg" else "cfg.json")
+        text = make_config(trials=1, output_path=str(cfg_path)
+                           if out == "output_path" else None)
+        cfg_path.write_text(text)
+        args = [] if out == "output_path" else ["--out", str(tmp_path / out)]
+        proc = run_cli("run", "--config", str(cfg_path), "--format", "json", *args)
+        assert proc.returncode == 2
+        assert "refusing to overwrite the config" in proc.stderr
+        assert "median_e_pro" not in proc.stdout  # refused before the run
+        assert [p.name for p in tmp_path.iterdir()] == [cfg_path.name]
+        assert cfg_path.read_text() == text
 
     def test_run_bad_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

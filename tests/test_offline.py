@@ -195,7 +195,51 @@ class TestFixedPointResidual:
         assert r1 > r0 + 0.1
 
 
+def reference_jacobian(state, g, task, variant, eps):
+    """The finite-difference Jacobian column by column: one packed field
+    evaluation per perturbed state."""
+    k, n = state.k, state.n
+    iu = np.triu_indices(k)
+
+    def field(vec):
+        m = np.zeros((k, k))
+        m[iu] = vec[k * n:]
+        m = m + np.triu(m, 1).T
+        moved = ModelState(m, vec[: k * n].reshape(k, n), state.lam, state.tau,
+                           check=False)
+        dw, dm = offline._averaged_field(moved, g, task, variant)
+        return np.concatenate([dw.ravel(), (dm / state.tau)[iu]])
+
+    base = np.concatenate([state.w.ravel(), state.m[iu]])
+    dim = base.size
+    jac = np.empty((dim, dim))
+    for i in range(dim):
+        bump = np.zeros(dim)
+        bump[i] = eps
+        jac[:, i] = (field(base + bump) - field(base - bump)) / (2.0 * eps)
+    return jac
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and (np.ascontiguousarray(a).tobytes()
+                                   == np.ascontiguousarray(b).tobytes())
+
+
 class TestJacobianSpectrum:
+    @pytest.mark.parametrize("stream", [40, 41, 42])
+    def test_stacked_jacobian_equals_column_loop(self, stream):
+        g, pre = small_covariance(stream)
+        for task, variant in ALL_PAIRS:
+            for order in (None, [1, 0, 2]):
+                fp = offline.construct_fixed_point(g, pre.lam, task, order=order)
+                for eps in (1e-7, 1e-5, 1e-4):
+                    ref = reference_jacobian(fp, g, task, variant, eps)
+                    assert same_bits(offline._jacobian(fp, g, task, variant, eps),
+                                     ref)
+                    assert same_bits(
+                        offline.jacobian_spectrum(fp, g, task, variant, eps),
+                        np.sort(np.linalg.eigvals(ref).real)[::-1])
+
     def test_correct_ordering_is_stable(self):
         g, pre = small_covariance(25)
         for task, variant in ALL_PAIRS:
@@ -223,14 +267,15 @@ class TestJacobianSpectrum:
     def test_eps_bounds_enforced(self):
         g, pre = small_covariance(28)
         fp = offline.construct_fixed_point(g, pre.lam, Task.PSP)
-        with pytest.raises(ValueError):
-            offline.jacobian_spectrum(fp, g, Task.PSP, Variant.EXACT_INVERSE,
-                                      eps=1e-8)
+        for eps in (1e-8, 2e-4):
+            with pytest.raises(ValueError, match="eps"):
+                offline.jacobian_spectrum(fp, g, Task.PSP, Variant.EXACT_INVERSE,
+                                          eps=eps)
 
     def test_rejects_states_far_from_stationarity(self):
         g, pre = small_covariance(29)
         st = fresh_state(pre, Task.PSP)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fixed point"):
             offline.jacobian_spectrum(st, g, Task.PSP, Variant.EXACT_INVERSE)
 
 
@@ -272,9 +317,11 @@ class TestRunOffline:
     def test_bad_checkpoints_rejected(self):
         g, pre = small_covariance(34)
         st = fresh_state(pre, Task.PSP)
-        with pytest.raises(ValueError):
-            offline.run_offline(st, g, Constant(0.1), 10, [0],
-                                task=Task.PSP, variant=Variant.ITERATION_FREE)
+        # each checkpoint must lie in [1, t_max], also for t_max == 0
+        for t_max, checkpoints in ((10, [0]), (10, [11]), (0, [1])):
+            with pytest.raises(ValueError, match="checkpoints outside"):
+                offline.run_offline(st, g, Constant(0.1), t_max, checkpoints,
+                                    task=Task.PSP, variant=Variant.ITERATION_FREE)
 
     def test_lateral_weights_vanish_at_convergence(self):
         g, pre = small_covariance(35)
