@@ -473,8 +473,8 @@ def check_trial_isolation():
         cfg = harness.parse_config(text)
         one = harness.run_experiment(cfg, workers=1).comparable()
         split = harness.run_experiment(cfg, workers=2).comparable()
-        alone = harness._summarize(cfg, [out for i in range(cfg.trials)
-                                         for out in harness._run_stack(cfg, [i])])
+        alone = harness.SummaryReport(cfg, [out for i in range(cfg.trials)
+                                            for out in harness._run_stack(cfg, [i])])
         count = sum(status == "diverged" for _, status, _, _ in one["status"])
         ok &= one == split == alone.comparable() and 0 < count < cfg.trials
         diverged.append(f"{count} of {cfg.trials} {cfg.mode}")

@@ -95,9 +95,8 @@ def build_covariance(spec):
 
 
 def sample(spec, rng):
-    """One draw from N(0, G): rotate a scaled standard normal vector."""
-    z = rng.generator.standard_normal(spec.n)
-    return spec.rotation @ (np.sqrt(spec.spectrum) * z)
+    """One draw from N(0, G): a block of one."""
+    return sample_block(spec, rng, 1)[0]
 
 
 def sample_block(spec, rng, count):

@@ -10,7 +10,7 @@ class NotSymmetricError(LinalgError):
 
 
 class NoConvergenceError(LinalgError):
-    """Iterative factorization hit its sweep cap before converging."""
+    """LAPACK reported that an eigensolver or SVD did not converge."""
 
 
 class RankDeficientError(LinalgError):
@@ -18,7 +18,9 @@ class RankDeficientError(LinalgError):
 
 
 class SingularMatrixError(LinalgError):
-    """Linear solve encountered a pivot below the singularity threshold."""
+    """A matrix to solve with is singular to working precision: LAPACK
+    found it exactly singular, or its Frobenius condition number
+    ||a|| ||a^-1|| is above the threshold or not finite."""
 
 
 class DegenerateDiagonalError(Exception):

@@ -118,15 +118,31 @@ class TrialOutcome:
 
 @dataclass
 class SummaryReport:
-    """Experiment result: per-checkpoint rows, medians, per-trial status."""
+    """Experiment result: the config and each trial's outcome.
+
+    The rows, medians, diverged count and diagnostics are derived from
+    the trials at construction, so they cannot disagree with them.
+    """
 
     config: ExperimentConfig
-    rows: list                   # (t, trial, e_pro), sorted
-    medians: dict                # t -> median e_pro over completed trials
     trials: list                 # TrialOutcome, by trial index
-    diverged: int
+    rows: list = field(init=False)         # (t, trial, e_pro), sorted
+    medians: dict = field(init=False)      # t -> median e_pro over completed trials
+    diverged: int = field(init=False)
     # (t, trial) -> (off-diagonal ratio, floor margin) of M at that row
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(init=False)
+
+    def __post_init__(self):
+        done = [o for o in self.trials if o.status == "completed"]
+        self.rows = sorted(((t, o.trial, e) for o in done for t, e in o.rows),
+                           key=lambda r: r[:2])
+        per_point = {}
+        for t, _, e in self.rows:
+            per_point.setdefault(t, []).append(e)
+        self.medians = {t: float(np.median(es)) for t, es in per_point.items()}
+        self.diverged = len(self.trials) - len(done)
+        self.diagnostics = {(t, o.trial): (ratio, margin)
+                            for o in done for t, ratio, margin in o.diagnostics}
 
     def comparable(self):
         """Everything except wall-clock, for reproducibility comparisons."""
@@ -303,11 +319,12 @@ def _decode(raw):
     schedule = _schedule_from_json(raw["schedule"])
     m_init = _coerce(raw, "m_init", _number, 1.0)
     _require(1 <= k < n, "require 1 <= k < n")
-    w_init_std = _coerce(raw, "w_init_std", _number, 1.0 / math.sqrt(n))
     _require(lam.shape == (k,), "lambda must have length k")
+    _require(spectrum.shape == (n,), "spectrum must have length n")
+    # after the length rules, which reject an n too large for math.sqrt
+    w_init_std = _coerce(raw, "w_init_std", _number, 1.0 / math.sqrt(n))
     _require((lam > 0).all() and (np.diff(lam) < 0).all(),
              "lambda must be strictly decreasing and positive")
-    _require(spectrum.shape == (n,), "spectrum must have length n")
     _require((spectrum > 0).all() and not (np.diff(spectrum) > 0).any(),
              "spectrum must be positive and nonincreasing")
     # ground_truth needs a unique, ordered leading k-subspace
@@ -345,14 +362,14 @@ def _decode(raw):
 
 
 def parse_config(text):
-    """Parse and validate a JSON experiment config.
+    """Parse and validate a JSON experiment config, as text or bytes.
 
     Unknown keys are rejected by name. A config may omit the keys its
     named preset fixes, or restate them with the preset's values only, so
     a report's config echo is a config; a custom config spells them out.
     """
-    # JSONDecodeError is a ValueError, as are integers too long to read;
-    # nesting too deep for the decoder raises RecursionError
+    # JSONDecodeError is a ValueError, as are integers too long to read
+    # and bytes that do not decode; nesting too deep for the decoder raises RecursionError
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -366,7 +383,7 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse_config(fh.read())
 
 
@@ -377,7 +394,7 @@ def _initial_state(config, gen):
 
 
 class _Trial:
-    """One trial's random stream, problem and record, in either mode.
+    """One trial's random stream, problem and outcome, in either mode.
 
     The stream provides, in order: the covariance rotation (unless a
     shared one is supplied), the W initialization, and the sample draws
@@ -395,9 +412,7 @@ class _Trial:
         self.g = data.build_covariance(self.spec)
         self.truth = metrics.ground_truth(self.g, config.k)
         self.initial = _initial_state(config, self.rng.generator)
-        self.rows = []            # (t, e_pro)
-        self.diagnostics = []     # (t, off-diagonal ratio, floor margin)
-        self.divergence = None    # (t, cause)
+        self.outcome = TrialOutcome(index, "completed", [])
 
     def record(self, t, state):
         """Evaluate a snapshot at t; False if a model error ended the trial."""
@@ -409,19 +424,14 @@ class _Trial:
         except MODEL_ERRORS as exc:
             self.diverge(t, exc)
             return False
-        self.rows.append((t, e_pro))
-        self.diagnostics.append((t, *metrics.lateral_diagnostics(state.m)))
+        self.outcome.rows.append((t, e_pro))
+        self.outcome.diagnostics.append((t, *metrics.lateral_diagnostics(state.m)))
         return True
 
     def diverge(self, t, exc):
-        self.divergence = (t, f"{type(exc).__name__}: {exc}")
-
-    def outcome(self, wall_clock_s):
-        if self.divergence is not None:
-            t, cause = self.divergence
-            return TrialOutcome(self.index, "diverged", [], t, wall_clock_s, cause)
-        return TrialOutcome(self.index, "completed", self.rows, None,
-                            wall_clock_s, diagnostics=self.diagnostics)
+        """End the trial at t; a diverged trial keeps no rows."""
+        self.outcome = TrialOutcome(self.index, "diverged", [], t,
+                                    cause=f"{type(exc).__name__}: {exc}")
 
 
 def _replay(live, state, x, t, rate, step):
@@ -496,7 +506,9 @@ def _run_stack(config, indices, rotation=None):
             if not live:
                 break
     wall_clock_s = time.perf_counter() - start
-    return [trial.outcome(wall_clock_s) for trial in trials]
+    for trial in trials:
+        trial.outcome.wall_clock_s = wall_clock_s
+    return [trial.outcome for trial in trials]
 
 
 def trial_stacks(trials, workers):
@@ -530,35 +542,7 @@ def run_experiment(config, workers=None):
                                   repeat(rotation)))
     else:
         parts = [_run_stack(config, stacks[0], rotation)]
-    return _summarize(config, [out for part in parts for out in part])
-
-
-def _summarize(config, outcomes):
-    """The summary report of an experiment's trial outcomes."""
-    outcomes = sorted(outcomes, key=lambda o: o.trial)
-    rows = []
-    diagnostics = {}
-    for out in outcomes:
-        if out.status != "completed":
-            continue
-        for t, e in out.rows:
-            rows.append((t, out.trial, e))
-        for t, ratio, margin in out.diagnostics:
-            diagnostics[(t, out.trial)] = (ratio, margin)
-    rows.sort(key=lambda r: (r[0], r[1]))
-    medians = _medians(rows)
-    diverged = sum(1 for o in outcomes if o.status != "completed")
-    return SummaryReport(config=config, rows=rows, medians=medians,
-                         trials=outcomes, diverged=diverged,
-                         diagnostics=diagnostics)
-
-
-def _medians(rows):
-    """t -> median e_pro over the rows ``(t, trial, e_pro)`` at t."""
-    per_point = {}
-    for t, _, e in rows:
-        per_point.setdefault(t, []).append(e)
-    return {t: float(np.median(es)) for t, es in per_point.items()}
+    return SummaryReport(config, [out for part in parts for out in part])
 
 
 def _fmt(value):
@@ -618,49 +602,52 @@ def _trial_from_json(r):
                         _coerce(r, "wall_clock_s", _number, 0.0), cause)
 
 
-def _check_rows(rows, medians, trials):
-    """Rows belong to completed trials, one per (t, trial), and each
-    median is the median of its rows, exactly as ``_summarize`` wrote it.
-    Diagnostics are read from the rows, so each sits on a row."""
-    completed = {t.trial for t in trials if t.status == "completed"}
-    for t, trial, _ in rows:
+def _attach_rows(rows, trials, points):
+    """Give each completed trial its JSON rows, with their diagnostics
+    where present (reports written before them have none); a completed
+    trial has exactly one row at each evaluation point."""
+    completed = {out.trial: out for out in trials if out.status == "completed"}
+    for r in rows:
+        t, trial = _int(r["t"]), _int(r["trial"])
         _require(trial in completed,
                  f"row (t={t}, trial={trial}) is not of a completed trial")
-    _require(len({row[:2] for row in rows}) == len(rows),
-             "more than one row for a (t, trial)")
-    expected = _medians(rows)
-    _require(medians.keys() == expected.keys(),
-             f"medians at t={sorted(medians)}, rows at t={sorted(expected)}")
-    bad = sorted(t for t in expected if medians[t] != expected[t])
-    _require(not bad, f"medians at t={bad} are not the medians of their rows")
+        completed[trial].rows.append((t, _number(r["e_pro"])))
+        if "offdiag_ratio" in r or "floor_margin" in r:
+            completed[trial].diagnostics.append(
+                (t, _number(r["offdiag_ratio"]), _number(r["floor_margin"])))
+    for out in trials:
+        if out.status == "completed":  # every one, even under a repeated index
+            out.rows.sort()
+            out.diagnostics.sort()
+            have = [t for t, _ in out.rows]
+            _require(len(set(have)) == len(have), "more than one row for a (t, trial)")
+            _require(have == list(points), f"trial {out.trial} has rows at t={have}, "
+                     f"not at the evaluation points {list(points)}")
 
 
 def report_from_json(path):
     """Load the JSON form of a report for CSV re-emission.
 
-    Raises ReportFormatError when the file is not such a report,
-    including when its config echo breaks a rule of ``parse_config``.
+    Raises ReportFormatError when the file is not such a report: when its
+    config echo breaks a rule of ``parse_config``, a completed trial lacks
+    a row at an evaluation point, or its medians or diverged count are not
+    the ones its trials give.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # bytes decode as in parse_config
         try:
-            obj = json.load(fh)
-            rows = [(_int(r["t"]), _int(r["trial"]), _number(r["e_pro"]))
-                    for r in obj["rows"]]
-            # reports written before the diagnostics existed have none
-            diagnostics = {
-                (t, trial): (_number(r["offdiag_ratio"]), _number(r["floor_margin"]))
-                for (t, trial, _), r in zip(rows, obj["rows"])
-                if "offdiag_ratio" in r or "floor_margin" in r}
+            obj = json.loads(fh.read())
+            config = config_from_json_dict(obj["config"])
             trials = [_trial_from_json(r) for r in obj["trials"]]
-            diverged = _int(obj["diverged"])
-            _require(sum(t.status == "diverged" for t in trials) == diverged,
+            _attach_rows(obj["rows"], trials, config.eval_points())
+            report = SummaryReport(config, trials)
+            _require(_int(obj["diverged"]) == report.diverged,
                      "trial statuses disagree with 'diverged'")
             medians = {_int(r["t"]): _number(r["e_pro"]) for r in obj["medians"]}
-            _check_rows(rows, medians, trials)
-            return SummaryReport(
-                config=config_from_json_dict(obj["config"]),
-                rows=rows, medians=medians,
-                trials=trials, diverged=diverged, diagnostics=diagnostics)
+            _require(medians.keys() == report.medians.keys(),
+                     f"medians at t={sorted(medians)}, rows at t={sorted(report.medians)}")
+            bad = sorted(t for t in medians if medians[t] != report.medians[t])
+            _require(not bad, f"medians at t={bad} are not the medians of their rows")
+            return report
         except (KeyError, RecursionError, ConfigValidationError,
                 *_COERCION_ERRORS) as exc:
             raise ReportFormatError(f"{type(exc).__name__}: {exc}") from exc

@@ -63,6 +63,29 @@ BAD_ECHO_VALUES = {
 }
 
 
+def _move_rows_off_points(obj):
+    for entry in obj["rows"] + obj["medians"]:
+        if entry["t"] == 100:
+            entry["t"] = 150
+
+
+# edits of a one-trial report with checkpoints [100, 200] that leave a
+# completed trial without a row at each evaluation point, by test id
+OFF_POINT_EDITS = {
+    "rows-moved": (_move_rows_off_points,
+                   "trial 0 has rows at t=\\[150, 200\\], not at the evaluation "
+                   "points \\[100, 200\\]"),
+    "trial-without-rows": (lambda obj: obj.update(rows=[], medians=[]),
+                           "trial 0 has rows at t=\\[\\], not at"),
+}
+
+# a custom config whose n is too large for a float
+HUGE_N_CONFIG = json.dumps({
+    "preset": "custom", "task": "psp", "variant": "exact", "mode": "online",
+    "n": 10**400, "k": 1, "lambda": [1.0], "tau": 0.5, "spectrum": [1.0, 0.5],
+    "schedule": {"kind": "constant", "alpha": 0.01}})
+
+
 PLAUSIBLE_VALUES = st.sampled_from([
     "small", "large", "custom", "psp", "psw", "iteration_free", "exact",
     "online", "offline", 0, 1, 3, 4, 10, 100, 0.5, 1.0, [1.0, 0.8], [100],
@@ -85,10 +108,10 @@ def config_objects():
 
 
 def tiny_report(cfg):
-    """The JSON form of a one-row, one-trial report of ``cfg``."""
-    return harness.SummaryReport(
-        cfg, [(100, 0, 0.5)], {100: 0.5},
-        [harness.TrialOutcome(0, "completed", [])], 0).to_json_dict()
+    """The JSON form of a one-trial report of ``cfg``: e_pro 0.5 at each
+    evaluation point."""
+    return harness.SummaryReport(cfg, [harness.TrialOutcome(
+        0, "completed", [(t, 0.5) for t in cfg.eval_points()])]).to_json_dict()
 
 
 def report_objects():
@@ -250,6 +273,7 @@ class TestParseConfig:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(), config_objects().map(json.dumps)))
+    @example(HUGE_N_CONFIG)
     def test_any_text_parses_or_raises_config_error(self, text):
         try:
             harness.parse_config(text)
@@ -506,13 +530,16 @@ class TestEmitReport:
         obj = tiny_report(harness.parse_config(text))
         obj["config"][key] = value
         path = tmp_path / "edited.json"
-        path.write_text(json.dumps(obj))
         try:
             expected = harness.parse_config(json.dumps(obj["config"]))
         except (ConfigParseError, ConfigValidationError):
+            path.write_text(json.dumps(obj))
             with pytest.raises(ReportFormatError):
                 harness.report_from_json(path)
             return
+        # rows at the evaluation points of the edited config
+        obj.update({k: tiny_report(expected)[k] for k in ("rows", "medians")})
+        path.write_text(json.dumps(obj))
         back = harness.report_from_json(path).config
         assert back.to_json_dict() == expected.to_json_dict()
 
@@ -571,6 +598,13 @@ class TestEmitReport:
         with pytest.raises(ReportFormatError, match=message):
             harness.report_from_json(path)
 
+    @pytest.mark.parametrize("edit, message", OFF_POINT_EDITS.values(),
+                             ids=list(OFF_POINT_EDITS))
+    def test_rows_checked_against_evaluation_points(self, tmp_path, edit, message):
+        path = self._edited_report(tmp_path, edit, trials=1)
+        with pytest.raises(ReportFormatError, match=message):
+            harness.report_from_json(path)
+
     @pytest.mark.parametrize("text", [
         custom_config(task="psw", variant="iteration_free",
                       schedule={"kind": "constant", "alpha": 0.2},
@@ -578,13 +612,22 @@ class TestEmitReport:
         custom_config(task="psw", variant="iteration_free", mode="offline",
                       schedule={"kind": "constant", "alpha": 0.5},
                       trials=8, seed=1, t_max=200, checkpoints=[50]),
-    ], ids=["online", "offline"])
+        custom_config(task="psw", variant="iteration_free",  # rows, then divergence
+                      schedule={"kind": "constant", "alpha": 0.2},
+                      trials=8, seed=1, t_max=200, checkpoints=[5, 50, 200]),
+    ], ids=["online", "offline", "online-early-checkpoints"])
     def test_report_with_diverged_trials_loads(self, tmp_path, text):
         report = harness.run_experiment(harness.parse_config(text))
         assert 0 < report.diverged < 8
         path = tmp_path / "out.json"
         harness.emit_report(report, "json", path)
-        assert harness.report_from_json(path).comparable() == report.comparable()
+        back = harness.report_from_json(path)
+        assert back.comparable() == report.comparable()
+
+        def fields(trials):
+            return [(o.trial, o.status, o.diverged_at, o.cause, o.rows, o.diagnostics)
+                    for o in trials]
+        assert fields(back.trials) == fields(report.trials)
 
     def test_diverged_trial_records_load(self, tmp_path):
         (back, _) = harness.report_from_json(self._edited_report(
@@ -690,6 +733,17 @@ class TestCli:
         assert proc.returncode == 2
         assert "t_max" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("content", [
+        HUGE_N_CONFIG.encode(), b"\xff\xfe" + make_config().encode(),
+        make_config().encode().replace(b"small", b"sm\xe4ll")],
+        ids=["huge-n", "utf-16-bom", "latin-1"])
+    def test_run_unreadable_config_exits_2(self, tmp_path, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(content)
+        proc = run_cli("run", "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_missing_config_exits_2(self):
         proc = run_cli("run", "--config", "/nonexistent/cfg.json")
         assert proc.returncode == 2
@@ -727,6 +781,38 @@ class TestCli:
         lines = (tmp_path / "res.csv").read_text().splitlines()
         assert lines[0] == "t,trial,e_pro"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("text", [
+        custom_config(task="psw", variant="iteration_free", mode="offline",
+                      schedule={"kind": "constant", "alpha": 0.5},
+                      trials=8, seed=1, t_max=200, checkpoints=[50]),
+        make_config(trials=2, t_max=0, checkpoints=[]),
+    ], ids=["offline-diverged", "t_max-0"])
+    def test_report_writes_the_csv_of_run(self, tmp_path, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        for fmt in ("csv", "json"):
+            proc = run_cli("run", "--config", str(cfg_path), "--format", fmt,
+                           "--out", str(tmp_path / f"run.{fmt}"))
+            assert proc.returncode == 0, proc.stderr
+        proc = run_cli("report", "--in", str(tmp_path / "run.json"), "--out",
+                       str(tmp_path / "report.csv"))
+        assert proc.returncode == 0, proc.stderr
+        for suffix in (".csv", "_summary.csv"):
+            assert ((tmp_path / f"report{suffix}").read_bytes()
+                    == (tmp_path / f"run{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("edit, _", OFF_POINT_EDITS.values(),
+                             ids=list(OFF_POINT_EDITS))
+    def test_report_rows_off_evaluation_points_exit_2(self, tmp_path, edit, _):
+        obj = harness.run_experiment(
+            harness.parse_config(make_config(trials=1))).to_json_dict()
+        edit(obj)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        proc = run_cli("report", "--in", str(path))
+        assert proc.returncode == 2
+        assert "evaluation points" in proc.stderr and "Traceback" not in proc.stderr
 
     def _json_report(self, path):
         obj = harness.run_experiment(
