@@ -586,13 +586,16 @@ def config_from_json_dict(obj):
     return _decode(obj)
 
 
-def _trial_from_json(r):
-    """A trial record; only a diverged trial has a 'diverged_at' and 'cause'."""
+def _trial_from_json(r, t_max):
+    """A trial record; only a diverged trial has a 'diverged_at', within
+    0 .. t_max, and a 'cause'."""
     status = r["status"]
     _require(status in ("completed", "diverged"), f"bad trial status {status!r}")
     diverged_at = cause = None
     if status == "diverged":
         diverged_at = _coerce(r, "diverged_at", _int)
+        _require(0 <= diverged_at <= t_max,
+                 f"diverged_at {diverged_at} is outside 0 .. t_max = {t_max}")
         cause = r.get("cause")  # reports written before causes have none
         _require(cause is None or isinstance(cause, str), "cause must be a string")
     else:
@@ -616,7 +619,7 @@ def _attach_rows(rows, trials, points):
             completed[trial].diagnostics.append(
                 (t, _number(r["offdiag_ratio"]), _number(r["floor_margin"])))
     for out in trials:
-        if out.status == "completed":  # every one, even under a repeated index
+        if out.status == "completed":
             out.rows.sort()
             out.diagnostics.sort()
             have = [t for t, _ in out.rows]
@@ -629,15 +632,20 @@ def report_from_json(path):
     """Load the JSON form of a report for CSV re-emission.
 
     Raises ReportFormatError when the file is not such a report: when its
-    config echo breaks a rule of ``parse_config``, a completed trial lacks
-    a row at an evaluation point, or its medians or diverged count are not
-    the ones its trials give.
+    config echo breaks a rule of ``parse_config``, its trial records are
+    not trials 0 .. trials-1 in order, a trial diverged outside 0 ..
+    t_max, a completed trial lacks a row at an evaluation point, or its
+    medians or diverged count are not the ones its trials give.
     """
     with open(path, "rb") as fh:  # bytes decode as in parse_config
         try:
             obj = json.loads(fh.read())
             config = config_from_json_dict(obj["config"])
-            trials = [_trial_from_json(r) for r in obj["trials"]]
+            trials = [_trial_from_json(r, config.t_max) for r in obj["trials"]]
+            indices = [out.trial for out in trials]
+            _require(indices == list(range(config.trials)),
+                     f"trial records {indices} are not trials 0 .. {config.trials - 1}"
+                     " in order")
             _attach_rows(obj["rows"], trials, config.eval_points())
             report = SummaryReport(config, trials)
             _require(_int(obj["diverged"]) == report.diverged,

@@ -18,6 +18,7 @@ a stacked result equals the single-learner result bit for bit; a check
 that fails on any slice fails the whole call.
 """
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -138,20 +139,30 @@ def _lateral_solve(m, b, variant):
     correction of that provisional signal, again scaled by the diagonal.
     It uses no general inversion, and its error is quadratic in the
     off-diagonal norm.
+
+    The iteration-free pass first rejects a diagonal entry below
+    ``DIAGONAL_FLOOR`` in any slice. It decides as ``d.min() < floor``
+    does, so a NaN diagonal passes, but tests the diagonal as a list of
+    floats, which is cheaper than numpy reductions on a few entries. The
+    pass writes into its own temporaries and leaves b alone.
     """
     if variant is Variant.EXACT_INVERSE:
         return linalg.lu_solve(linalg.lu_factor(m), b)
-    d = m.diagonal(0, -2, -1)
-    if d.min() < DIAGONAL_FLOOR:
+    d = m.diagonal(0, -2, -1).copy()
+    diag = d.ravel().tolist()
+    if min(diag) < DIAGONAL_FLOOR and not any(map(math.isnan, diag)):
         raise DegenerateDiagonalError("diagonal entry below invertibility floor")
     if b.ndim == m.ndim - 1:
         product = np.matvec
-        d = d.copy()  # contiguous: cheaper in the three elementwise steps
     else:
         product = np.matmul
         d = d[..., None]
     y_ff = b / d
-    return y_ff - (product(m, y_ff) - d * y_ff) / d
+    lateral = product(m, y_ff)
+    lateral -= d * y_ff
+    lateral /= d
+    y_ff -= lateral
+    return y_ff
 
 
 def approx_inverse(m):
@@ -181,7 +192,7 @@ def lateral_drive(corr, state, task):
     """
     lam = state.lam
     if task is Task.PSP:
-        corr -= lam[:, None] * state.m * lam[None, :]
+        corr -= lam[:, None] * state.m * lam
     else:
         # a matrix's diagonal is every (K+1)-th entry of its flat view;
         # ``flat`` is the cheaper way to that view for a single matrix
@@ -197,24 +208,34 @@ def lateral_drive(corr, state, task):
 def _apply_update(state, dw, dm, alpha):
     """The state moved by ``alpha * dw`` (W) and ``alpha / tau * dm`` (M).
 
-    Symmetry of M is restored exactly so that rounding cannot accumulate
-    over long runs. A diagonal at the floor or an overflow is divergence.
+    dw and dm must be fresh temporaries of the state's shapes: the new W
+    is formed in dw and the moved M in dm. Symmetry of M is restored
+    exactly so that rounding cannot accumulate over long runs. A
+    diagonal at the floor (or NaN) or an overflow in any slice is
+    divergence. The overflow test is one sum of squares per matrix,
+    which is finite only if every entry is; only when it is not does
+    the entrywise test run, so finite weights whose squares overflow
+    still pass.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    w = state.w + alpha * dw
-    m = state.m + (alpha / state.tau) * dm
-    m = 0.5 * (m + m.mT)
-    if not m.diagonal(0, -2, -1).min() > DIAGONAL_FLOOR:  # a NaN fails too
+    dw *= alpha
+    w = np.add(state.w, dw, out=dw)
+    dm *= alpha / state.tau
+    m = np.add(state.m, dm, out=dm)
+    m = m + m.mT
+    m *= 0.5
+    if not all(map(DIAGONAL_FLOOR.__lt__, m.diagonal(0, -2, -1).ravel().tolist())):
         raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
-    if not np.isfinite(m).all() or not np.isfinite(w).all():
+    if not (_all_finite(m) and _all_finite(w)):
         raise DegenerateDiagonalError("weights overflowed")
     return ModelState(m, w, state.lam, state.tau, check=False)
 
 
-def _outer(a, b):
-    """``np.outer`` of each pair of vectors in two stacks."""
-    return a[..., :, None] * b[..., None, :]
+def _all_finite(a):
+    """Whether every entry of a is finite. A NaN or an infinity makes the
+    sum of squares NaN or infinite, so a finite sum settles it at once."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 def plasticity(state, x, y, alpha, task):
@@ -224,8 +245,11 @@ def plasticity(state, x, y, alpha, task):
     output correlation minus its target, ``lam M lam`` for projection or
     the fixed ``lam**2`` for whitening, at 1/tau of the W rate.
     """
-    return _apply_update(state, _outer(y, x) - state.w,
-                         lateral_drive(_outer(y, y), state, task), alpha)
+    y_col = y[..., :, None]
+    dw = y_col * x[..., None, :]
+    dw -= state.w
+    return _apply_update(state, dw,
+                         lateral_drive(y_col * y[..., None, :], state, task), alpha)
 
 
 def online_step(state, x, alpha, task, variant):

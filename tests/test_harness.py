@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -78,6 +79,55 @@ OFF_POINT_EDITS = {
     "trial-without-rows": (lambda obj: obj.update(rows=[], medians=[]),
                            "trial 0 has rows at t=\\[\\], not at"),
 }
+
+def _keep_rows_of(obj, trials):
+    # only the trials ``trials`` keep their rows, and the medians follow
+    obj["rows"] = [r for r in obj["rows"] if r["trial"] in trials]
+    by_t = {}
+    for r in obj["rows"]:
+        by_t.setdefault(r["t"], []).append(r["e_pro"])
+    obj["medians"] = [{"t": t, "e_pro": float(np.median(es))}
+                      for t, es in sorted(by_t.items())]
+
+
+def _one_record(obj):
+    del obj["trials"][1:]
+    _keep_rows_of(obj, {0})
+
+
+def _renumber(obj, offset):
+    for entry in obj["trials"] + obj["rows"]:
+        entry["trial"] += offset
+
+
+def _diverged_at(obj, t):
+    obj["trials"][0].update(status="diverged", diverged_at=t, cause="x")
+    obj["diverged"] = 1
+    _keep_rows_of(obj, {1, 2})
+
+
+# a report of three trials under t_max 50, and edits that leave it
+# consistent but for its trial records, by test id
+TRIAL_RECORD_CONFIG = make_config(trials=3, t_max=50, checkpoints=[50])
+TRIAL_RECORD_EDITS = {
+    "one-record": (_one_record, "trial records \\[0\\] are not trials 0 .. 2"),
+    "indices-5-6-7": (lambda obj: _renumber(obj, 5),
+                      "trial records \\[5, 6, 7\\] are not trials 0 .. 2"),
+    "diverged_at-negative": (lambda obj: _diverged_at(obj, -7),
+                             "diverged_at -7 is outside 0 .. t_max = 50"),
+    "diverged_at-past-t_max": (lambda obj: _diverged_at(obj, 10**6),
+                               "diverged_at 1000000 is outside 0 .. t_max = 50"),
+}
+
+
+def write_trial_record_report(path, edit):
+    """Write the JSON report of TRIAL_RECORD_CONFIG to path, edited."""
+    obj = harness.run_experiment(
+        harness.parse_config(TRIAL_RECORD_CONFIG)).to_json_dict()
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    return path
+
 
 # a custom config whose n is too large for a float
 HUGE_N_CONFIG = json.dumps({
@@ -540,6 +590,10 @@ class TestEmitReport:
         # rows at the evaluation points of the edited config
         obj.update({k: tiny_report(expected)[k] for k in ("rows", "medians")})
         path.write_text(json.dumps(obj))
+        if expected.trials != 1:  # then the one trial record is too few
+            with pytest.raises(ReportFormatError, match="trial records"):
+                harness.report_from_json(path)
+            return
         back = harness.report_from_json(path).config
         assert back.to_json_dict() == expected.to_json_dict()
 
@@ -597,6 +651,20 @@ class TestEmitReport:
         path = self._edited_report(tmp_path, edit, trials=1)
         with pytest.raises(ReportFormatError, match=message):
             harness.report_from_json(path)
+
+    @pytest.mark.parametrize("edit, message", TRIAL_RECORD_EDITS.values(),
+                             ids=list(TRIAL_RECORD_EDITS))
+    def test_trial_records_checked_against_config(self, tmp_path, edit, message):
+        path = write_trial_record_report(tmp_path / "edited.json", edit)
+        with pytest.raises(ReportFormatError, match=message):
+            harness.report_from_json(path)
+
+    @pytest.mark.parametrize("t", [0, 50])
+    def test_divergence_at_either_end_of_the_run_loads(self, tmp_path, t):
+        path = write_trial_record_report(tmp_path / "edited.json",
+                                         lambda obj: _diverged_at(obj, t))
+        back = harness.report_from_json(path)
+        assert (back.trials[0].diverged_at, back.diverged) == (t, 1)
 
     @pytest.mark.parametrize("edit, message", OFF_POINT_EDITS.values(),
                              ids=list(OFF_POINT_EDITS))
@@ -813,6 +881,14 @@ class TestCli:
         proc = run_cli("report", "--in", str(path))
         assert proc.returncode == 2
         assert "evaluation points" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("edit, message", TRIAL_RECORD_EDITS.values(),
+                             ids=list(TRIAL_RECORD_EDITS))
+    def test_report_bad_trial_records_exit_2(self, tmp_path, edit, message):
+        path = write_trial_record_report(tmp_path / "bad.json", edit)
+        proc = run_cli("report", "--in", str(path))
+        assert proc.returncode == 2
+        assert re.search(message, proc.stderr) and "Traceback" not in proc.stderr
 
     def _json_report(self, path):
         obj = harness.run_experiment(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcastream import linalg, model
+from pcastream import linalg, model, offline
 from pcastream.errors import MODEL_ERRORS, DegenerateDiagonalError, SingularMatrixError
 from pcastream.model import ModelState, Task, Variant
 
@@ -222,6 +222,103 @@ class TestPlasticity:
         assert np.allclose(new.m, expected, atol=1e-15)
 
 
+LAM2 = np.array([1.0, 0.9])
+BIG = 1e160  # finite, but its square is not
+
+
+def _plasticity_case(kind):
+    """(m, w, x, y, alpha) of a 2 -> 2 learner whose plasticity step makes
+    one entry of W, or one off-diagonal pair of M, Inf or NaN; "finite"
+    keeps every entry finite while their sum of squares overflows."""
+    eye, zeros = np.eye(2), np.zeros(2)
+    spike = np.array([1e154, 0.0])  # squares to 1e308
+    corner = np.array([[-1e308, 0.0], [0.0, 0.0]])
+    return {
+        # y x' - w overflows in its corner: w + alpha * inf, or w + 0 * inf
+        "w-inf": (eye, corner, spike, spike, 0.5),
+        "w-nan": (eye, corner, spike, spike, 0.0),
+        # symmetrization overflows: 1e308 + 1e308
+        "m-inf": (np.array([[1.0, 1e308], [1e308, 1.0]]), eye, zeros, zeros, 0.0),
+        # the drive overflows off the diagonal: m + 0 * inf
+        "m-nan": (np.array([[1.0, -1.5e308], [-1.5e308, 1.0]]), eye, zeros,
+                  np.array([1e154, 1e154]), 0.0),
+        "finite": (BIG * eye, BIG * np.ones((2, 2)), np.ones(2), 0.1 * np.ones(2), 0.1),
+    }[kind]
+
+
+def _offline_case(kind):
+    """(m, w, g, alpha) of a 2 -> 2 learner whose averaged step makes one
+    off-diagonal pair of M Inf or NaN, or ("finite") keeps every entry
+    finite while their sum of squares overflows. With M = I the filter is
+    W itself; G's large off-diagonal overflows only F G F' off its
+    diagonal."""
+    eye = np.eye(2)
+    g = np.array([[1.0, 1e10], [1e10, 1.0]])
+    return {
+        "m-inf": (eye, 1e150 * eye, g, 0.1),
+        "m-nan": (eye, 1e150 * eye, g, 0.0),
+        "finite": (BIG * eye, BIG * eye, eye, 0.1),
+    }[kind]
+
+
+def _in_last_slice(bad, benign):
+    """A stack of three: two copies of ``benign``, then ``bad``, item by item."""
+    return [np.stack([b, b, a]) for a, b in zip(bad, benign)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOverflowGuard:
+    """An update that overflows W or M in any slice is divergence; finite
+    weights pass however large their sum of squares."""
+
+    BENIGN_PLASTICITY = (np.eye(2), np.full((2, 2), 0.1), np.ones(2), np.array([0.1, 0.2]))
+    BENIGN_OFFLINE = (np.eye(2), np.full((2, 2), 0.1), np.eye(2))
+
+    @staticmethod
+    def _plasticity(m, w, x, y, alpha):
+        state = ModelState(m, w, LAM2, 1.0, check=False)
+        return model.plasticity(state, x, y, alpha, Task.PSP)
+
+    @staticmethod
+    def _offline(m, w, g, alpha, variant):
+        state = ModelState(m, w, LAM2, 1.0, check=False)
+        return offline.offline_step(state, g, alpha, Task.PSP, variant)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack-of-3"])
+    @pytest.mark.parametrize("kind", ["w-inf", "w-nan", "m-inf", "m-nan"])
+    def test_plasticity_overflow_raises(self, kind, stacked):
+        *arrays, alpha = _plasticity_case(kind)
+        if stacked:
+            arrays = _in_last_slice(arrays, self.BENIGN_PLASTICITY)
+        with pytest.raises(DegenerateDiagonalError, match="^weights overflowed$"):
+            self._plasticity(*arrays, alpha)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack-of-3"])
+    @pytest.mark.parametrize("kind", ["m-inf", "m-nan"])
+    def test_offline_step_overflow_raises(self, kind, stacked, variant):
+        *arrays, alpha = _offline_case(kind)
+        if stacked:
+            arrays = _in_last_slice(arrays, self.BENIGN_OFFLINE)
+        with pytest.raises(DegenerateDiagonalError, match="^weights overflowed$"):
+            self._offline(*arrays, alpha, variant)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack-of-3"])
+    def test_finite_weights_with_overflowing_squares_pass(self, stacked):
+        # the exact variant rejects M = 1e160 I itself: its condition
+        # number estimate overflows
+        *arrays, alpha = _plasticity_case("finite")
+        *offline_arrays, offline_alpha = _offline_case("finite")
+        if stacked:
+            arrays = _in_last_slice(arrays, self.BENIGN_PLASTICITY)
+            offline_arrays = _in_last_slice(offline_arrays, self.BENIGN_OFFLINE)
+        for new in (self._plasticity(*arrays, alpha),
+                    self._offline(*offline_arrays, offline_alpha,
+                                  Variant.ITERATION_FREE)):
+            for a in (new.w, new.m):
+                assert np.isfinite(a).all() and not np.isfinite(np.vdot(a, a))
+
+
 class TestOnlineStep:
     def test_zero_step_reduces_to_forward(self):
         st = random_state(22)
@@ -276,6 +373,21 @@ class TestNeuralFilter:
             x = rng.normal(size=10)
             assert np.abs(filt @ x - model.forward(st, x, variant)).max() < 1e-12
 
+    @pytest.mark.parametrize("low", [0.0, -1.0, 1e-13])
+    def test_floor_checked_in_every_slice(self, low):
+        # the pre-step floor test of the two-step pass, vector and matrix
+        # right-hand sides; the bad diagonal entry is in the last slice
+        states = [random_state(seed) for seed in (40, 41, 42)]
+        states[-1].m[2, 2] = low
+        stack = ModelState.stack(states)
+        x = np.ones((3, 10))
+        with pytest.raises(DegenerateDiagonalError, match="below invertibility floor"):
+            model.forward(stack, x, Variant.ITERATION_FREE)
+        with pytest.raises(DegenerateDiagonalError, match="below invertibility floor"):
+            model.neural_filter(stack, Variant.ITERATION_FREE)
+        states[-1].m[2, 2] = np.nan  # as d.min() < floor decides: a NaN passes
+        model.forward(ModelState.stack(states), x, Variant.ITERATION_FREE)
+
     def test_iteration_free_path_avoids_solvers(self, monkeypatch):
         st = random_state(27)
         x = np.random.default_rng(27).normal(size=10)
@@ -289,10 +401,16 @@ class TestNeuralFilter:
         model.neural_filter(st, Variant.ITERATION_FREE)
 
 
+# a weight scale: mostly 1, now and then 1e150 - 1e300
+weight_scales = st.one_of(st.just(1.0), st.just(1.0), st.just(1.0),
+                          st.floats(150.0, 300.0).map(lambda e: 10.0**e))
+
+
 @st.composite
 def stacked_steps(draw):
     """A stack of 1-6 small learners with near-diagonal M, their inputs and
-    a step; large steps and small diagonals make some slices fail."""
+    a step; large steps, small diagonals and huge weights make some slices
+    fail."""
     b = draw(st.integers(1, 6))
     k = draw(st.integers(1, 4))
     n = draw(st.integers(k + 1, 8))
@@ -304,7 +422,12 @@ def stacked_steps(draw):
     idx = np.arange(k)
     m[:, idx, idx] = rng.uniform(low, 1.5, size=(b, k))
     lam = np.linspace(1.0, 0.6, k)
-    state = ModelState(m, rng.normal(size=(b, k, n)), lam, 0.5, check=False)
+    w = rng.normal(size=(b, k, n))
+    # now and then weights so large that a step overflows, or that only the
+    # sum of squares of its finite weights does
+    m *= draw(weight_scales)
+    w *= draw(weight_scales)
+    state = ModelState(m, w, lam, 0.5, check=False)
     alpha = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 4.0]))
     return (state, rng.normal(size=(b, n)), alpha, draw(st.sampled_from(list(Task))),
             draw(st.sampled_from(list(Variant))))

@@ -78,11 +78,16 @@ class TestOfflineStep:
         assert np.abs(np.mean([s.m for s in online], 0) - new.m).max() <= 1e-12
 
 
+# a weight scale: mostly 1, now and then 1e150 - 1e300
+weight_scales = st.one_of(st.just(1.0), st.just(1.0), st.just(1.0),
+                          st.floats(150.0, 300.0).map(lambda e: 10.0**e))
+
+
 @st.composite
 def stacked_learners(draw):
     """A stack of 1-4 small learners with near-diagonal M, one covariance
-    per learner and a step; large steps and small diagonals make some
-    slices fail."""
+    per learner and a step; large steps, small diagonals and huge weights
+    make some slices fail."""
     b = draw(st.integers(1, 4))
     k = draw(st.integers(1, 3))
     n = draw(st.integers(k + 1, 6))
@@ -94,8 +99,12 @@ def stacked_learners(draw):
     idx = np.arange(k)
     m[:, idx, idx] = rng.uniform(low, 1.5, size=(b, k))
     a = rng.normal(size=(b, n, n))
-    state = ModelState(m, rng.normal(size=(b, k, n)), np.linspace(1.0, 0.6, k),
-                       0.5, check=False)
+    w = rng.normal(size=(b, k, n))
+    # now and then weights so large that a step overflows, or that only the
+    # sum of squares of its finite weights does
+    m *= draw(weight_scales)
+    w *= draw(weight_scales)
+    state = ModelState(m, w, np.linspace(1.0, 0.6, k), 0.5, check=False)
     alpha = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 4.0]))
     return state, a @ a.mT / n, alpha
 
