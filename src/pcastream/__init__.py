@@ -54,7 +54,6 @@ from .model import (
     split_diag,
 )
 from .offline import (
-    OfflineTrajectory,
     construct_fixed_point,
     fixed_point_residual,
     jacobian_spectrum,
@@ -67,8 +66,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Constant", "CovarianceSpec", "ExperimentConfig", "GroundTruth",
-    "InverseTime", "ModelState", "OfflineTrajectory", "PiecewiseConstant",
-    "ProblemPreset", "RngStream", "SummaryReport", "Task", "Variant",
+    "InverseTime", "ModelState", "PiecewiseConstant", "ProblemPreset",
+    "RngStream", "SummaryReport", "Task", "Variant",
     "approx_inverse", "build_covariance", "closed_form_optimum",
     "construct_fixed_point", "emit_report", "estimate_subspace",
     "fixed_point_residual", "forward", "ground_truth", "haar_orthogonal",

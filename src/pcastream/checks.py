@@ -239,8 +239,8 @@ def _converged_offline_states(g_rng, w_rng, checkpoints=(100, 1000)):
     """Averaged-dynamics runs of all four pairs on one small-preset problem.
 
     G is drawn from ``g_rng``, then the shared W initialization from
-    ``w_rng`` (which may be the same stream). Returns the trajectories by
-    pair and the ground truth of G.
+    ``w_rng`` (which may be the same stream). Returns the ``{t: state}``
+    snapshots by pair and the ground truth of G.
     """
     pre = data.small_problem()
     g = data.build_covariance(pre.draw_covariance(g_rng))
@@ -259,8 +259,8 @@ def check_lateral_decay(seed=203):
     runs, _ = _converged_offline_states(data.RngStream(seed),
                                         data.RngStream(seed + 1),
                                         checkpoints=())
-    worst = max(metrics.lateral_diagnostics(traj.final_state().m)[0]
-                for traj in runs.values())
+    worst = max(metrics.lateral_diagnostics(snaps[5000].m)[0]
+                for snaps in runs.values())
     return worst < 1e-6, f"worst final off/diag ratio {worst:.2e}<1e-6"
 
 
@@ -273,9 +273,9 @@ def _tail_runs():
 
 def check_monotone_tail():
     runs, truth = _tail_runs()
-    for (task, variant), traj in runs.items():
+    for (task, variant), snaps in runs.items():
         errs = []
-        for t, st in traj.checkpoints:
+        for st in snaps.values():
             u = metrics.estimate_subspace(st, task, variant, truth.sigma_k)
             errs.append(metrics.procrustes_error(u, truth.u_k))
         if any(b > a for a, b in zip(errs, errs[1:])):
@@ -485,7 +485,7 @@ def check_trial_isolation():
 
 def check_estimator_dispatch():
     runs, truth = _tail_runs()
-    final = runs[(Task.PSW, Variant.EXACT_INVERSE)].final_state()
+    final = runs[(Task.PSW, Variant.EXACT_INVERSE)][5000]
     right = metrics.procrustes_error(
         metrics.estimate_subspace(final, Task.PSW, Variant.EXACT_INVERSE,
                                   truth.sigma_k), truth.u_k)

@@ -9,8 +9,8 @@ execution order or worker count, and the run is reproducible bit for
 bit (wall-clock fields aside) within one implementation.
 
 The trials that one process runs advance together as a stack of
-learners through one trial loop, one step call per step for all of
-them: ``online_step`` on a sample per trial, or ``offline_step`` on
+learners through ``model.advance``, one step call per step for all
+of them: ``online_step`` on a sample per trial, or ``offline_step`` on
 each trial's covariance. Each learner's arithmetic is the same in any
 stack, so which trials share a stack (one per worker process) does not
 change any result either.
@@ -41,9 +41,7 @@ from .errors import (
     ConfigValidationError,
     ReportFormatError,
 )
-from .model import ModelState, Task, Variant, online_step
-
-_SAMPLE_CHUNK = 1024
+from .model import ModelState, Task, Variant, advance, online_step
 
 _KNOWN_KEYS = {
     "task", "variant", "mode", "preset", "n", "k", "lambda", "tau",
@@ -434,77 +432,32 @@ class _Trial:
                                     cause=f"{type(exc).__name__}: {exc}")
 
 
-def _replay(live, state, x, t, rate, step):
-    """Step ``t`` of the stack, one trial at a time, after it raised.
-
-    A trial whose own step fails is recorded as diverged at t. Returns
-    the stack of the other trials' new states (None if there are none)
-    and their positions in ``live``.
-    """
-    kept, steps = [], []
-    for j, trial in enumerate(live):
-        try:
-            steps.append(step(state[j], x[j], rate))
-        except MODEL_ERRORS as exc:
-            trial.diverge(t, exc)
-        else:
-            kept.append(j)
-    return (ModelState.stack(steps) if steps else None), kept
-
-
 def _run_stack(config, indices, rotation=None):
-    """Outcomes of the trials ``indices``, in order, advanced in lockstep.
-
-    One step call per step moves every trial of the stack: ``online_step``
-    on one sample per trial, drawn from the trial's own stream in the
-    same chunks as when run alone, or ``offline_step`` on the trials'
-    covariances. A trial that diverges, in a step or at a checkpoint,
-    leaves the stack and the others go on. A trial's arithmetic is the
-    same in any stack, so its outcome does not depend on which trials
-    share its stack. Every trial reports the stack's wall time.
-    """
+    """Outcomes of the trials ``indices``, in order, stepped in lockstep
+    by ``model.advance``: ``online_step`` on one sample per trial, drawn
+    from the trial's own stream in the same chunks as when run alone, or
+    ``offline_step`` on the trials' covariances. Every trial reports the
+    stack's wall time."""
     start = time.perf_counter()
+    trials = [_Trial(config, i, rotation) for i in indices]
     if config.mode == "online":
         def draw(live, count):  # row r holds every live trial's r-th draw
-            return np.stack([data.sample_block(trial.spec, trial.rng, count)
-                             for trial in live], axis=1)
+            return np.stack([data.sample_block(trials[p].spec, trials[p].rng, count)
+                             for p in live], axis=1)
 
         def step(state, x, rate):
             return online_step(state, x, rate, config.task, config.variant)[1]
     else:
         def draw(live, count):  # no samples: one row of covariances
-            return np.stack([trial.g for trial in live])[None]
+            return np.stack([trials[p].g for p in live])[None]
 
         def step(state, g, rate):
             return offline.offline_step(state, g, rate, config.task, config.variant)
 
-    trials = [_Trial(config, i, rotation) for i in indices]
-    live = trials
-    state = ModelState.stack([trial.initial for trial in live])
-    points = set(config.eval_points())
-    if config.t_max == 0:  # the initial state is the only snapshot
-        for j, trial in enumerate(trials):
-            trial.record(0, state[j])
-    t = 0
-    while t < config.t_max and live:
-        count = min(_SAMPLE_CHUNK, config.t_max - t)
-        block = draw(live, count)  # (rows, trials, ...)
-        for r in range(count):
-            t += 1
-            x = block[r % len(block)]  # an offline row serves every step
-            rate = config.schedule.rate(t)
-            try:
-                state = step(state, x, rate)
-            except MODEL_ERRORS:
-                state, kept = _replay(live, state, x, t, rate, step)
-                live, block = [live[j] for j in kept], block[:, kept]
-            if t in points and live:
-                kept = [j for j, trial in enumerate(live) if trial.record(t, state[j])]
-                if len(kept) < len(live):
-                    live, state, block = ([live[j] for j in kept], state[kept],
-                                          block[:, kept])
-            if not live:
-                break
+    advance(ModelState.stack([trial.initial for trial in trials]), config.t_max,
+            set(config.eval_points()), config.schedule, step, draw,
+            visit=lambda t, p, state: trials[p].record(t, state),
+            diverge=lambda t, p, exc: trials[p].diverge(t, exc))
     wall_clock_s = time.perf_counter() - start
     for trial in trials:
         trial.outcome.wall_clock_s = wall_clock_s
@@ -643,7 +596,8 @@ def report_from_json(path):
             config = config_from_json_dict(obj["config"])
             trials = [_trial_from_json(r, config.t_max) for r in obj["trials"]]
             indices = [out.trial for out in trials]
-            _require(indices == list(range(config.trials)),
+            _require(len(indices) == config.trials
+                     and indices == list(range(len(indices))),
                      f"trial records {indices} are not trials 0 .. {config.trials - 1}"
                      " in order")
             _attach_rows(obj["rows"], trials, config.eval_points())

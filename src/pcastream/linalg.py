@@ -20,6 +20,7 @@ from .errors import (
 )
 
 _PIVOT_RTOL = 1e-14
+_NORMAL = 2.0 ** -1022  # the smallest normal float
 
 
 def check_finite(a, name="array"):
@@ -119,7 +120,8 @@ def lu_factor(a):
     carried through to the explicit inverse, so that each later solve is
     one matrix product. Raises SingularMatrixError when a matrix is
     singular to working precision: exactly singular, or with Frobenius
-    condition number ``||a|| ||a^-1||`` above ``1 / _PIVOT_RTOL``.
+    condition number ``||a|| ||a^-1||`` above ``1 / _PIVOT_RTOL``, at
+    any scale of a.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -131,8 +133,15 @@ def lu_factor(a):
     # Python floats per matrix: a stack is small, and NumPy calls on tiny
     # arrays cost more than the arithmetic
     size = a.shape[-1] ** 2
-    for a2, inv2 in zip(_squared_frobenius(a, size), _squared_frobenius(inv, size)):
+    squares = zip(_squared_frobenius(a, size), _squared_frobenius(inv, size))
+    for i, (a2, inv2) in enumerate(squares):
         cond = math.sqrt(a2) * math.sqrt(inv2)
+        # a square that overflowed, or underflowed far, makes cond infinite
+        # or NaN; then hypot, which scales the entries, decides
+        if not cond * _PIVOT_RTOL <= 1.0 and not (_NORMAL <= a2 < math.inf
+                                                 and _NORMAL <= inv2 < math.inf):
+            cond = (math.hypot(*a.reshape(-1, size)[i].tolist())
+                    * math.hypot(*inv.reshape(-1, size)[i].tolist()))
         if not cond * _PIVOT_RTOL <= 1.0:  # also catches a NaN or Inf inverse
             raise SingularMatrixError(f"condition number {cond:.3e} above threshold")
     return inv

@@ -15,7 +15,8 @@ share the gain and time constant: W of shape B x K x N, M of B x K x K
 and one input per learner, B x N. Every operation acts on each slice
 alone, with the same arithmetic as on a single learner, so each slice of
 a stacked result equals the single-learner result bit for bit; a check
-that fails on any slice fails the whole call.
+that fails on any slice fails the whole call. ``advance`` is the one
+loop that steps such a stack through time, online or averaged.
 """
 
 import math
@@ -24,9 +25,10 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateDiagonalError
+from .errors import MODEL_ERRORS, DegenerateDiagonalError
 
 DIAGONAL_FLOOR = 1e-12
+_SAMPLE_CHUNK = 1024
 
 
 class Task(Enum):
@@ -261,6 +263,60 @@ def online_step(state, x, alpha, task, variant):
     """
     y = forward(state, x, variant)
     return y, plasticity(state, x, y, alpha, task)
+
+
+def _replay(live, state, x, t, rate, step, diverge):
+    """Step t again one trial at a time, after the stack's step raised; a
+    trial whose own step fails goes to ``diverge``. Returns the others'
+    new stack (None if none is left) and their indices in ``live``."""
+    kept, steps = [], []
+    for j, position in enumerate(live):
+        try:
+            steps.append(step(state[j], x[j], rate))
+        except MODEL_ERRORS as exc:
+            diverge(t, position, exc)
+        else:
+            kept.append(j)
+    return (ModelState.stack(steps) if steps else None), kept
+
+
+def advance(state, t_max, points, schedule, step, draw, visit, diverge):
+    """Step a stack of learners from ``state`` through step ``t_max``.
+
+    ``step(state, x, rate)`` moves a stack, or one learner, at
+    ``schedule.rate(t)``. ``draw(live, count)`` gives the inputs of the
+    trials at stack positions ``live``, one column each: ``count`` rows
+    (chunks of ``_SAMPLE_CHUNK`` steps), or one row for every step.
+    ``visit(t, position, state)`` sees each live trial at each t in
+    ``points`` (at t = 0 when ``t_max == 0``) and returns whether it goes
+    on; ``diverge(t, position, exc)`` gets a trial whose own step raised
+    a model error. A trial that ends leaves the stack; the others go on.
+    """
+    live = list(range(len(state.w)))
+    if t_max == 0:  # the initial state is the only snapshot
+        for j in live:
+            visit(0, j, state[j])
+    t = 0
+    while t < t_max and live:
+        count = min(_SAMPLE_CHUNK, t_max - t)
+        block = draw(live, count)  # (rows, trials, ...)
+        for r in range(count):
+            t += 1
+            x = block[r % len(block)]
+            rate = schedule.rate(t)
+            try:
+                state = step(state, x, rate)
+            except MODEL_ERRORS:
+                state, kept = _replay(live, state, x, t, rate, step, diverge)
+                live, block = [live[j] for j in kept], block[:, kept]
+            if t in points and live:
+                kept = [j for j, position in enumerate(live)
+                        if visit(t, position, state[j])]
+                if len(kept) < len(live):
+                    live, state, block = ([live[j] for j in kept], state[kept],
+                                          block[:, kept])
+            if not live:
+                break
 
 
 def neural_filter(state, variant):

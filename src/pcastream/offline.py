@@ -10,40 +10,18 @@ a finite-difference Jacobian on the flattened (W, upper-triangular M)
 coordinates, whose perturbed states are all evaluated as one stack.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import metrics
-from .errors import MODEL_ERRORS, TrialDivergedError
+from .errors import TrialDivergedError
 from .model import (
     ModelState,
     Task,
     _apply_update,
+    advance,
     lateral_drive,
     neural_filter,
 )
-
-
-@dataclass
-class OfflineTrajectory:
-    """Snapshots (iteration, state) along one averaged-dynamics run."""
-
-    checkpoints: list
-
-    def __post_init__(self):
-        steps = [t for t, _ in self.checkpoints]
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ValueError("checkpoint iterations must be strictly increasing")
-
-    def final_state(self):
-        return self.checkpoints[-1][1]
-
-    def state_at(self, t):
-        for step, state in self.checkpoints:
-            if step == t:
-                return state
-        raise KeyError(f"no snapshot at iteration {t}")
 
 
 def _averaged_field(state, g, task, variant):
@@ -146,9 +124,10 @@ def run_offline(initial, g, schedule, t_max, checkpoints=(), *,
                 task, variant):
     """Run the averaged dynamics, snapshotting at the requested iterations.
 
-    The final iterate is always included (for ``t_max == 0`` that is the
-    initial state). Any model failure is wrapped in TrialDivergedError
-    carrying the iteration index.
+    ``model.advance`` on a stack of one. Returns ``{t: state}`` at the
+    checkpoints and at t_max (for ``t_max == 0`` that is the initial
+    state). Any model failure is wrapped in TrialDivergedError carrying
+    the iteration index.
     """
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
@@ -156,16 +135,17 @@ def run_offline(initial, g, schedule, t_max, checkpoints=(), *,
     bad = [t for t in wanted if not 1 <= t <= t_max]
     if bad:
         raise ValueError(f"checkpoints outside [1, t_max]: {sorted(bad)}")
-    state = initial.copy()
-    if t_max == 0:
-        return OfflineTrajectory([(0, state)])
-    snaps = []
-    for t in range(1, t_max + 1):
-        try:
-            state = offline_step(state, g, schedule.rate(t), task, variant)
-        except MODEL_ERRORS as exc:
-            raise TrialDivergedError(t, exc) from exc
-        if t in wanted and t != t_max:
-            snaps.append((t, state.copy()))
-    snaps.append((t_max, state.copy()))
-    return OfflineTrajectory(snaps)
+    snaps = {}
+
+    def visit(t, _, state):
+        snaps[t] = state.copy()
+        return True
+
+    def diverge(t, _, exc):
+        raise TrialDivergedError(t, exc) from exc
+
+    advance(ModelState.stack([initial]), t_max, wanted | {t_max}, schedule,
+            lambda state, x, rate: offline_step(state, x, rate, task, variant),
+            lambda live, count: np.asarray(g, dtype=float)[None, None], visit,
+            diverge)
+    return snaps

@@ -117,6 +117,9 @@ TRIAL_RECORD_EDITS = {
                              "diverged_at -7 is outside 0 .. t_max = 50"),
     "diverged_at-past-t_max": (lambda obj: _diverged_at(obj, 10**6),
                                "diverged_at 1000000 is outside 0 .. t_max = 50"),
+    # decided from the records, without a list of 10**15 indices
+    "trials-10**15": (lambda obj: obj["config"].update(trials=10**15),
+                      "trial records \\[0, 1, 2\\] are not trials 0 .. 999999999999999"),
 }
 
 
@@ -429,7 +432,7 @@ class TestRunExperiment:
         ("psp", "iteration_free"), ("psp", "exact"),
         ("psw", "iteration_free"), ("psw", "exact")])
     def test_offline_rows_match_single_trajectories(self, task, variant):
-        # the lockstep loop against offline.run_offline, trial by trial
+        # the lockstep stack against a plain offline_step loop, trial by trial
         cfg = harness.parse_config(make_config(
             task=task, variant=variant, mode="offline", trials=3, t_max=300,
             checkpoints=[1, 50, 100, 300]))
@@ -437,13 +440,15 @@ class TestRunExperiment:
         expected = []
         for i in range(cfg.trials):
             trial = harness._Trial(cfg, i, None)
-            traj = offline.run_offline(trial.initial, trial.g, cfg.schedule,
-                                       cfg.t_max, cfg.checkpoints,
-                                       task=cfg.task, variant=cfg.variant)
-            for t, state in traj.checkpoints:
-                u_hat = metrics.estimate_subspace(state, cfg.task, cfg.variant,
-                                                  trial.truth.sigma_k)
-                expected.append((t, i, metrics.procrustes_error(u_hat, trial.truth.u_k)))
+            state = trial.initial
+            for t in range(1, cfg.t_max + 1):
+                state = offline.offline_step(state, trial.g, cfg.schedule.rate(t),
+                                             cfg.task, cfg.variant)
+                if t in cfg.checkpoints:
+                    u_hat = metrics.estimate_subspace(state, cfg.task, cfg.variant,
+                                                      trial.truth.sigma_k)
+                    expected.append(
+                        (t, i, metrics.procrustes_error(u_hat, trial.truth.u_k)))
         assert report.diverged == 0
         assert report.rows == sorted(expected)
         assert len(report.rows) == 12

@@ -257,6 +257,54 @@ class TestSolveSymmetric:
             assert np.linalg.norm(x - v @ ((v.T @ b) / w)) < 1e-9
 
 
+def balanced_matrix(n, seed, log_cond):
+    """n x n matrix with singular values spread evenly in log scale from
+    10**(-log_cond/2) to 10**(log_cond/2), so that it and its inverse
+    both have norms near 1 in log scale."""
+    gen = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(gen.normal(size=(n, n)))
+    v, _ = np.linalg.qr(gen.normal(size=(n, n)))
+    return u @ np.diag(np.logspace(-log_cond / 2, log_cond / 2, n)) @ v.T
+
+
+# squares of entries, or of inverse entries, overflow or underflow here
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestLuFactorScale:
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+    def test_scaled_identity_accepted(self, scale):
+        # condition number 3 at any scale
+        inv = linalg.lu_factor(scale * np.eye(3))
+        assert np.allclose(inv * scale, np.eye(3), rtol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160, 1e300, 1e-300])
+    def test_singular_to_working_precision_rejected(self, scale):
+        m = scale * np.array([[1.0, 1.0], [1.0, 1.0 + 4e-16]])
+        with pytest.raises(SingularMatrixError, match="condition number"):
+            linalg.lu_factor(m)
+
+    def test_message_kept_for_normal_scale(self):
+        with pytest.raises(SingularMatrixError, match="9.007e\\+15"):
+            linalg.lu_factor(np.array([[1.0, 1.0], [1.0, 1.0 + 4e-16]]))
+
+    def test_stack_decides_per_matrix(self):
+        stack = np.stack([np.eye(2), 1e200 * np.eye(2), 2.0 * np.eye(2)])
+        assert np.array_equal(linalg.lu_factor(stack)[1], 1e-200 * np.eye(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 12.0),
+           st.floats(-300.0, 300.0))
+    def test_scale_does_not_change_decision(self, n, seed, log_cond, exponent):
+        def accepted(m):
+            try:
+                linalg.lu_factor(m)
+            except SingularMatrixError:
+                return False
+            return True
+
+        a = balanced_matrix(n, seed, log_cond)
+        assert accepted(10.0 ** exponent * a) == accepted(a)
+
+
 def test_import_leaves_scipy_unloaded():
     """The kernels use numpy.linalg only; loading scipy would slow start-up."""
     code = ("import sys, pcastream; "

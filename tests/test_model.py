@@ -433,6 +433,8 @@ def stacked_steps(draw):
             draw(st.sampled_from(list(Variant))))
 
 
+# random stacks include weights whose products overflow
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestStackedStep:
     @settings(max_examples=300, deadline=None)
     @given(stacked_steps())
