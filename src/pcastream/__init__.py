@@ -60,7 +60,6 @@ from .offline import (
     offline_step,
     run_offline,
 )
-from .checks import run_verification
 
 __version__ = "0.1.0"
 
@@ -77,3 +76,11 @@ __all__ = [
     "run_experiment", "run_offline", "run_verification", "sample",
     "sample_block", "small_problem", "split_diag", "write_dataset",
 ]
+
+
+def __getattr__(name):
+    # The verification suite loads on first use: no experiment run needs it.
+    if name == "run_verification":
+        from .checks import run_verification
+        return run_verification
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import data, harness
-from .checks import run_verification
 from .data import DATAGEN_STREAM, PRESETS, RngStream
 from .errors import ConfigParseError, ConfigValidationError, ReportFormatError
 
@@ -78,6 +77,9 @@ def _cmd_gen_data(args):
 
 
 def _cmd_verify(args):
+    # loaded here, not at import: the other commands never run the suite
+    from .checks import run_verification
+
     results = run_verification(args.filter)
     if not results:
         print(f"no checks match filter {args.filter!r}", file=sys.stderr)

@@ -19,7 +19,6 @@ change any result either.
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -490,6 +489,9 @@ def run_experiment(config, workers=None):
 
     stacks = trial_stacks(config.trials, workers)
     if len(stacks) > 1:
+        # loaded here, not at import: a single-stack run never needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(stacks)) as pool:
             parts = list(pool.map(_run_stack, repeat(config), stacks,
                                   repeat(rotation)))

@@ -108,9 +108,10 @@ def svd_small(a):
 
 def _squared_frobenius(a, size):
     """Squared Frobenius norm of each of the ``size``-entry matrices in
-    ``a``, as a list; the same dot product as ``np.linalg.norm`` takes."""
-    flat = a.reshape(-1, size)
-    return np.vecdot(flat, flat).tolist()
+    ``a``; the same dot product as ``np.linalg.norm`` takes. ``np.vdot``,
+    unlike the ufuncs, gives an overflowed square as inf without a
+    RuntimeWarning."""
+    return [np.vdot(m, m) for m in a.reshape(-1, size)]
 
 
 def lu_factor(a):
@@ -130,8 +131,12 @@ def lu_factor(a):
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"matrix is singular: {exc}") from exc
-    # Python floats per matrix: a stack is small, and NumPy calls on tiny
-    # arrays cost more than the arithmetic
+    # Each matrix's condition number is at most the product of the whole
+    # stack's norms, so a stack that passes this bound needs no per-matrix
+    # test: two dot products, where NumPy calls on tiny arrays cost more
+    # than the arithmetic. On one matrix the bound is the condition number.
+    if math.sqrt(np.vdot(a, a)) * math.sqrt(np.vdot(inv, inv)) * _PIVOT_RTOL <= 1.0:
+        return inv
     size = a.shape[-1] ** 2
     squares = zip(_squared_frobenius(a, size), _squared_frobenius(inv, size))
     for i, (a2, inv2) in enumerate(squares):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pcastream import data, harness, metrics, offline
+import pcastream
+from pcastream import checks, cli, data, harness, metrics, offline
 from pcastream.checks import CHECKS, run_verification
 from pcastream.errors import (
     ConfigParseError,
@@ -744,6 +745,33 @@ class TestVerificationSuite:
         passed, detail = check()
         assert passed, detail
 
+    def test_verify_through_cli_main(self, capsys):
+        assert cli.main(["verify", "--filter", "linalg"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line.startswith("[PASS] linalg.") for line in lines[:-1])
+        assert re.match(r"(\d+)/\1 checks passed", lines[-1])
+
+
+class TestPackageNames:
+    """``pcastream`` loads the verification suite on first use of
+    ``run_verification``; every exported name still resolves."""
+
+    def test_run_verification_is_the_suite_function(self):
+        from pcastream import run_verification as lazy
+        assert lazy is pcastream.run_verification is checks.run_verification
+
+    def test_every_exported_name_resolves(self):
+        namespace = {}
+        exec("from pcastream import *", namespace)
+        for name in pcastream.__all__:
+            assert namespace[name] is getattr(pcastream, name)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pcastream.no_such_name
+        with pytest.raises(ImportError):
+            from pcastream import no_such_name  # noqa: F401
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -752,6 +780,26 @@ def run_cli(*args):
 
 
 class TestCli:
+    def test_run_loads_pool_only_for_several_workers(self, tmp_path):
+        # cli.main in a fresh interpreter; prints its exit code and which of
+        # the modules that slow start-up it loaded
+        code = ("import sys; from pcastream import cli; code = cli.main(sys.argv[1:]); "
+                "print(code, sorted(m for m in sys.modules if m in "
+                "('multiprocessing', 'concurrent.futures.process', 'pcastream.checks')))")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(make_config(trials=2))
+        loaded = {}
+        for workers in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / f"w{workers}.csv"), "--workers", workers],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            loaded[workers] = proc.stdout.splitlines()[-1]
+        assert loaded["1"] == "0 []"
+        assert loaded["2"] == "0 ['concurrent.futures.process', 'multiprocessing']"
+        assert (tmp_path / "w1.csv").read_text() == (tmp_path / "w2.csv").read_text()
+
     def test_run_writes_reports(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(make_config(trials=1))

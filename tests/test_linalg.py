@@ -267,8 +267,8 @@ def balanced_matrix(n, seed, log_cond):
     return u @ np.diag(np.logspace(-log_cond / 2, log_cond / 2, n)) @ v.T
 
 
-# squares of entries, or of inverse entries, overflow or underflow here
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# squares of entries, or of inverse entries, overflow or underflow here,
+# and no RuntimeWarning may say so
 class TestLuFactorScale:
     @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
     def test_scaled_identity_accepted(self, scale):
@@ -290,6 +290,12 @@ class TestLuFactorScale:
         stack = np.stack([np.eye(2), 1e200 * np.eye(2), 2.0 * np.eye(2)])
         assert np.array_equal(linalg.lu_factor(stack)[1], 1e-200 * np.eye(2))
 
+    def test_stack_names_its_near_singular_matrix(self):
+        near = np.array([[1.0, 1.0], [1.0, 1.0 + 4e-16]])
+        stack = np.stack([np.eye(2), near, 2.0 * np.eye(2)])
+        with pytest.raises(SingularMatrixError, match="9.007e\\+15"):
+            linalg.lu_factor(stack)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 12.0),
            st.floats(-300.0, 300.0))
@@ -309,6 +315,16 @@ def test_import_leaves_scipy_unloaded():
     """The kernels use numpy.linalg only; loading scipy would slow start-up."""
     code = ("import sys, pcastream; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_pool_and_suite_unloaded():
+    """The process pool serves only multi-stack runs and the verification
+    suite only ``pcastream verify``; loading either would slow start-up."""
+    code = ("import sys, pcastream; print(sorted(m for m in sys.modules if m in "
+            "('multiprocessing', 'concurrent.futures', 'pcastream.checks')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
