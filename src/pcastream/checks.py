@@ -48,7 +48,7 @@ def _random_state(rng, k=3, n=6):
     np.fill_diagonal(m, np.abs(np.diagonal(m)) + 0.5)
     lam = np.sort(gen.uniform(0.5, 1.5, size=k))[::-1]
     lam = lam + np.arange(k)[::-1] * 0.05  # enforce strict gaps
-    return ModelState(0.5 * (m + m.T), gen.normal(size=(k, n)), lam, 0.5)
+    return ModelState(m, gen.normal(size=(k, n)), lam, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,9 @@ def check_solve_matches_eig_inverse():
 # model
 
 def check_symmetry_preservation():
+    """M stays exactly symmetric under ``plasticity``, and under
+    ``offline_step`` for every task/variant pair, on a single learner and
+    on a stack of three."""
     rng = data.RngStream(105)
     gen = rng.generator
     for task in (Task.PSP, Task.PSW):
@@ -126,7 +129,20 @@ def check_symmetry_preservation():
             st = model.plasticity(st, x, y, 0.02, task)
             if (st.m != st.m.T).any():
                 return False, f"asymmetry after update ({task.value})"
-    return True, "m stays exactly symmetric"
+    for task, variant in ALL_PAIRS:
+        single = _random_state(rng)
+        others = [_random_state(rng) for _ in range(2)]
+        stack = ModelState.stack([single] + [ModelState(s.m, s.w, single.lam, single.tau)
+                                             for s in others])
+        gs = np.stack([data.build_covariance(data.CovarianceSpec(
+            single.n, data.haar_orthogonal(single.n, rng), np.linspace(1.5, 0.2, single.n)))
+            for _ in range(3)])
+        for _ in range(50):
+            single = offline.offline_step(single, gs[0], 0.02, task, variant)
+            stack = offline.offline_step(stack, gs, 0.02, task, variant)
+            if any((m != m.mT).any() for m in (single.m, stack.m)):
+                return False, f"asymmetry after averaged step ({pair_label(task, variant)})"
+    return True, "m stays exactly symmetric, online and averaged, single and stacked"
 
 
 def check_two_step_equivalence():

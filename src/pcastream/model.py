@@ -34,8 +34,8 @@ _SAMPLE_CHUNK = 1024
 class Task(Enum):
     """Which lateral plasticity target to use."""
 
-    PSP = "psp"  # projection: target is lam * M * lam
-    PSW = "psw"  # whitening: target is lam ** 2
+    PSP = "psp"  # projection: target is (lam lam') * M
+    PSW = "psw"  # whitening: target is diag(lam ** 2)
 
 
 class Variant(Enum):
@@ -50,20 +50,26 @@ class ModelState:
 
     Parameters:
     ====================
-    m     -- lateral weights, K x K, symmetric, strictly positive diagonal
-             (B x K x K for a stack of B learners)
-    w     -- feed-forward weights, K x N (B x K x N for a stack)
-    lam   -- diagonal gain, length K, strictly decreasing positive
-    tau   -- time-constant ratio between the M and W updates, > 0
-    check -- validate invariants on construction (disable only on hot
-             paths that already guarantee them); only a single learner
-             can be checked, so stacks are built from checked states by
-             :meth:`stack`
+    m       -- lateral weights, K x K, symmetric, strictly positive
+               diagonal (B x K x K for a stack of B learners); a checked
+               state stores its upper triangle mirrored, so M starts
+               exactly symmetric
+    w       -- feed-forward weights, K x N (B x K x N for a stack)
+    lam     -- diagonal gain, length K, strictly decreasing positive
+    tau     -- time-constant ratio between the M and W updates, finite
+               and > 0
+    check   -- validate invariants on construction (disable only on hot
+               paths that already guarantee them); only a single learner
+               can be checked, so stacks are built from checked states
+               by :meth:`stack`
+    targets -- the read-only gain constants ``(lam lam', diag(lam**2))``
+               of the lateral targets, built from lam when omitted; a
+               state passes its own to every state made from it
     """
 
-    __slots__ = ("m", "w", "lam", "tau")
+    __slots__ = ("m", "w", "lam", "tau", "targets")
 
-    def __init__(self, m, w, lam, tau, check=True):
+    def __init__(self, m, w, lam, tau, check=True, targets=None):
         if check:
             m = np.array(m, dtype=float)
             w = np.array(w, dtype=float)
@@ -77,16 +83,19 @@ class ModelState:
             linalg.check_finite(lam, "lam")
             if not linalg.is_symmetric(m):
                 raise ValueError("lateral matrix must be symmetric")
+            rows, cols = np.tril_indices(k, -1)
+            m[rows, cols] = m[cols, rows]
             if not (np.diagonal(m) > DIAGONAL_FLOOR).all():
                 raise DegenerateDiagonalError("lateral diagonal not strictly positive")
             if not (lam > 0).all() or not (np.diff(lam) < 0).all():
                 raise ValueError("gain entries must be strictly decreasing and positive")
-            if tau <= 0:
-                raise ValueError("tau must be positive")
+            if not 0 < tau < math.inf:
+                raise ValueError("tau must be positive and finite")
         self.m = m
         self.w = w
         self.lam = lam
         self.tau = tau
+        self.targets = _gain_targets(lam) if targets is None else targets
 
     @property
     def k(self):
@@ -101,19 +110,29 @@ class ModelState:
         """One stack of learners that share the gain and time constant."""
         first = states[0]
         return cls(np.stack([s.m for s in states]), np.stack([s.w for s in states]),
-                   first.lam, first.tau, check=False)
+                   first.lam, first.tau, check=False, targets=first.targets)
 
     def __getitem__(self, index):
         """Learner ``index`` of a stack, or the sub-stack of an index list."""
         return ModelState(self.m[index], self.w[index], self.lam, self.tau,
-                          check=False)
+                          check=False, targets=self.targets)
 
     def copy(self):
         return ModelState(self.m.copy(), self.w.copy(), self.lam.copy(),
-                          self.tau, check=False)
+                          self.tau, check=False, targets=self.targets)
 
     def __repr__(self):
         return f"ModelState(k={self.k}, n={self.n}, tau={self.tau})"
+
+
+def _gain_targets(lam):
+    """``(lam lam', diag(lam**2))``, read-only: the entrywise gain of the
+    projection target ``(lam lam') * M`` and the whitening target. Both
+    are exactly symmetric, so neither target breaks the symmetry of M."""
+    outer = np.multiply.outer(lam, lam)
+    square = np.diag(lam * lam)
+    outer.flags.writeable = square.flags.writeable = False
+    return outer, square
 
 
 def split_diag(m):
@@ -189,21 +208,16 @@ def forward(state, x, variant):
 def lateral_drive(corr, state, task):
     """Output correlation ``corr`` minus the lateral target, in place.
 
-    The target is ``lam M lam`` for projection and the fixed ``lam**2``
-    on the diagonal for whitening.
+    The target is ``(lam lam') * M`` for projection and the fixed
+    ``diag(lam**2)`` for whitening, both from the state's gain constants
+    ``state.targets``. Both are exactly symmetric for a symmetric M, so
+    the drive is exactly as symmetric as ``corr``.
     """
-    lam = state.lam
+    outer, square = state.targets
     if task is Task.PSP:
-        corr -= lam[:, None] * state.m * lam
+        corr -= outer * state.m
     else:
-        # a matrix's diagonal is every (K+1)-th entry of its flat view;
-        # ``flat`` is the cheaper way to that view for a single matrix
-        # (or a stack of one)
-        k = state.k
-        if corr.size == k * k:
-            corr.flat[:: k + 1] -= lam * lam
-        else:
-            corr.reshape(-1, k * k, copy=False)[:, :: k + 1] -= lam * lam
+        corr -= square
     return corr
 
 
@@ -211,9 +225,10 @@ def _apply_update(state, dw, dm, alpha):
     """The state moved by ``alpha * dw`` (W) and ``alpha / tau * dm`` (M).
 
     dw and dm must be fresh temporaries of the state's shapes: the new W
-    is formed in dw and the moved M in dm. Symmetry of M is restored
-    exactly so that rounding cannot accumulate over long runs. A
-    diagonal at the floor (or NaN) or an overflow in any slice is
+    is formed in dw and the moved M in dm. Every operation on M is
+    entrywise, so an exactly symmetric M and dm give an exactly
+    symmetric new M, and no repair is needed: callers pass a symmetric
+    dm. A diagonal at the floor (or NaN) or an overflow in any slice is
     divergence. The overflow test is one sum of squares per matrix,
     which is finite only if every entry is; only when it is not does
     the entrywise test run, so finite weights whose squares overflow
@@ -225,13 +240,11 @@ def _apply_update(state, dw, dm, alpha):
     w = np.add(state.w, dw, out=dw)
     dm *= alpha / state.tau
     m = np.add(state.m, dm, out=dm)
-    m = m + m.mT
-    m *= 0.5
     if not all(map(DIAGONAL_FLOOR.__lt__, m.diagonal(0, -2, -1).ravel().tolist())):
         raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
     if not (_all_finite(m) and _all_finite(w)):
         raise DegenerateDiagonalError("weights overflowed")
-    return ModelState(m, w, state.lam, state.tau, check=False)
+    return ModelState(m, w, state.lam, state.tau, check=False, targets=state.targets)
 
 
 def _all_finite(a):
@@ -244,8 +257,9 @@ def plasticity(state, x, y, alpha, task):
     """One Hebbian/anti-Hebbian weight update for the pair (x, y).
 
     W moves toward the input/output correlation. M moves along the
-    output correlation minus its target, ``lam M lam`` for projection or
-    the fixed ``lam**2`` for whitening, at 1/tau of the W rate.
+    output correlation minus its target, ``(lam lam') * M`` for
+    projection or the fixed ``diag(lam**2)`` for whitening, at 1/tau of
+    the W rate. ``y y'`` is exactly symmetric, so M stays so.
     """
     y_col = y[..., :, None]
     dw = y_col * x[..., None, :]

@@ -28,11 +28,16 @@ def _averaged_field(state, g, task, variant):
     """The averaged update directions ``(F G - W, F G F' - target)``.
 
     F is the learner's filter; the second entry is the lateral drive
-    before its 1/tau rate.
+    before its 1/tau rate. ``F G F'`` is symmetric only up to rounding,
+    so it is symmetrized here, once: the drive is then exactly
+    symmetric, and so is every M that ``_apply_update`` forms from it.
     """
     f = neural_filter(state, variant)
     fg = f @ g
-    return fg - state.w, lateral_drive(fg @ f.mT, state, task)
+    corr = fg @ f.mT
+    corr = corr + corr.mT
+    corr *= 0.5
+    return fg - state.w, lateral_drive(corr, state, task)
 
 
 def offline_step(state, g, alpha, task, variant):
@@ -62,8 +67,8 @@ def fixed_point_residual(state, g, task, variant):
     """Norm of the averaged-dynamics vector field at a state.
 
     Zero exactly at stationary points: ``||F G - W||`` plus the norm of
-    the lateral drive (against lam M lam for projection, lam^2 for
-    whitening).
+    the lateral drive (against ``(lam lam') * M`` for projection,
+    ``diag(lam^2)`` for whitening).
     """
     dw, dm = _averaged_field(state, g, task, variant)
     return float(np.linalg.norm(dw) + np.linalg.norm(dm))
@@ -95,7 +100,8 @@ def _jacobian(state, g, task, variant, eps):
     rows, cols = np.triu_indices(k)
     m[:, rows, cols] = coords[:, k * n:]
     m = m + np.triu(m, 1).mT
-    stack = ModelState(m, w, state.lam, state.tau, check=False)
+    stack = ModelState(m, w, state.lam, state.tau, check=False,
+                       targets=state.targets)
     dw, dm = _averaged_field(stack, g, task, variant)
     field = _pack(dw, dm / state.tau)
     return ((field[:dim] - field[dim:]) / (2.0 * eps)).T

@@ -43,9 +43,28 @@ class TestModelState:
         with pytest.raises(ValueError):
             ModelState(m, np.zeros((2, 3)), np.array([1.0, 0.5]), 1.0)
 
-    def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            ModelState(np.eye(2), np.zeros((2, 3)), np.array([1.0, 0.5]), 0.0)
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError, match="^tau must be positive and finite$"):
+            ModelState(np.eye(2), np.zeros((2, 3)), np.array([1.0, 0.5]), tau)
+
+    def test_stores_lateral_matrix_exactly_symmetric(self):
+        # within the symmetry tolerance, so accepted; the upper triangle wins
+        m = np.array([[1.0, 0.3, 0.1], [0.3 + 1e-12, 1.0, 0.2], [0.1, 0.2 - 1e-12, 1.0]])
+        st = ModelState(m, np.zeros((3, 2)), LAM3, 1.0)
+        assert (st.m == st.m.T).all()
+        assert np.array_equal(np.triu(st.m), np.triu(m))
+
+    def test_gain_targets_shared_and_read_only(self):
+        st = random_state(1)
+        outer, square = st.targets
+        assert np.array_equal(outer, np.outer(st.lam, st.lam))
+        assert np.array_equal(square, np.diag(st.lam**2))
+        assert not (outer.flags.writeable or square.flags.writeable)
+        stack = ModelState.stack([st, random_state(2)])
+        new = model.plasticity(stack, np.ones((2, 10)), np.ones((2, 3)), 0.1, Task.PSP)
+        for derived in (st.copy(), stack, stack[1], stack[[0]], new):
+            assert derived.targets is st.targets
 
     def test_copy_is_independent(self):
         st = random_state(0)
@@ -233,15 +252,15 @@ def _plasticity_case(kind):
     eye, zeros = np.eye(2), np.zeros(2)
     spike = np.array([1e154, 0.0])  # squares to 1e308
     corner = np.array([[-1e308, 0.0], [0.0, 0.0]])
+    hot, hot_y = np.array([[1.0, -1.5e308], [-1.5e308, 1.0]]), np.array([1e154, 1e154])
     return {
         # y x' - w overflows in its corner: w + alpha * inf, or w + 0 * inf
         "w-inf": (eye, corner, spike, spike, 0.5),
         "w-nan": (eye, corner, spike, spike, 0.0),
-        # symmetrization overflows: 1e308 + 1e308
-        "m-inf": (np.array([[1.0, 1e308], [1e308, 1.0]]), eye, zeros, zeros, 0.0),
-        # the drive overflows off the diagonal: m + 0 * inf
-        "m-nan": (np.array([[1.0, -1.5e308], [-1.5e308, 1.0]]), eye, zeros,
-                  np.array([1e154, 1e154]), 0.0),
+        # the drive overflows off the diagonal, 1e308 + 0.9 * 1.5e308, and
+        # so does the update: m + alpha * inf, or m + 0 * inf
+        "m-inf": (hot, eye, zeros, hot_y, 0.5),
+        "m-nan": (hot, eye, zeros, hot_y, 0.0),
         "finite": (BIG * eye, BIG * np.ones((2, 2)), np.ones(2), 0.1 * np.ones(2), 0.1),
     }[kind]
 
@@ -455,6 +474,38 @@ class TestStackedStep:
             assert np.array_equal(y[i], y_i)
             assert np.array_equal(new.w[i], new_i.w)
             assert np.array_equal(new.m[i], new_i.m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacked_steps(), st.integers(0, 2**32 - 1))
+    def test_updates_keep_m_exactly_symmetric(self, case, seed):
+        # plasticity on random outputs and offline_step on random
+        # covariances: every M they form is exactly symmetric, and each
+        # slice of the stacked update is the single learner's
+        state, x, alpha, task, variant = case
+        b, n = x.shape
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(b, state.k))
+        a = rng.normal(size=(b, n, n))
+        g = a @ a.mT / n
+        steps = (lambda s, i: model.plasticity(s, x[i], y[i], alpha, task),
+                 lambda s, i: offline.offline_step(s, g[i], alpha, task, variant))
+        for step in steps:
+            singles = []
+            for i in range(b):
+                try:
+                    singles.append(step(state[i], i))
+                except MODEL_ERRORS:
+                    singles.append(None)
+            if None in singles:
+                with pytest.raises(MODEL_ERRORS):
+                    step(state, slice(None))
+                continue
+            new = step(state, slice(None))
+            assert (new.m == new.m.mT).all()
+            for i, single in enumerate(singles):
+                assert (single.m == single.m.T).all()
+                assert np.array_equal(new.m[i], single.m)
+                assert np.array_equal(new.w[i], single.w)
 
     def test_stack_and_index_round_trip(self):
         states = [random_state(seed) for seed in (30, 31, 32)]
