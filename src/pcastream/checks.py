@@ -103,7 +103,7 @@ def check_solve_matches_eig_inverse():
         a = rng.normal(size=(10, 10))
         m = a @ a.T + 0.5 * np.eye(10)
         b = rng.normal(size=10)
-        x = linalg.solve_symmetric(m, b)
+        x = linalg.lu_solve(linalg.lu_factor(m), b)
         w, v = linalg.sym_eig(m)
         x_eig = v @ ((v.T @ b) / w)
         worst = max(worst, np.linalg.norm(x - x_eig))
@@ -173,8 +173,7 @@ def check_approximation_order(seed=107):
         errs = []
         for eps in eps_grid:
             m = d + eps * e
-            exact = np.column_stack(
-                [linalg.solve_symmetric(m, col) for col in np.eye(5)])
+            exact = linalg.lu_solve(linalg.lu_factor(m), np.eye(5))
             errs.append(np.linalg.norm(model.approx_inverse(m) - exact))
         slopes.append(np.polyfit(np.log(eps_grid), np.log(errs), 1)[0])
     ok = all(1.8 <= s <= 2.2 for s in slopes)

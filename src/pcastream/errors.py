@@ -35,8 +35,13 @@ class DegenerateSpectrumError(Exception):
     """Leading eigenvalues are too close for a unique subspace."""
 
 
+class NonFiniteReadoutError(Exception):
+    """A learner's filter or Procrustes error at an evaluation point is
+    not finite, though its weights are."""
+
+
 # Model failures that end a learning run: recorded as its divergence.
-MODEL_ERRORS = (DegenerateDiagonalError, LinalgError)
+MODEL_ERRORS = (DegenerateDiagonalError, LinalgError, NonFiniteReadoutError)
 
 
 class TrialDivergedError(Exception):

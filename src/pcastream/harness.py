@@ -38,6 +38,7 @@ from .errors import (
     MODEL_ERRORS,
     ConfigParseError,
     ConfigValidationError,
+    NonFiniteReadoutError,
     ReportFormatError,
 )
 from .model import ModelState, Task, Variant, advance, online_step
@@ -412,12 +413,20 @@ class _Trial:
         self.outcome = TrialOutcome(index, "completed", [])
 
     def record(self, t, state):
-        """Evaluate a snapshot at t; False if a model error ended the trial."""
+        """Evaluate a snapshot at t; False if a model error, or a readout
+        that is not finite, ended the trial."""
         cfg = self.config
         try:
-            u_hat = metrics.estimate_subspace(state, cfg.task, cfg.variant,
-                                              self.truth.sigma_k)
-            e_pro = metrics.procrustes_error(u_hat, self.truth.u_k)
+            # finite weights too large to read out overflow here; the
+            # finiteness tests name that, so it need not warn
+            with np.errstate(over="ignore", invalid="ignore"):
+                u_hat = metrics.estimate_subspace(state, cfg.task, cfg.variant,
+                                                  self.truth.sigma_k)
+                if not np.isfinite(u_hat).all():
+                    raise NonFiniteReadoutError("filter is not finite")
+                e_pro = metrics.procrustes_error(u_hat, self.truth.u_k)
+            if not math.isfinite(e_pro):
+                raise NonFiniteReadoutError("Procrustes error is not finite")
         except MODEL_ERRORS as exc:
             self.diverge(t, exc)
             return False

@@ -30,9 +30,28 @@ def check_finite(a, name="array"):
     return a
 
 
+def frobenius(a):
+    """Frobenius norm of one matrix or vector, without overflow or underflow.
+
+    One ``np.vdot`` square over the entries in memory order, as
+    ``np.linalg.norm`` sums them, settles it when it is a normal float
+    or a is all zeros; unlike the ufuncs, ``np.vdot`` gives an overflowed
+    square as inf without a RuntimeWarning. Otherwise ``math.hypot``,
+    which scales the entries, does. A NaN entry gives NaN and an
+    infinite entry inf; no case warns.
+    """
+    a = a.ravel(order="K")
+    square = float(np.vdot(a, a))
+    if _NORMAL <= square < math.inf or not a.any():
+        return math.sqrt(square)
+    return math.hypot(*a.tolist())
+
+
 def is_symmetric(a):
-    """Whether ``||a - a.T|| <= 1e-10 ||a||`` (Frobenius) for a finite ``a``."""
-    return np.linalg.norm(a - a.T) <= 1e-10 * max(np.linalg.norm(a), 1e-300)
+    """Whether ``||a - a.T|| <= 1e-10 ||a||`` (:func:`frobenius`) for a
+    finite ``a``; the answer is the same at any scale of a."""
+    a = np.asarray(a, dtype=float)
+    return frobenius(a - a.T) <= 1e-10 * frobenius(a)
 
 
 def sym_eig(a):
@@ -79,39 +98,29 @@ def qr(a):
     check_finite(a, "matrix")
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r)
-    if np.any(np.abs(diag) < _PIVOT_RTOL * max(np.linalg.norm(a), 1e-300)):
+    if np.any(np.abs(diag) < _PIVOT_RTOL * max(frobenius(a), 1e-300)):
         raise RankDeficientError("R has a negligible diagonal entry")
     flip = np.sign(diag)
     return q * flip[None, :], r * flip[:, None]
 
 
 def svd_small(a):
-    """SVD of a small dense matrix (LAPACK ``gesdd``).
+    """SVD of a dense matrix of any size (LAPACK ``gesdd``); the
+    package's own use is the small K x K Procrustes product.
 
-    Limited to matrices with at most 64 rows and columns (the Procrustes
-    and K-by-K use cases). Returns (u, s, v) with singular values sorted
-    descending and ``a = u @ diag(s) @ v.T``; u and v have min(rows, cols)
-    orthonormal columns.
+    Returns (u, s, v) with singular values sorted descending and
+    ``a = u @ diag(s) @ v.T``; u and v have min(rows, cols) orthonormal
+    columns.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ShapeMismatchError("expected a 2-d array")
-    if max(a.shape) > 64:
-        raise ShapeMismatchError("svd_small is limited to 64 rows/cols")
     check_finite(a, "matrix")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"SVD did not converge: {exc}") from exc
     return u, s, vt.T
-
-
-def _squared_frobenius(a, size):
-    """Squared Frobenius norm of each of the ``size``-entry matrices in
-    ``a``; the same dot product as ``np.linalg.norm`` takes. ``np.vdot``,
-    unlike the ufuncs, gives an overflowed square as inf without a
-    RuntimeWarning."""
-    return [np.vdot(m, m) for m in a.reshape(-1, size)]
 
 
 def lu_factor(a):
@@ -121,8 +130,10 @@ def lu_factor(a):
     carried through to the explicit inverse, so that each later solve is
     one matrix product. Raises SingularMatrixError when a matrix is
     singular to working precision: exactly singular, or with Frobenius
-    condition number ``||a|| ||a^-1||`` above ``1 / _PIVOT_RTOL``, at
-    any scale of a.
+    condition number ``||a|| ||a^-1||`` above ``1 / _PIVOT_RTOL``. When
+    the stack bound below fails, each matrix takes its two norms from
+    :func:`frobenius`, so the decision holds at any scale of a, and the
+    first matrix over the threshold is named by its condition number.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -137,16 +148,9 @@ def lu_factor(a):
     # than the arithmetic. On one matrix the bound is the condition number.
     if math.sqrt(np.vdot(a, a)) * math.sqrt(np.vdot(inv, inv)) * _PIVOT_RTOL <= 1.0:
         return inv
-    size = a.shape[-1] ** 2
-    squares = zip(_squared_frobenius(a, size), _squared_frobenius(inv, size))
-    for i, (a2, inv2) in enumerate(squares):
-        cond = math.sqrt(a2) * math.sqrt(inv2)
-        # a square that overflowed, or underflowed far, makes cond infinite
-        # or NaN; then hypot, which scales the entries, decides
-        if not cond * _PIVOT_RTOL <= 1.0 and not (_NORMAL <= a2 < math.inf
-                                                 and _NORMAL <= inv2 < math.inf):
-            cond = (math.hypot(*a.reshape(-1, size)[i].tolist())
-                    * math.hypot(*inv.reshape(-1, size)[i].tolist()))
+    n = a.shape[-1]
+    for m, m_inv in zip(a.reshape(-1, n, n), inv.reshape(-1, n, n)):
+        cond = frobenius(m) * frobenius(m_inv)
         if not cond * _PIVOT_RTOL <= 1.0:  # also catches a NaN or Inf inverse
             raise SingularMatrixError(f"condition number {cond:.3e} above threshold")
     return inv
@@ -158,24 +162,3 @@ def lu_solve(factors, b):
     if b.ndim == factors.ndim - 1:
         return np.matvec(factors, b)
     return factors @ b
-
-
-def solve_symmetric(m, b):
-    """Solve ``m @ x = b`` for symmetric well-conditioned ``m``.
-
-    Parameters:
-    ====================
-    m -- matrix, symmetric within :func:`is_symmetric`
-    b -- right-hand side vector
-    """
-    m = np.asarray(m, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatchError(f"expected square matrix, got {m.shape}")
-    if b.shape != (m.shape[0],):
-        raise ShapeMismatchError("right-hand side length does not match matrix")
-    check_finite(m, "matrix")
-    check_finite(b, "right-hand side")
-    if not is_symmetric(m):
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
-    return lu_solve(lu_factor(m), b)

@@ -72,14 +72,15 @@ def estimate_subspace(state, task, variant, sigma_k=None):
 def lateral_diagnostics(m):
     """(off-diagonal ratio, floor margin) of a lateral matrix M.
 
-    The ratio ``||M_o|| / ||diag M||`` (Frobenius) measures how far M is
-    from the diagonal form that justifies the two-step pass; the margin
-    ``min diag(M) - DIAGONAL_FLOOR`` how far it is from the floor at
-    which a run counts as diverged.
+    The ratio ``||M_o|| / ||diag M||`` (:func:`linalg.frobenius`, so
+    finite even where squares of M's entries overflow) measures how far
+    M is from the diagonal form that justifies the two-step pass; the
+    margin ``min diag(M) - DIAGONAL_FLOOR`` how far it is from the floor
+    at which a run counts as diverged.
     """
     d = np.diagonal(m)
-    ratio = np.linalg.norm(m - np.diag(d)) / np.linalg.norm(d)
-    return float(ratio), float(d.min() - DIAGONAL_FLOOR)
+    ratio = linalg.frobenius(m - np.diag(d)) / linalg.frobenius(d)
+    return ratio, float(d.min() - DIAGONAL_FLOOR)
 
 
 def procrustes_error(u_hat, u_true):

@@ -46,6 +46,19 @@ def custom_config(**overrides):
     return json.dumps(base)
 
 
+# valid configs at scales where a readout or a norm's squares overflow:
+# (config, the cause each trial diverges with, None if it completes),
+# by test id
+EXTREME_SCALE_CONFIGS = {
+    "filter-overflows": (custom_config(t_max=0, w_init_std=1e300, m_init=1e-10),
+                         "NonFiniteReadoutError: filter is not finite"),
+    "procrustes-overflows": (custom_config(t_max=0, w_init_std=1e160),
+                             "NonFiniteReadoutError: Procrustes error is not finite"),
+    "spectrum-1e300": (custom_config(mode="offline", t_max=3,
+                                     spectrum=[1e300, 1e299, 1e298, 1e297]), None),
+}
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: (st.lists(inner, max_size=4)
@@ -389,6 +402,16 @@ class TestRunExperiment:
         for outcome in report.trials:
             assert outcome.status == "diverged"
             assert outcome.diverged_at >= 1
+
+    def test_more_than_64_components(self):
+        # a 65 x 65 Procrustes SVD at every evaluation point
+        cfg = harness.parse_config(custom_config(
+            n=66, k=65, spectrum=np.linspace(2.0, 0.7, 66).tolist(), trials=1,
+            t_max=3, **{"lambda": np.linspace(1.0, 0.36, 65).tolist()}))
+        report = harness.run_experiment(cfg)
+        assert report.diverged == 0
+        ((t, trial, e_pro),) = report.rows
+        assert (t, trial) == (3, 0) and 0.0 < e_pro < 2.0
 
     def test_json_report_keeps_divergence_cause(self, tmp_path):
         cfg = harness.parse_config(custom_config(
@@ -927,6 +950,27 @@ class TestCli:
         for suffix in (".csv", "_summary.csv"):
             assert ((tmp_path / f"report{suffix}").read_bytes()
                     == (tmp_path / f"run{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("text, cause", EXTREME_SCALE_CONFIGS.values(),
+                             ids=list(EXTREME_SCALE_CONFIGS))
+    def test_extreme_scales_report_reads_run(self, tmp_path, text, cause):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "run.json"
+        proc = run_cli("run", "--config", str(cfg_path), "--format", "json",
+                       "--out", str(out))
+        # a run without a completed trial exits 1
+        assert proc.returncode == (1 if cause else 0), proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+        def refuse(constant):
+            raise ValueError(f"{constant} in the report")
+
+        obj = json.loads(out.read_text(), parse_constant=refuse)
+        assert [(trial["diverged_at"], trial["cause"]) for trial in obj["trials"]] == [
+            (0 if cause else None, cause)]
+        proc = run_cli("report", "--in", str(out))
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("edit, _", OFF_POINT_EDITS.values(),
                              ids=list(OFF_POINT_EDITS))

@@ -142,9 +142,14 @@ class TestSvdSmall:
         assert np.abs(u @ np.diag(s) @ v.T - a).max() < 1e-10 * np.linalg.norm(a)
         assert np.allclose(u.T @ u, np.eye(3), atol=1e-9)
 
-    def test_size_cap(self):
-        with pytest.raises(ShapeMismatchError):
-            linalg.svd_small(np.zeros((65, 3)))
+    def test_reconstruction_past_64(self):
+        # no size cap: a 65 x 65 matrix reconstructs like a small one
+        a = np.random.default_rng(12).normal(size=(65, 65))
+        u, s, v = linalg.svd_small(a)
+        assert (np.diff(s) <= 0).all() and (s >= 0).all()
+        assert np.linalg.norm(u @ np.diag(s) @ v.T - a) <= 1e-12 * np.linalg.norm(a)
+        assert np.linalg.norm(u.T @ u - np.eye(65)) <= 1e-12
+        assert np.linalg.norm(v.T @ v - np.eye(65)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(rows=dims, cols=dims, rank_frac=st.floats(0, 1), seed=seeds, scale=scales)
@@ -208,13 +213,18 @@ class TestQr:
         assert np.linalg.norm(q @ r - a) <= 1e-12 * np.linalg.norm(a)
 
 
-class TestSolveSymmetric:
+def exact_solve(m, b):
+    """The exact solve the learners run."""
+    return linalg.lu_solve(linalg.lu_factor(m), b)
+
+
+class TestLuSolve:
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(linalg.solve_symmetric(np.eye(3), b), b)
+        assert np.array_equal(exact_solve(np.eye(3), b), b)
 
     def test_diagonal(self):
-        x = linalg.solve_symmetric(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+        x = exact_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
         assert np.allclose(x, [1.0, 1.0], atol=1e-15)
 
     def test_random_spd_residual(self):
@@ -222,29 +232,24 @@ class TestSolveSymmetric:
         a = rng.normal(size=(5, 5))
         m = a @ a.T + np.eye(5)
         b = rng.normal(size=5)
-        x = linalg.solve_symmetric(m, b)
+        x = exact_solve(m, b)
         assert np.linalg.norm(m @ x - b) < 1e-10
 
     def test_indefinite_symmetric(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x = linalg.solve_symmetric(m, np.array([2.0, 3.0]))
+        x = exact_solve(m, np.array([2.0, 3.0]))
         assert np.allclose(x, [3.0, 2.0], atol=1e-14)
 
     def test_singular_raises(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularMatrixError):
-            linalg.solve_symmetric(m, np.array([1.0, 1.0]))
+            exact_solve(m, np.array([1.0, 1.0]))
 
     def test_singular_to_working_precision_raises(self):
         # one ulp from exactly singular: LAPACK's elimination does not fail
         m = np.array([[1.0, 1.0], [1.0, 1.0 + 4e-16]])
         with pytest.raises(SingularMatrixError):
-            linalg.solve_symmetric(m, np.array([1.0, 1.0]))
-
-    def test_asymmetric_rejected(self):
-        m = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(NotSymmetricError):
-            linalg.solve_symmetric(m, np.array([1.0, 1.0]))
+            exact_solve(m, np.array([1.0, 1.0]))
 
     def test_agrees_with_eig_inverse(self):
         rng = np.random.default_rng(11)
@@ -252,9 +257,54 @@ class TestSolveSymmetric:
             a = rng.normal(size=(10, 10))
             m = a @ a.T + 0.5 * np.eye(10)
             b = rng.normal(size=10)
-            x = linalg.solve_symmetric(m, b)
+            x = exact_solve(m, b)
             w, v = linalg.sym_eig(m)
             assert np.linalg.norm(x - v @ ((v.T @ b) / w)) < 1e-9
+
+
+def asymmetric_matrix(n, seed, asymmetry):
+    """n x n matrix, n >= 2: a symmetric Gaussian one plus ``asymmetry``
+    times its norm in entry (0, 1), so that ``||a - a.T|| / ||a||`` is
+    at least ``asymmetry / (1 + asymmetry)``, and 0 for 0."""
+    b = np.random.default_rng(seed).normal(size=(n, n))
+    a = b + b.T
+    a[0, 1] += asymmetry * np.linalg.norm(a)
+    return a
+
+
+# squares of entries overflow or underflow at these scales, and no
+# RuntimeWarning may say so
+class TestFrobenius:
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160, 1e300, 1e-300])
+    def test_matches_plain_norm_rescaled(self, scale):
+        a = np.arange(1.0, 7.0).reshape(2, 3)
+        assert linalg.frobenius(scale * a) == pytest.approx(
+            scale * np.linalg.norm(a), rel=1e-15)
+
+    def test_zero_and_nonfinite(self):
+        assert linalg.frobenius(np.zeros((3, 3))) == 0.0
+        assert linalg.frobenius(np.array([[np.inf, 1.0]])) == np.inf
+        assert np.isnan(linalg.frobenius(np.array([[np.nan, 1.0]])))
+
+    def test_asymmetry_found_where_squares_overflow(self):
+        assert not linalg.is_symmetric([[1e200, 1e200], [0.0, 1e200]])
+        assert linalg.is_symmetric([[1e200, 1e190], [1e190, 1e200]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.integers(-300, 300))
+    def test_norm_scales(self, rows, cols, seed, exponent):
+        a = np.random.default_rng(seed).normal(size=(rows, cols))
+        s = 10.0 ** exponent
+        assert linalg.frobenius(s * a) == pytest.approx(s * linalg.frobenius(a),
+                                                        rel=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 2e-8, 1e-4, 1.0]), st.integers(-300, 300))
+    def test_symmetry_decision_scales(self, n, seed, asymmetry, exponent):
+        a = asymmetric_matrix(n, seed, asymmetry)
+        assert linalg.is_symmetric(10.0 ** exponent * a) == linalg.is_symmetric(a)
 
 
 def balanced_matrix(n, seed, log_cond):

@@ -134,6 +134,20 @@ class TestProcrustesError:
             metrics.procrustes_error(np.zeros((5, 2)), np.zeros((5, 3)))
 
 
+class TestLateralDiagnostics:
+    def test_near_diagonal_matrix(self):
+        m = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.4], [0.0, 0.4, 2.0]])
+        ratio, margin = metrics.lateral_diagnostics(m)
+        assert ratio == pytest.approx(0.5 * 2**0.5 / 3, rel=1e-15)
+        assert margin == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_ratio_finite_where_squares_overflow(self, scale):
+        m = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.4], [0.0, 0.4, 2.0]])
+        ratio, _ = metrics.lateral_diagnostics(scale * m)
+        assert ratio == pytest.approx(metrics.lateral_diagnostics(m)[0], rel=1e-14)
+
+
 class TestObjectives:
     def test_psp_zero_embedding(self):
         x = np.random.default_rng(46).normal(size=(3, 5))
