@@ -41,6 +41,12 @@ class CheckResult:
     detail: str = ""
 
 
+def _worst(*values):
+    """The largest of ``values``, NaN if any is NaN (``max`` can drop a
+    NaN), so that a check that measures NaN fails."""
+    return float(np.max(values))
+
+
 def _random_state(rng, k=3, n=6):
     gen = rng.generator
     e = gen.normal(size=(k, k))
@@ -63,8 +69,8 @@ def check_sym_eig_reconstruction():
             a = 0.5 * (a + a.T)
             a *= 10.0 / max(np.linalg.norm(a), 10.0)  # keep ||a|| <= 10
             w, v = linalg.sym_eig(a)
-            worst = max(worst, np.linalg.norm(v @ np.diag(w) @ v.T - a))
-            worst = max(worst, np.linalg.norm(v.T @ v - np.eye(size)))
+            worst = _worst(worst, np.linalg.norm(v @ np.diag(w) @ v.T - a),
+                           np.linalg.norm(v.T @ v - np.eye(size)))
     return worst <= 1e-9, f"worst residual {worst:.2e}"
 
 
@@ -76,7 +82,7 @@ def check_svd_ordering():
         if (np.diff(s) > 0).any() or (s < 0).any():
             return False, f"singular values out of order for {shape}"
         err = np.linalg.norm(u @ np.diag(s) @ v.T - a)
-        if err > 1e-10 * max(np.linalg.norm(a), 1.0):
+        if not err <= 1e-10 * max(np.linalg.norm(a), 1.0):
             return False, f"reconstruction {err:.2e} for {shape}"
     return True, "ordered, nonnegative, reconstructs"
 
@@ -89,7 +95,7 @@ def check_qr_determinism():
         q2, r2 = linalg.qr(a.copy())
         if not (q1 == q2).all() or not (r1 == r2).all():
             return False, "repeated runs differ"
-        if np.linalg.norm(q1.T @ q1 - np.eye(10)) > 1e-12:
+        if not np.linalg.norm(q1.T @ q1 - np.eye(10)) <= 1e-12:
             return False, "q not orthonormal"
         if (np.diagonal(r1) < 0).any():
             return False, "negative diagonal in r"
@@ -106,7 +112,7 @@ def check_solve_matches_eig_inverse():
         x = linalg.lu_solve(linalg.lu_factor(m), b)
         w, v = linalg.sym_eig(m)
         x_eig = v @ ((v.T @ b) / w)
-        worst = max(worst, np.linalg.norm(x - x_eig))
+        worst = _worst(worst, np.linalg.norm(x - x_eig))
     return worst <= 1e-9, f"worst disagreement {worst:.2e}"
 
 
@@ -155,7 +161,7 @@ def check_two_step_equivalence():
         explicit = (np.eye(st.k) - (m_o / d[:, None])) @ (st.w / d[:, None])
         x = gen.normal(size=st.n)
         y = model.forward(st, x, Variant.ITERATION_FREE)
-        worst = max(worst, np.abs(y - explicit @ x).max())
+        worst = _worst(worst, np.abs(y - explicit @ x).max())
     return worst <= 1e-13, f"worst gap {worst:.2e}"
 
 
@@ -216,7 +222,7 @@ def check_fixed_point_certification(seed=200):
         g = data.build_covariance(pre.draw_covariance(data.RngStream(seed, i)))
         for task, variant in ALL_PAIRS:
             fp = offline.construct_fixed_point(g, pre.lam, task)
-            worst = max(worst, offline.fixed_point_residual(fp, g, task, variant))
+            worst = _worst(worst, offline.fixed_point_residual(fp, g, task, variant))
     return worst < 1e-10, (f"worst residual {worst:.2e}<1e-10 "
                            f"over 20 covariances x 4 pairs")
 
@@ -246,7 +252,7 @@ def check_linearization_agreement():
             s_if = offline.jacobian_spectrum(fp, g, task, Variant.ITERATION_FREE)
             s_ex = offline.jacobian_spectrum(fp, g, task, Variant.EXACT_INVERSE)
             scale = max(np.abs(s_ex).max(), 1.0)
-            worst = max(worst, np.abs(s_if - s_ex).max() / scale)
+            worst = _worst(worst, np.abs(s_if - s_ex).max() / scale)
     return worst <= 1e-4, f"worst relative spectrum gap {worst:.2e}"
 
 
@@ -274,8 +280,8 @@ def check_lateral_decay(seed=203):
     runs, _ = _converged_offline_states(data.RngStream(seed),
                                         data.RngStream(seed + 1),
                                         checkpoints=())
-    worst = max(metrics.lateral_diagnostics(snaps[5000].m)[0]
-                for snaps in runs.values())
+    worst = _worst(*(metrics.lateral_diagnostics(snaps[5000].m)[0]
+                     for snaps in runs.values()))
     return worst < 1e-6, f"worst final off/diag ratio {worst:.2e}<1e-6"
 
 
@@ -293,7 +299,7 @@ def check_monotone_tail():
         for st in snaps.values():
             u = metrics.estimate_subspace(st, task, variant, truth.sigma_k)
             errs.append(metrics.procrustes_error(u, truth.u_k))
-        if any(b > a for a, b in zip(errs, errs[1:])):
+        if not all(b <= a for a, b in zip(errs, errs[1:])):
             return False, f"{task.value}/{variant.value} errors increase: {errs}"
     return True, "errors nonincreasing at 100/1000/5000"
 
@@ -312,7 +318,7 @@ def check_stream_determinism():
     singles = np.array([data.sample(spec, rng1) for _ in range(8)])
     block = data.sample_block(spec, data.RngStream(9, 2), 8)
     gap = np.abs(singles - block).max()
-    if gap > 1e-12:
+    if not gap <= 1e-12:
         return False, f"block sampling deviates from single draws by {gap:.2e}"
     return True, "streams replay identically; blocks match singles"
 
@@ -344,7 +350,7 @@ def check_schedule_values():
     pieces = data.PiecewiseConstant(((10000.0, 1.1e-3), (float("inf"), 1.0e-4)))
     for s in (sched, pieces, data.Constant(0.1)):
         rates = [s.rate(t) for t in range(0, 20001, 100)]
-        if any(b > a for a, b in zip(rates, rates[1:])):
+        if not all(b <= a for a, b in zip(rates, rates[1:])):
             return False, f"rates increase for {s}"
     if pieces.rate(10000) != 1.1e-3 or pieces.rate(10001) != 1.0e-4:
         return False, "piecewise boundary wrong"
@@ -379,7 +385,7 @@ def check_estimator_consistency():
         for task, variant in ALL_PAIRS:
             fp = offline.construct_fixed_point(g, pre.lam, task)
             u = metrics.estimate_subspace(fp, task, variant, truth.sigma_k)
-            worst = max(worst, metrics.procrustes_error(u, truth.u_k))
+            worst = _worst(worst, metrics.procrustes_error(u, truth.u_k))
     return worst < 1e-9, f"worst fixed-point estimate error {worst:.2e}"
 
 
@@ -415,12 +421,12 @@ def _closed_form_oracles(seed):
         y_psp = metrics.closed_form_optimum(x, lam, Task.PSP)
         obj = metrics.objective_psp(y_psp, x, lam)
         grad = _fd_gradient(lambda yy: metrics.objective_psp(yy, x, lam), y_psp)
-        worst_grad = max(worst_grad, np.linalg.norm(grad) / (1.0 + abs(obj)))
+        worst_grad = _worst(worst_grad, np.linalg.norm(grad) / (1.0 + abs(obj)))
         norm = np.linalg.norm(y_psp)
         for _ in range(1000):
             cand = gen.normal(size=y_psp.shape)
             cand *= norm / np.linalg.norm(cand)
-            if metrics.objective_psp(cand, x, lam) < obj - 1e-9:
+            if not metrics.objective_psp(cand, x, lam) >= obj - 1e-9:
                 beaten = False
 
         y_psw = metrics.closed_form_optimum(x, lam, Task.PSW)
@@ -430,11 +436,11 @@ def _closed_form_oracles(seed):
         sym = grad_w @ y_psw.T + y_psw @ grad_w.T
         xi = sym / (lam[:, None] ** 2 + lam[None, :] ** 2)
         tangent = grad_w - xi @ y_psw
-        worst_grad = max(worst_grad, np.linalg.norm(tangent) / (1.0 + abs(val)))
+        worst_grad = _worst(worst_grad, np.linalg.norm(tangent) / (1.0 + abs(val)))
         for _ in range(1000):
             q, _ = linalg.qr(gen.normal(size=(7, 2)))
             cand = lam[:, None] * q.T
-            if metrics.objective_psw(cand, x, lam)[0] < val - 1e-9:
+            if not metrics.objective_psw(cand, x, lam)[0] >= val - 1e-9:
                 beaten = False
     return worst_grad, beaten
 

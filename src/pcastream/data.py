@@ -62,10 +62,9 @@ class CovarianceSpec:
         self.spectrum = np.asarray(self.spectrum, dtype=float)
         if self.rotation.shape != (self.n, self.n) or self.spectrum.shape != (self.n,):
             raise ValueError("rotation/spectrum shapes do not match n")
-        err = np.linalg.norm(self.rotation.T @ self.rotation - np.eye(self.n))
-        if err > 1e-10:
+        if not linalg.is_orthonormal(self.rotation):
             raise ValueError("rotation is not orthogonal within 1e-10")
-        if not (self.spectrum > 0).all() or (np.diff(self.spectrum) > 0).any():
+        if not linalg.is_positive_nonincreasing(self.spectrum):
             raise ValueError("spectrum must be positive and nonincreasing")
 
 

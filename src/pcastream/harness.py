@@ -18,13 +18,14 @@ change any result either.
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
-from . import data, metrics, offline
+from . import data, linalg, metrics, model, offline
 from .data import (
     Constant,
     CovarianceSpec,
@@ -321,23 +322,23 @@ def _decode(raw):
     _require(spectrum.shape == (n,), "spectrum must have length n")
     # after the length rules, which reject an n too large for math.sqrt
     w_init_std = _coerce(raw, "w_init_std", _number, 1.0 / math.sqrt(n))
-    _require((lam > 0).all() and (np.diff(lam) < 0).all(),
+    _require(linalg.is_positive_decreasing(lam),
              "lambda must be strictly decreasing and positive")
-    _require((spectrum > 0).all() and not (np.diff(spectrum) > 0).any(),
+    _require(linalg.is_positive_nonincreasing(spectrum),
              "spectrum must be positive and nonincreasing")
     # ground_truth needs a unique, ordered leading k-subspace
     _require(metrics.leading_separated(spectrum, k),
              f"leading k+1 spectrum values must differ by more than "
              f"{metrics.GAP_FLOOR:g}")
-    _require(tau > 0, "tau must be positive")
+    _require(model.valid_tau(tau), "tau must be positive")
     _require(m_init > 0, "m_init must be positive")
     _require(w_init_std > 0, "w_init_std must be positive")
 
     t_max = _coerce(raw, "t_max", _int, _DEFAULT_T_MAX[mode])
     _require(t_max >= 0, "t_max must be nonnegative")
     checkpoints = _coerce(raw, "checkpoints", _ints, [t_max] if t_max > 0 else [])
-    bad = [t for t in checkpoints if not 1 <= t <= t_max]
-    _require(not bad, f"checkpoints outside [1, t_max]: {sorted(bad)}")
+    bad = model.outside_horizon(checkpoints, t_max)
+    _require(not bad, f"checkpoints outside [1, t_max]: {bad}")
     trials = _coerce(raw, "trials", _int, 1)
     _require(trials >= 1, "trials must be at least 1")
     seed = _coerce(raw, "seed", _int, 0)
@@ -422,7 +423,7 @@ class _Trial:
             with np.errstate(over="ignore", invalid="ignore"):
                 u_hat = metrics.estimate_subspace(state, cfg.task, cfg.variant,
                                                   self.truth.sigma_k)
-                if not np.isfinite(u_hat).all():
+                if not linalg.all_finite(u_hat):
                     raise NonFiniteReadoutError("filter is not finite")
                 e_pro = metrics.procrustes_error(u_hat, self.truth.u_k)
             if not math.isfinite(e_pro):
@@ -473,10 +474,11 @@ def _run_stack(config, indices, rotation=None):
 
 
 def trial_stacks(trials, workers):
-    """Contiguous ranges of trial indices, one stack per worker process.
+    """Contiguous ranges of trial indices, one stack per worker.
 
-    There are ``min(workers, trials)`` stacks, so no process goes without
-    a trial; one worker runs every trial in one stack.
+    There are ``min(workers, trials)`` stacks, so no worker goes without
+    a trial; one worker runs every trial in one stack. ``run_experiment``
+    runs the stacks on at most ``os.cpu_count()`` processes.
     """
     count = min(workers, trials)
     bounds = [trials * i // count for i in range(count + 1)]
@@ -501,7 +503,9 @@ def run_experiment(config, workers=None):
         # loaded here, not at import: a single-stack run never needs it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(stacks)) as pool:
+        # the pool may start all its processes at once: no more than cores
+        processes = min(len(stacks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_run_stack, repeat(config), stacks,
                                   repeat(rotation)))
     else:

@@ -23,11 +23,39 @@ _PIVOT_RTOL = 1e-14
 _NORMAL = 2.0 ** -1022  # the smallest normal float
 
 
+def all_finite(a):
+    """Whether every entry of a is finite. A NaN or an infinity makes the
+    sum of squares (``np.vdot``) NaN or infinite, so a finite sum settles
+    it at once; only otherwise does the entrywise test run, so finite
+    entries whose squares overflow pass."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def check_finite(a, name="array"):
     """Raise ValueError if ``a`` contains NaN or Inf."""
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def is_positive_decreasing(v):
+    """Whether the entries of the vector v are finite and positive and each
+    is below the one before: a gain, or root-eigenvalues. NaN fails."""
+    v = v.tolist()
+    return all(0 < a < math.inf for a in v) and all(b < a for a, b in zip(v, v[1:]))
+
+
+def is_positive_nonincreasing(v):
+    """Whether the entries of the vector v are finite and positive and none
+    is above the one before: a spectrum. NaN fails."""
+    v = v.tolist()
+    return all(0 < a < math.inf for a in v) and all(b <= a for a, b in zip(v, v[1:]))
+
+
+def is_orthonormal(q):
+    """Whether q is finite and ``||q' q - I|| <= 1e-10`` (:func:`frobenius`):
+    its columns are orthonormal."""
+    return all_finite(q) and frobenius(q.T @ q - np.eye(q.shape[1])) <= 1e-10
 
 
 def frobenius(a):

@@ -8,6 +8,7 @@ four formulas, depending on the task and on whether the lateral matrix
 is inverted exactly or through its near-diagonal approximation.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,9 @@ class GroundTruth:
         k = self.u_k.shape[1]
         if self.sigma_k.shape != (k,):
             raise ShapeMismatchError("sigma_k length does not match u_k")
-        if np.linalg.norm(self.u_k.T @ self.u_k - np.eye(k)) > 1e-10:
+        if not linalg.is_orthonormal(self.u_k):
             raise ValueError("u_k columns are not orthonormal within 1e-10")
-        if not (self.sigma_k > 0).all() or not (np.diff(self.sigma_k) < 0).all():
+        if not linalg.is_positive_decreasing(self.sigma_k):
             raise ValueError("sigma_k must be strictly decreasing and positive")
 
 
@@ -79,7 +80,11 @@ def lateral_diagnostics(m):
     at which a run counts as diverged.
     """
     d = np.diagonal(m)
-    ratio = linalg.frobenius(m - np.diag(d)) / linalg.frobenius(d)
+    off, diag = linalg.frobenius(m - np.diag(d)), linalg.frobenius(d)
+    if diag:
+        ratio = off / diag
+    else:  # what IEEE division gives: inf, or NaN for 0 / 0
+        ratio = math.inf if off > 0 else math.nan
     return ratio, float(d.min() - DIAGONAL_FLOOR)
 
 

@@ -48,54 +48,54 @@ class Variant(Enum):
 class ModelState:
     """Value-type bundle of learner weights.
 
-    Parameters:
+    Parameters (all checked):
     ====================
-    m       -- lateral weights, K x K, symmetric, strictly positive
-               diagonal (B x K x K for a stack of B learners); a checked
-               state stores its upper triangle mirrored, so M starts
-               exactly symmetric
-    w       -- feed-forward weights, K x N (B x K x N for a stack)
-    lam     -- diagonal gain, length K, strictly decreasing positive
-    tau     -- time-constant ratio between the M and W updates, finite
-               and > 0
-    check   -- validate invariants on construction (disable only on hot
-               paths that already guarantee them); only a single learner
-               can be checked, so stacks are built from checked states
-               by :meth:`stack`
-    targets -- the read-only gain constants ``(lam lam', diag(lam**2))``
-               of the lateral targets, built from lam when omitted; a
-               state passes its own to every state made from it
+    m   -- lateral weights, K x K, symmetric, strictly positive diagonal;
+           stored with its upper triangle mirrored, exactly symmetric
+    w   -- feed-forward weights, K x N
+    lam -- diagonal gain, length K, strictly decreasing positive
+    tau -- time-constant ratio between the M and W updates, finite, > 0
+
+    A state carries the read-only gain constants ``(lam lam',
+    diag(lam**2))`` of the lateral targets, built once from lam. Stacks
+    (B x K x K and B x K x N) and states made from valid ones come from
+    :meth:`_unchecked`.
     """
 
     __slots__ = ("m", "w", "lam", "tau", "targets")
 
-    def __init__(self, m, w, lam, tau, check=True, targets=None):
-        if check:
-            m = np.array(m, dtype=float)
-            w = np.array(w, dtype=float)
-            lam = np.array(lam, dtype=float)
-            tau = float(tau)
-            k = m.shape[0]
-            if m.shape != (k, k) or w.ndim != 2 or w.shape[0] != k or lam.shape != (k,):
-                raise ValueError("inconsistent state shapes")
-            linalg.check_finite(m, "m")
-            linalg.check_finite(w, "w")
-            linalg.check_finite(lam, "lam")
-            if not linalg.is_symmetric(m):
-                raise ValueError("lateral matrix must be symmetric")
-            rows, cols = np.tril_indices(k, -1)
-            m[rows, cols] = m[cols, rows]
-            if not (np.diagonal(m) > DIAGONAL_FLOOR).all():
-                raise DegenerateDiagonalError("lateral diagonal not strictly positive")
-            if not (lam > 0).all() or not (np.diff(lam) < 0).all():
-                raise ValueError("gain entries must be strictly decreasing and positive")
-            if not 0 < tau < math.inf:
-                raise ValueError("tau must be positive and finite")
-        self.m = m
-        self.w = w
-        self.lam = lam
-        self.tau = tau
-        self.targets = _gain_targets(lam) if targets is None else targets
+    def __init__(self, m, w, lam, tau):
+        m = np.array(m, dtype=float)
+        w = np.array(w, dtype=float)
+        lam = np.array(lam, dtype=float)
+        tau = float(tau)
+        k = lam.size
+        if lam.ndim != 1 or m.shape != (k, k) or w.ndim != 2 or w.shape[0] != k:
+            raise ValueError("inconsistent state shapes")
+        linalg.check_finite(m, "m")
+        linalg.check_finite(w, "w")
+        linalg.check_finite(lam, "lam")
+        if not linalg.is_symmetric(m):
+            raise ValueError("lateral matrix must be symmetric")
+        rows, cols = np.tril_indices(k, -1)
+        m[rows, cols] = m[cols, rows]
+        if not (np.diagonal(m) > DIAGONAL_FLOOR).all():
+            raise DegenerateDiagonalError("lateral diagonal not strictly positive")
+        if not linalg.is_positive_decreasing(lam):
+            raise ValueError("gain entries must be strictly decreasing and positive")
+        if not valid_tau(tau):
+            raise ValueError("tau must be positive and finite")
+        self.m, self.w, self.lam, self.tau = m, w, lam, tau
+        self.targets = _gain_targets(lam)
+
+    @classmethod
+    def _unchecked(cls, m, w, lam, tau, targets=None):
+        """A state or stack taken as given: valid by construction, with
+        the ``targets`` of its source, or invalid on purpose in a test."""
+        state = cls.__new__(cls)
+        state.m, state.w, state.lam, state.tau = m, w, lam, tau
+        state.targets = _gain_targets(lam) if targets is None else targets
+        return state
 
     @property
     def k(self):
@@ -109,20 +109,31 @@ class ModelState:
     def stack(cls, states):
         """One stack of learners that share the gain and time constant."""
         first = states[0]
-        return cls(np.stack([s.m for s in states]), np.stack([s.w for s in states]),
-                   first.lam, first.tau, check=False, targets=first.targets)
+        return cls._unchecked(np.stack([s.m for s in states]),
+                              np.stack([s.w for s in states]),
+                              first.lam, first.tau, first.targets)
 
     def __getitem__(self, index):
         """Learner ``index`` of a stack, or the sub-stack of an index list."""
-        return ModelState(self.m[index], self.w[index], self.lam, self.tau,
-                          check=False, targets=self.targets)
+        return self._unchecked(self.m[index], self.w[index], self.lam, self.tau,
+                               self.targets)
 
     def copy(self):
-        return ModelState(self.m.copy(), self.w.copy(), self.lam.copy(),
-                          self.tau, check=False, targets=self.targets)
+        return self._unchecked(self.m.copy(), self.w.copy(), self.lam.copy(),
+                               self.tau, self.targets)
 
     def __repr__(self):
         return f"ModelState(k={self.k}, n={self.n}, tau={self.tau})"
+
+
+def valid_tau(tau):
+    """Whether the time-constant ratio tau is positive and finite; NaN is not."""
+    return 0 < tau < math.inf
+
+
+def outside_horizon(points, t_max):
+    """The points outside [1, t_max], sorted: a run never reaches them."""
+    return sorted(t for t in points if not 1 <= t <= t_max)
 
 
 def _gain_targets(lam):
@@ -229,10 +240,8 @@ def _apply_update(state, dw, dm, alpha):
     entrywise, so an exactly symmetric M and dm give an exactly
     symmetric new M, and no repair is needed: callers pass a symmetric
     dm. A diagonal at the floor (or NaN) or an overflow in any slice is
-    divergence. The overflow test is one sum of squares per matrix,
-    which is finite only if every entry is; only when it is not does
-    the entrywise test run, so finite weights whose squares overflow
-    still pass.
+    divergence (:func:`linalg.all_finite`, so finite weights whose
+    squares overflow still pass).
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -242,15 +251,9 @@ def _apply_update(state, dw, dm, alpha):
     m = np.add(state.m, dm, out=dm)
     if not all(map(DIAGONAL_FLOOR.__lt__, m.diagonal(0, -2, -1).ravel().tolist())):
         raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
-    if not (_all_finite(m) and _all_finite(w)):
+    if not (linalg.all_finite(m) and linalg.all_finite(w)):
         raise DegenerateDiagonalError("weights overflowed")
-    return ModelState(m, w, state.lam, state.tau, check=False, targets=state.targets)
-
-
-def _all_finite(a):
-    """Whether every entry of a is finite. A NaN or an infinity makes the
-    sum of squares NaN or infinite, so a finite sum settles it at once."""
-    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+    return ModelState._unchecked(m, w, state.lam, state.tau, state.targets)
 
 
 def plasticity(state, x, y, alpha, task):

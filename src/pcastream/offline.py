@@ -21,6 +21,7 @@ from .model import (
     advance,
     lateral_drive,
     neural_filter,
+    outside_horizon,
 )
 
 
@@ -100,8 +101,7 @@ def _jacobian(state, g, task, variant, eps):
     rows, cols = np.triu_indices(k)
     m[:, rows, cols] = coords[:, k * n:]
     m = m + np.triu(m, 1).mT
-    stack = ModelState(m, w, state.lam, state.tau, check=False,
-                       targets=state.targets)
+    stack = ModelState._unchecked(m, w, state.lam, state.tau, state.targets)
     dw, dm = _averaged_field(stack, g, task, variant)
     field = _pack(dw, dm / state.tau)
     return ((field[:dim] - field[dim:]) / (2.0 * eps)).T
@@ -120,7 +120,7 @@ def jacobian_spectrum(state, g, task, variant, eps=1e-5):
     if not 1e-7 <= eps <= 1e-4:
         raise ValueError("eps must lie in [1e-7, 1e-4]")
     g = np.asarray(g, dtype=float)
-    if fixed_point_residual(state, g, task, variant) > 1e-6:
+    if not fixed_point_residual(state, g, task, variant) <= 1e-6:  # NaN too
         raise ValueError("state is not close enough to a fixed point")
     eig = np.linalg.eigvals(_jacobian(state, g, task, variant, eps))
     return np.sort(eig.real)[::-1]
@@ -138,9 +138,9 @@ def run_offline(initial, g, schedule, t_max, checkpoints=(), *,
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     wanted = {int(t) for t in checkpoints}
-    bad = [t for t in wanted if not 1 <= t <= t_max]
+    bad = outside_horizon(wanted, t_max)
     if bad:
-        raise ValueError(f"checkpoints outside [1, t_max]: {sorted(bad)}")
+        raise ValueError(f"checkpoints outside [1, t_max]: {bad}")
     snaps = {}
 
     def visit(t, _, state):

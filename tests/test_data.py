@@ -87,6 +87,18 @@ class TestCovariance:
         with pytest.raises(ValueError):
             CovarianceSpec(2, np.eye(2), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rotation(self, bad):
+        rotation = np.eye(2)
+        rotation[1, 0] = bad
+        with pytest.raises(ValueError, match="^rotation is not orthogonal"):
+            CovarianceSpec(2, rotation, np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("spectrum", [[np.inf, 1.0], [np.inf, np.inf]])
+    def test_rejects_infinite_spectrum(self, spectrum):
+        with pytest.raises(ValueError, match="^spectrum must be positive"):
+            CovarianceSpec(2, np.eye(2), np.array(spectrum))
+
 
 class TestSampling:
     def test_unit_rotation_variance(self):

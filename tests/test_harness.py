@@ -1,5 +1,8 @@
+import concurrent.futures
 import csv
+import itertools
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,14 +13,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import pcastream
-from pcastream import checks, cli, data, harness, metrics, offline
+from pcastream import checks, cli, data, harness, linalg, metrics, model, offline
 from pcastream.checks import CHECKS, run_verification
 from pcastream.errors import (
     ConfigParseError,
     ConfigValidationError,
     ReportFormatError,
 )
-from pcastream.model import Variant
+from pcastream.model import ModelState, Task, Variant
 
 
 def make_config(**overrides):
@@ -193,6 +196,58 @@ def report_objects():
         k: v for k, v in {**valid, **extra}.items() if k not in drop},
         overrides, st.sets(keys, max_size=1))
     return near | JSON_VALUES
+
+
+def _accepts(build):
+    try:
+        build()
+    except (ValueError, ConfigValidationError):
+        return False
+    return True
+
+
+# finite entries only (a config holds no other numbers), ties and zeros and
+# negatives included
+ENTRIES = st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, 2.0]),
+                   min_size=1, max_size=4)
+
+
+class TestConfigRulesMatchConstructors:
+    """A config and the objects built from it accept the same values: each
+    rule has one implementation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ENTRIES)
+    def test_lambda(self, lam):
+        k = len(lam)
+        text = custom_config(n=k + 1, k=k, **{"lambda": lam},
+                             spectrum=[float(k + 1 - i) for i in range(k + 1)])
+        state = lambda: ModelState(np.eye(k), np.zeros((k, k + 1)), lam, 0.5)
+        assert _accepts(lambda: harness.parse_config(text)) == _accepts(state)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ENTRIES.map(lambda v: v + [0.1]))
+    def test_spectrum(self, spectrum):
+        n = len(spectrum)
+        text = custom_config(n=n, k=1, **{"lambda": [1.0]}, spectrum=spectrum)
+        try:
+            harness.parse_config(text)
+        except ConfigValidationError as exc:  # the spectrum rule, or a later one
+            accepted = "spectrum must be positive" not in str(exc)
+        else:
+            accepted = True
+        spec = lambda: data.CovarianceSpec(n, np.eye(n), np.array(spectrum))
+        assert accepted == _accepts(spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 3), st.lists(st.integers(-1, 4), max_size=3))
+    def test_checkpoints(self, t_max, checkpoints):
+        text = custom_config(mode="offline", t_max=t_max, checkpoints=checkpoints)
+        initial = ModelState(np.eye(1), np.ones((1, 2)), [1.0], 1.0)
+        run = lambda: offline.run_offline(initial, np.diag([2.0, 1.0]), data.Constant(0.1),
+                                          t_max, checkpoints, task=Task.PSP,
+                                          variant=Variant.EXACT_INVERSE)
+        assert _accepts(lambda: harness.parse_config(text)) == _accepts(run)
 
 
 class TestParseConfig:
@@ -372,6 +427,31 @@ class TestRunExperiment:
         r1 = harness.run_experiment(cfg)
         r2 = harness.run_experiment(cfg)
         assert r1.comparable() == r2.comparable()
+
+    @pytest.mark.parametrize("cores, processes", [(2, 2), (None, 1), (8, 5)])
+    def test_processes_capped_at_cores(self, monkeypatch, cores, processes):
+        seen = []
+
+        class InProcessPool:  # records its size and runs the stacks here
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        cfg = harness.parse_config(make_config(trials=5, workers=5, t_max=20,
+                                               checkpoints=[20]))
+        report = harness.run_experiment(cfg)
+        assert seen == [processes]
+        assert report.comparable() == harness.run_experiment(cfg, workers=1).comparable()
 
     def test_worker_count_invariance(self):
         cfg = harness.parse_config(make_config(trials=3))
@@ -760,6 +840,36 @@ class TestEmitReport:
         harness.emit_report(report, "csv", tmp_path / "out.csv")
 
 
+# (check, module, function, a fake that puts a NaN into what the check
+# measures): a check that measures NaN must fail
+NAN_MEASUREMENTS = [
+    ("linalg.sym_eig_reconstruction", linalg, "sym_eig",
+     lambda a: (np.full(len(a), np.nan), np.eye(len(a)))),
+    ("linalg.svd_ordering", linalg, "svd_small",
+     lambda a: (np.full((a.shape[0], min(a.shape)), np.nan),
+                np.linalg.svd(a)[1], np.eye(a.shape[1], min(a.shape)))),
+    ("linalg.solve_matches_eig_inverse", linalg, "lu_solve",
+     lambda factors, b: np.full_like(b, np.nan)),
+    ("model.two_step_equivalence", model, "forward",
+     lambda state, x, variant: np.full(state.k, np.nan)),
+    ("offline.fixed_point_certification", offline, "fixed_point_residual",
+     lambda *args: np.nan),
+    ("offline.linearization_agreement", offline, "jacobian_spectrum",
+     lambda *args: np.full(3, np.nan)),
+    ("offline.lateral_decay", metrics, "lateral_diagnostics",  # NaN after one run
+     lambda m, calls=itertools.count(): (np.nan if next(calls) else 0.0, 1.0)),
+    ("offline.monotone_tail", metrics, "procrustes_error", lambda *args: np.nan),
+    ("data.stream_determinism", data, "sample_block",
+     lambda spec, rng, count: np.full((count, spec.n), np.nan)),
+    ("metrics.estimator_consistency", metrics, "procrustes_error",
+     lambda *args: np.nan),
+    ("metrics.closed_form_stationarity", metrics, "objective_psp",
+     lambda *args: np.nan),
+    ("metrics.closed_form_optimality", metrics, "objective_psp",
+     lambda *args: np.nan),
+]
+
+
 class TestVerificationSuite:
     def test_filter_selects_checks(self):
         results = run_verification("linalg")
@@ -772,6 +882,14 @@ class TestVerificationSuite:
     def test_check_passes(self, check):
         passed, detail = check()
         assert passed, detail
+
+    @pytest.mark.parametrize("name, module, attr, fake", NAN_MEASUREMENTS,
+                             ids=[case[0] for case in NAN_MEASUREMENTS])
+    def test_nan_measurement_fails(self, monkeypatch, name, module, attr, fake):
+        monkeypatch.setattr(module, attr, fake)
+        [result] = run_verification(name)
+        assert not result.passed, result.detail
+        assert not result.detail.startswith("raised"), result.detail
 
     def test_verify_through_cli_main(self, capsys):
         assert cli.main(["verify", "--filter", "linalg"]) == 0

@@ -307,6 +307,36 @@ class TestFrobenius:
         assert linalg.is_symmetric(10.0 ** exponent * a) == linalg.is_symmetric(a)
 
 
+class TestPredicates:
+    """The one test of each validity rule; NaN and infinity fail them all."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_all_finite(self, bad):
+        a = np.full((2, 3), 1e300)  # finite, though its squares overflow
+        assert linalg.all_finite(a)
+        a[1, 2] = bad
+        assert not linalg.all_finite(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, np.inf, np.nan]),
+                    max_size=4))
+    def test_orderings_match_numpy(self, values):
+        v = np.array(values, dtype=float)
+        finite = bool(np.isfinite(v).all()) and bool((v > 0).all())
+        with np.errstate(invalid="ignore"):
+            d = np.diff(v)
+        assert linalg.is_positive_decreasing(v) == (finite and bool((d < 0).all()))
+        assert linalg.is_positive_nonincreasing(v) == (finite and bool((d <= 0).all()))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_orthonormal(self, bad):
+        q = np.linalg.qr(np.random.default_rng(3).normal(size=(5, 3)))[0]
+        assert linalg.is_orthonormal(q)
+        assert not linalg.is_orthonormal(q + 1e-9)
+        q[4, 0] = bad
+        assert not linalg.is_orthonormal(q)
+
+
 def balanced_matrix(n, seed, log_cond):
     """n x n matrix with singular values spread evenly in log scale from
     10**(-log_cond/2) to 10**(log_cond/2), so that it and its inverse

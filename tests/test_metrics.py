@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcastream import data, linalg, metrics, offline
+from pcastream import data, linalg, metrics, model, offline
 from pcastream.data import RngStream
 from pcastream.errors import DegenerateSpectrumError, ShapeMismatchError
 from pcastream.model import Task, Variant
@@ -41,6 +41,17 @@ class TestGroundTruth:
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             metrics.ground_truth(np.diag([2.0, 1.0]), 2)
+
+    def test_rejects_nan_basis(self):
+        u_k = np.eye(3)[:, :2]
+        u_k[2, 1] = np.nan
+        with pytest.raises(ValueError, match="^u_k columns are not orthonormal"):
+            metrics.GroundTruth(u_k, np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("sigma_k", [[np.inf, 1.0], [np.inf, np.inf]])
+    def test_rejects_infinite_sigma(self, sigma_k):
+        with pytest.raises(ValueError, match="^sigma_k must be"):
+            metrics.GroundTruth(np.eye(3)[:, :2], np.array(sigma_k))
 
 
 class TestEstimateSubspace:
@@ -146,6 +157,13 @@ class TestLateralDiagnostics:
         m = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.4], [0.0, 0.4, 2.0]])
         ratio, _ = metrics.lateral_diagnostics(scale * m)
         assert ratio == pytest.approx(metrics.lateral_diagnostics(m)[0], rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("off, expected", [(0.3, np.inf), (0.0, np.nan)])
+    def test_zero_diagonal_divides_as_floats_do(self, off, expected):
+        ratio, margin = metrics.lateral_diagnostics(np.array([[0.0, off], [off, 0.0]]))
+        assert ratio == expected or (np.isnan(expected) and np.isnan(ratio))
+        assert margin == -model.DIAGONAL_FLOOR
 
 
 class TestObjectives:

@@ -41,6 +41,15 @@ class TestModelState:
         with pytest.raises(ValueError):
             ModelState(m, np.zeros((2, 3)), np.array([1.0, 0.5]), 1.0)
 
+    def test_rejects_scalar_lateral_matrix(self):
+        with pytest.raises(ValueError, match="^inconsistent state shapes$"):
+            ModelState(1.0, np.zeros((1, 3)), np.array([1.0]), 1.0)
+
+    def test_construction_always_checks(self):
+        with pytest.raises(TypeError):
+            ModelState(np.eye(2), np.zeros((2, 3)), np.array([0.5, 1.0]), 1.0,
+                       check=False)
+
     @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_tau(self, tau):
         with pytest.raises(ValueError, match="^tau must be positive and finite$"):
@@ -293,12 +302,12 @@ class TestOverflowGuard:
 
     @staticmethod
     def _plasticity(m, w, x, y, alpha):
-        state = ModelState(m, w, LAM2, 1.0, check=False)
+        state = ModelState._unchecked(m, w, LAM2, 1.0)
         return model.plasticity(state, x, y, alpha, Task.PSP)
 
     @staticmethod
     def _offline(m, w, g, alpha, variant):
-        state = ModelState(m, w, LAM2, 1.0, check=False)
+        state = ModelState._unchecked(m, w, LAM2, 1.0)
         return offline.offline_step(state, g, alpha, Task.PSP, variant)
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack-of-3"])
@@ -444,7 +453,7 @@ def stacked_steps(draw):
     # sum of squares of its finite weights does
     m *= draw(weight_scales)
     w *= draw(weight_scales)
-    state = ModelState(m, w, lam, 0.5, check=False)
+    state = ModelState._unchecked(m, w, lam, 0.5)
     alpha = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 4.0]))
     return (state, rng.normal(size=(b, n)), alpha, draw(st.sampled_from(list(Task))),
             draw(st.sampled_from(list(Variant))))

@@ -104,7 +104,7 @@ def stacked_learners(draw):
     # sum of squares of its finite weights does
     m *= draw(weight_scales)
     w *= draw(weight_scales)
-    state = ModelState(m, w, np.linspace(1.0, 0.6, k), 0.5, check=False)
+    state = ModelState._unchecked(m, w, np.linspace(1.0, 0.6, k), 0.5)
     alpha = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 4.0]))
     return state, a @ a.mT / n, alpha
 
@@ -216,8 +216,8 @@ def reference_jacobian(state, g, task, variant, eps):
         m = np.zeros((k, k))
         m[iu] = vec[k * n:]
         m = m + np.triu(m, 1).T
-        moved = ModelState(m, vec[: k * n].reshape(k, n), state.lam, state.tau,
-                           check=False)
+        moved = ModelState._unchecked(m, vec[: k * n].reshape(k, n), state.lam,
+                                      state.tau)
         dw, dm = offline._averaged_field(moved, g, task, variant)
         return np.concatenate([dw.ravel(), (dm / state.tau)[iu]])
 
@@ -288,6 +288,13 @@ class TestJacobianSpectrum:
         st = fresh_state(pre, Task.PSP)
         with pytest.raises(ValueError, match="fixed point"):
             offline.jacobian_spectrum(st, g, Task.PSP, Variant.EXACT_INVERSE)
+
+    def test_rejects_nan_covariance(self):
+        g, pre = small_covariance(30)
+        fp = offline.construct_fixed_point(g, pre.lam, Task.PSP)
+        g[0, 1] = g[1, 0] = np.nan
+        with pytest.raises(ValueError, match="fixed point"):
+            offline.jacobian_spectrum(fp, g, Task.PSP, Variant.EXACT_INVERSE)
 
 
 class TestRunOffline:
