@@ -20,7 +20,6 @@ from .data import (
     haar_orthogonal,
     large_problem,
     read_dataset,
-    sample,
     sample_block,
     small_problem,
     write_dataset,
@@ -51,7 +50,6 @@ from .model import (
     neural_filter,
     online_step,
     plasticity,
-    split_diag,
 )
 from .offline import (
     construct_fixed_point,
@@ -73,8 +71,8 @@ __all__ = [
     "jacobian_spectrum", "large_problem", "load_config", "neural_filter",
     "objective_psp", "objective_psw", "offline_step", "online_step",
     "parse_config", "plasticity", "procrustes_error", "read_dataset",
-    "run_experiment", "run_offline", "run_verification", "sample",
-    "sample_block", "small_problem", "split_diag", "write_dataset",
+    "run_experiment", "run_offline", "run_verification", "sample_block",
+    "small_problem", "write_dataset",
 ]
 
 

@@ -157,7 +157,8 @@ def check_two_step_equivalence():
     worst = 0.0
     for _ in range(20):
         st = _random_state(rng)
-        d, m_o = model.split_diag(st.m)
+        d = np.diagonal(st.m)
+        m_o = st.m - np.diag(d)
         explicit = (np.eye(st.k) - (m_o / d[:, None])) @ (st.w / d[:, None])
         x = gen.normal(size=st.n)
         y = model.forward(st, x, Variant.ITERATION_FREE)
@@ -315,7 +316,7 @@ def check_stream_determinism():
     pre = data.small_problem()
     spec = pre.draw_covariance(data.RngStream(7, 1))
     rng1 = data.RngStream(9, 2)
-    singles = np.array([data.sample(spec, rng1) for _ in range(8)])
+    singles = np.concatenate([data.sample_block(spec, rng1, 1) for _ in range(8)])
     block = data.sample_block(spec, data.RngStream(9, 2), 8)
     gap = np.abs(singles - block).max()
     if not gap <= 1e-12:
@@ -492,13 +493,13 @@ def check_trial_isolation():
     ok, diverged = True, []
     for text in _MIXED_DIVERGENCE_CONFIGS:
         cfg = harness.parse_config(text)
-        one = harness.run_experiment(cfg, workers=1).comparable()
-        split = harness.run_experiment(cfg, workers=2).comparable()
+        one = harness.run_experiment(cfg, workers=1)
+        split = harness.run_experiment(cfg, workers=2)
         alone = harness.SummaryReport(cfg, [out for i in range(cfg.trials)
                                             for out in harness._run_stack(cfg, [i])])
-        count = sum(status == "diverged" for _, status, _, _ in one["status"])
-        ok &= one == split == alone.comparable() and 0 < count < cfg.trials
-        diverged.append(f"{count} of {cfg.trials} {cfg.mode}")
+        ok &= (one.comparable() == split.comparable() == alone.comparable()
+               and 0 < one.diverged < cfg.trials)
+        diverged.append(f"{one.diverged} of {cfg.trials} {cfg.mode}")
     return ok, (f"one stack, two processes, single-trial stacks: "
                 f"{'identical' if ok else 'differ'}; trials diverged: "
                 f"{', '.join(diverged)}")

@@ -52,7 +52,7 @@ def _cmd_run(args):
         print(f"refusing to overwrite the config {args.config}", file=sys.stderr)
         return 2
     report = harness.run_experiment(config, workers=args.workers)
-    completed = len([t for t in report.trials if t.status == "completed"])
+    completed = len(report.trials) - report.diverged
     for t, e in sorted(report.medians.items()):
         print(f"t={t}  median_e_pro={e:.6e}  (over {completed} trials)")
     if report.diverged:

@@ -93,17 +93,12 @@ def build_covariance(spec):
     return 0.5 * (g + g.T)
 
 
-def sample(spec, rng):
-    """One draw from N(0, G): a block of one."""
-    return sample_block(spec, rng, 1)[0]
-
-
 def sample_block(spec, rng, count):
-    """``count`` consecutive draws as rows.
+    """``count`` consecutive draws from N(0, G), as rows.
 
-    Consumes the same underlying normal draws as ``count`` calls to
-    :func:`sample`; entries agree with those up to the rounding of the
-    batched matrix product.
+    Consumes the same underlying normal draws as ``count`` blocks of one;
+    entries agree with those up to the rounding of the batched matrix
+    product.
     """
     z = rng.generator.standard_normal((count, spec.n))
     return (z * np.sqrt(spec.spectrum)[None, :]) @ spec.rotation.T
@@ -121,8 +116,8 @@ class Constant(StepSchedule):
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not linalg.is_positive_finite(self.alpha):
+            raise ValueError("alpha must be positive and finite")
 
     def rate(self, t):
         return self.alpha
@@ -136,8 +131,9 @@ class InverseTime(StepSchedule):
     offset: float
 
     def __post_init__(self):
-        if self.numerator <= 0 or self.offset <= 0:
-            raise ValueError("numerator and offset must be positive")
+        if not (linalg.is_positive_finite(self.numerator)
+                and linalg.is_positive_finite(self.offset)):
+            raise ValueError("numerator and offset must be positive and finite")
 
     def rate(self, t):
         return self.numerator / (self.offset + t)
@@ -148,7 +144,8 @@ class PiecewiseConstant(StepSchedule):
     """rate(t) = alpha_i for the first threshold with t <= t_i.
 
     ``pieces`` is a sequence of (threshold, alpha); the final threshold
-    may be ``math.inf`` to cover the tail.
+    may be ``math.inf`` to cover the tail. Every rate is positive and
+    finite.
     """
 
     pieces: tuple
@@ -158,11 +155,11 @@ class PiecewiseConstant(StepSchedule):
         object.__setattr__(self, "pieces", pieces)
         if not pieces:
             raise ValueError("pieces must be nonempty")
-        thresholds = [t for t, _ in pieces]
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError("thresholds must be strictly increasing")
-        if any(a <= 0 for _, a in pieces):
-            raise ValueError("rates must be positive")
+        bounds = [-math.inf] + [t for t, _ in pieces]  # NaN fails each comparison
+        if not all(a < b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError("thresholds must be strictly increasing, above -inf")
+        if not all(linalg.is_positive_finite(a) for _, a in pieces):
+            raise ValueError("rates must be positive and finite")
 
     def rate(self, t):
         for threshold, alpha in self.pieces:

@@ -21,7 +21,8 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,24 +104,41 @@ class ExperimentConfig:
         }
 
 
+class EvalPoint(NamedTuple):
+    """One trial's readout at one evaluation point: the Procrustes error
+    and the off-diagonal ratio and floor margin of M (``None`` in reports
+    written before those diagnostics existed)."""
+
+    t: int
+    e_pro: float
+    offdiag_ratio: float = None
+    floor_margin: float = None
+
+
 @dataclass
 class TrialOutcome:
     trial: int
     status: str                  # "completed" or "diverged"
-    rows: list                   # (t, e_pro) pairs, completed trials only
+    points: list = field(default_factory=list)  # EvalPoint, completed trials only
     diverged_at: int = None
     wall_clock_s: float = 0.0
     cause: str = None            # the model error of a diverged trial
-    # (t, off-diagonal ratio, floor margin) per row, completed trials only
-    diagnostics: list = field(default_factory=list)
+
+    @property
+    def rows(self):
+        """The (t, e_pro) pairs of the points."""
+        return [(p.t, p.e_pro) for p in self.points]
+
+
+_TRIAL_KEYS = ("trial", "status", "diverged_at", "cause", "wall_clock_s")
 
 
 @dataclass
 class SummaryReport:
     """Experiment result: the config and each trial's outcome.
 
-    The rows, medians, diverged count and diagnostics are derived from
-    the trials at construction, so they cannot disagree with them.
+    The rows, medians and diverged count are derived from the trials at
+    construction, so they cannot disagree with them.
     """
 
     config: ExperimentConfig
@@ -128,55 +146,37 @@ class SummaryReport:
     rows: list = field(init=False)         # (t, trial, e_pro), sorted
     medians: dict = field(init=False)      # t -> median e_pro over completed trials
     diverged: int = field(init=False)
-    # (t, trial) -> (off-diagonal ratio, floor margin) of M at that row
-    diagnostics: dict = field(init=False)
 
     def __post_init__(self):
         done = [o for o in self.trials if o.status == "completed"]
-        self.rows = sorted(((t, o.trial, e) for o in done for t, e in o.rows),
-                           key=lambda r: r[:2])
-        per_point = {}
-        for t, _, e in self.rows:
-            per_point.setdefault(t, []).append(e)
-        self.medians = {t: float(np.median(es)) for t, es in per_point.items()}
+        # (trial, point) of every completed trial, by (t, trial)
+        self._points = sorted(((o.trial, p) for o in done for p in o.points),
+                              key=lambda r: (r[1].t, r[0]))
+        self.rows = [(p.t, trial, p.e_pro) for trial, p in self._points]
+        self.medians = {t: float(np.median([e for _, _, e in group]))
+                        for t, group in groupby(self.rows, key=lambda r: r[0])}
         self.diverged = len(self.trials) - len(done)
-        self.diagnostics = {(t, o.trial): (ratio, margin)
-                            for o in done for t, ratio, margin in o.diagnostics}
 
     def comparable(self):
-        """Everything except wall-clock, for reproducibility comparisons."""
-        return {
-            "config": self.config.to_json_dict(),
-            "rows": self.rows,
-            "medians": sorted(self.medians.items()),
-            "status": [(t.trial, t.status, t.diverged_at, t.cause)
-                       for t in self.trials],
-            "diagnostics": sorted(self.diagnostics.items()),
-        }
-
-    def _json_row(self, t, trial, e):
-        row = {"t": t, "trial": trial, "e_pro": e}
-        if (t, trial) in self.diagnostics:
-            row["offdiag_ratio"], row["floor_margin"] = self.diagnostics[(t, trial)]
-        return row
+        """The JSON form without each trial's wall-clock time: what two runs
+        of one (config, seed) must agree on."""
+        obj = self.to_json_dict()
+        for trial in obj["trials"]:
+            del trial["wall_clock_s"]
+        return obj
 
     def to_json_dict(self):
         return {
             "config": self.config.to_json_dict(),
-            "rows": [self._json_row(*row) for row in self.rows],
+            # t and the trial, then the fields of the point that are present
+            "rows": [{"t": p.t, "trial": trial, **{
+                key: value for key, value in p._asdict().items() if value is not None}}
+                for trial, p in self._points],
             "medians": [
                 {"t": t, "e_pro": e} for t, e in sorted(self.medians.items())
             ],
-            "trials": [
-                {
-                    "trial": t.trial,
-                    "status": t.status,
-                    "diverged_at": t.diverged_at,
-                    "cause": t.cause,
-                    "wall_clock_s": t.wall_clock_s,
-                }
-                for t in self.trials
-            ],
+            "trials": [{key: getattr(o, key) for key in _TRIAL_KEYS}
+                       for o in self.trials],
             "diverged": self.diverged,
         }
 
@@ -330,7 +330,7 @@ def _decode(raw):
     _require(metrics.leading_separated(spectrum, k),
              f"leading k+1 spectrum values must differ by more than "
              f"{metrics.GAP_FLOOR:g}")
-    _require(model.valid_tau(tau), "tau must be positive")
+    _require(linalg.is_positive_finite(tau), "tau must be positive")
     _require(m_init > 0, "m_init must be positive")
     _require(w_init_std > 0, "w_init_std must be positive")
 
@@ -411,7 +411,7 @@ class _Trial:
         self.g = data.build_covariance(self.spec)
         self.truth = metrics.ground_truth(self.g, config.k)
         self.initial = _initial_state(config, self.rng.generator)
-        self.outcome = TrialOutcome(index, "completed", [])
+        self.outcome = TrialOutcome(index, "completed")
 
     def record(self, t, state):
         """Evaluate a snapshot at t; False if a model error, or a readout
@@ -431,13 +431,13 @@ class _Trial:
         except MODEL_ERRORS as exc:
             self.diverge(t, exc)
             return False
-        self.outcome.rows.append((t, e_pro))
-        self.outcome.diagnostics.append((t, *metrics.lateral_diagnostics(state.m)))
+        self.outcome.points.append(
+            EvalPoint(t, e_pro, *metrics.lateral_diagnostics(state.m)))
         return True
 
     def diverge(self, t, exc):
         """End the trial at t; a diverged trial keeps no rows."""
-        self.outcome = TrialOutcome(self.index, "diverged", [], t,
+        self.outcome = TrialOutcome(self.index, "diverged", diverged_at=t,
                                     cause=f"{type(exc).__name__}: {exc}")
 
 
@@ -531,7 +531,7 @@ def emit_report(report, fmt, path):
         for t, trial, e in report.rows:
             fh.write(f"{t},{trial},{_fmt(e)}\n")
     summary_path = _summary_path(path)
-    completed = len([o for o in report.trials if o.status == "completed"])
+    completed = len(report.trials) - report.diverged
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("t,e_pro_median,completed_trials,diverged_trials\n")
         for t, e in sorted(report.medians.items()):
@@ -574,26 +574,24 @@ def _trial_from_json(r, t_max):
 
 
 def _attach_rows(rows, trials, points):
-    """Give each completed trial its JSON rows, with their diagnostics
-    where present (reports written before them have none); a completed
-    trial has exactly one row at each evaluation point."""
+    """Give each completed trial one point per JSON row, with its
+    diagnostics where present (reports written before them have none); a
+    completed trial has exactly one row at each evaluation point."""
     completed = {out.trial: out for out in trials if out.status == "completed"}
     for r in rows:
         t, trial = _int(r["t"]), _int(r["trial"])
         _require(trial in completed,
                  f"row (t={t}, trial={trial}) is not of a completed trial")
-        completed[trial].rows.append((t, _number(r["e_pro"])))
-        if "offdiag_ratio" in r or "floor_margin" in r:
-            completed[trial].diagnostics.append(
-                (t, _number(r["offdiag_ratio"]), _number(r["floor_margin"])))
-    for out in trials:
-        if out.status == "completed":
-            out.rows.sort()
-            out.diagnostics.sort()
-            have = [t for t, _ in out.rows]
-            _require(len(set(have)) == len(have), "more than one row for a (t, trial)")
-            _require(have == list(points), f"trial {out.trial} has rows at t={have}, "
-                     f"not at the evaluation points {list(points)}")
+        e_pro = _number(r["e_pro"])
+        diagnostics = ((_number(r["offdiag_ratio"]), _number(r["floor_margin"]))
+                       if "offdiag_ratio" in r or "floor_margin" in r else ())
+        completed[trial].points.append(EvalPoint(t, e_pro, *diagnostics))
+    for out in completed.values():
+        out.points.sort(key=lambda p: p.t)
+        have = [p.t for p in out.points]
+        _require(len(set(have)) == len(have), "more than one row for a (t, trial)")
+        _require(have == list(points), f"trial {out.trial} has rows at t={have}, "
+                 f"not at the evaluation points {list(points)}")
 
 
 def report_from_json(path):

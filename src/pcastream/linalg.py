@@ -38,18 +38,24 @@ def check_finite(a, name="array"):
     return a
 
 
+def is_positive_finite(x):
+    """Whether the number x is positive and finite: a time-constant ratio,
+    a learning rate or a schedule's offset. NaN fails."""
+    return 0 < x < math.inf
+
+
 def is_positive_decreasing(v):
     """Whether the entries of the vector v are finite and positive and each
     is below the one before: a gain, or root-eigenvalues. NaN fails."""
     v = v.tolist()
-    return all(0 < a < math.inf for a in v) and all(b < a for a, b in zip(v, v[1:]))
+    return all(map(is_positive_finite, v)) and all(b < a for a, b in zip(v, v[1:]))
 
 
 def is_positive_nonincreasing(v):
     """Whether the entries of the vector v are finite and positive and none
     is above the one before: a spectrum. NaN fails."""
     v = v.tolist()
-    return all(0 < a < math.inf for a in v) and all(b <= a for a, b in zip(v, v[1:]))
+    return all(map(is_positive_finite, v)) and all(b <= a for a, b in zip(v, v[1:]))
 
 
 def is_orthonormal(q):

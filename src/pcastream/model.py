@@ -83,7 +83,7 @@ class ModelState:
             raise DegenerateDiagonalError("lateral diagonal not strictly positive")
         if not linalg.is_positive_decreasing(lam):
             raise ValueError("gain entries must be strictly decreasing and positive")
-        if not valid_tau(tau):
+        if not linalg.is_positive_finite(tau):
             raise ValueError("tau must be positive and finite")
         self.m, self.w, self.lam, self.tau = m, w, lam, tau
         self.targets = _gain_targets(lam)
@@ -126,11 +126,6 @@ class ModelState:
         return f"ModelState(k={self.k}, n={self.n}, tau={self.tau})"
 
 
-def valid_tau(tau):
-    """Whether the time-constant ratio tau is positive and finite; NaN is not."""
-    return 0 < tau < math.inf
-
-
 def outside_horizon(points, t_max):
     """The points outside [1, t_max], sorted: a run never reaches them."""
     return sorted(t for t in points if not 1 <= t <= t_max)
@@ -144,21 +139,6 @@ def _gain_targets(lam):
     square = np.diag(lam * lam)
     outer.flags.writeable = square.flags.writeable = False
     return outer, square
-
-
-def split_diag(m):
-    """Split a square matrix into its diagonal and off-diagonal parts.
-
-    Returns (d, m_o) where d is the diagonal as a vector and m_o is m
-    with the diagonal zeroed, so that ``np.diag(d) + m_o == m`` exactly.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected square matrix")
-    d = np.diagonal(m).copy()
-    m_o = m.copy()
-    np.fill_diagonal(m_o, 0.0)
-    return d, m_o
 
 
 def _lateral_solve(m, b, variant):
@@ -243,8 +223,8 @@ def _apply_update(state, dw, dm, alpha):
     divergence (:func:`linalg.all_finite`, so finite weights whose
     squares overflow still pass).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0 <= alpha < math.inf:  # an input error, not a divergence
+        raise ValueError("alpha must be nonnegative and finite")
     dw *= alpha
     w = np.add(state.w, dw, out=dw)
     dm *= alpha / state.tau

@@ -119,7 +119,7 @@ class TestSampling:
         pre = data.small_problem()
         spec = pre.draw_covariance(RngStream(7))
         rng = RngStream(8)
-        singles = np.array([data.sample(spec, rng) for _ in range(16)])
+        singles = np.concatenate([data.sample_block(spec, rng, 1) for _ in range(16)])
         block = data.sample_block(spec, RngStream(8), 16)
         assert np.abs(singles - block).max() < 1e-12
 
@@ -154,6 +154,23 @@ class TestSchedules:
             PiecewiseConstant(((100.0, 1e-2), (50.0, 1e-3)))
         with pytest.raises(ValueError):
             PiecewiseConstant(())
+
+    @pytest.mark.parametrize("build", [
+        lambda: Constant(math.nan),
+        lambda: Constant(math.inf),
+        lambda: InverseTime(math.nan, 1.0),
+        lambda: InverseTime(1.0, math.inf),
+        lambda: PiecewiseConstant(((100.0, math.nan), (math.inf, 1e-3))),
+        lambda: PiecewiseConstant(((100.0, 1e-2), (math.inf, math.inf))),
+        lambda: PiecewiseConstant(((math.nan, 0.1), (math.inf, 0.2))),
+        lambda: PiecewiseConstant(((math.nan, 0.1),)),
+        lambda: PiecewiseConstant(((-math.inf, 0.1), (math.inf, 0.2))),
+    ], ids=["constant-nan", "constant-inf", "numerator-nan", "offset-inf",
+            "piece-rate-nan", "piece-rate-inf", "threshold-nan",
+            "only-threshold-nan", "threshold-minus-inf"])
+    def test_non_finite_fields_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestPresets:

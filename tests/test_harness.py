@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -181,7 +182,8 @@ def tiny_report(cfg):
     """The JSON form of a one-trial report of ``cfg``: e_pro 0.5 at each
     evaluation point."""
     return harness.SummaryReport(cfg, [harness.TrialOutcome(
-        0, "completed", [(t, 0.5) for t in cfg.eval_points()])]).to_json_dict()
+        0, "completed", [harness.EvalPoint(t, 0.5) for t in cfg.eval_points()])]
+    ).to_json_dict()
 
 
 def report_objects():
@@ -238,6 +240,36 @@ class TestConfigRulesMatchConstructors:
             accepted = True
         spec = lambda: data.CovarianceSpec(n, np.eye(n), np.array(spectrum))
         assert accepted == _accepts(spec)
+
+    # any float: json writes NaN and the infinities as NaN and Infinity,
+    # which the decoder reads and then rejects
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats())
+    def test_tau(self, tau):
+        text = custom_config(tau=tau)
+        state = lambda: ModelState(np.eye(2), np.zeros((2, 4)), [1.0, 0.8], tau)
+        assert _accepts(lambda: harness.parse_config(text)) == _accepts(state)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(), st.floats() | st.sampled_from([0.0, 0.1, 1.0]))
+    @example(math.inf, 0.1)
+    @example(-math.inf, 0.1)
+    @example(math.nan, 0.1)
+    @example(0.1, math.nan)
+    @example(0.1, math.inf)
+    def test_schedules(self, a, b):
+        # a config spells an infinite threshold, the open tail, as null
+        threshold = None if a == math.inf else a
+        for schedule, build in [
+                ({"kind": "constant", "alpha": a}, lambda: data.Constant(a)),
+                ({"kind": "inverse_time", "numerator": a, "offset": b},
+                 lambda: data.InverseTime(a, b)),
+                ({"kind": "piecewise", "pieces": [[threshold, b], [None, 0.1]]},
+                 lambda: data.PiecewiseConstant(((a, b), (math.inf, 0.1)))),
+                ({"kind": "piecewise", "pieces": [[1.0, 0.1], [threshold, b]]},
+                 lambda: data.PiecewiseConstant(((1.0, 0.1), (a, b))))]:
+            text = custom_config(schedule=schedule)
+            assert _accepts(lambda: harness.parse_config(text)) == _accepts(build)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 3), st.lists(st.integers(-1, 4), max_size=3))
@@ -634,8 +666,8 @@ class TestEmitReport:
         assert [(r["offdiag_ratio"], r["floor_margin"]) for r in rows] == [
             (0.0, 1.0 - 1e-12)] * 2
         back = harness.report_from_json(path)
-        assert back.diagnostics == report.diagnostics
-        assert len(back.diagnostics) == 2
+        assert [o.points for o in back.trials] == [o.points for o in report.trials]
+        assert [p.offdiag_ratio for o in back.trials for p in o.points] == [0.0] * 2
 
     def test_json_report_without_diagnostics_loads(self, tmp_path):
         report = self._report(trials=2)
@@ -646,7 +678,39 @@ class TestEmitReport:
         path.write_text(json.dumps(obj))
         back = harness.report_from_json(path)
         assert back.rows == report.rows
-        assert back.diagnostics == {}
+        assert {(p.offdiag_ratio, p.floor_margin)
+                for o in back.trials for p in o.points} == {(None, None)}
+
+    def test_rows_keep_the_shapes_the_benchmark_reads(self):
+        # perfbench unpacks a trial's rows as (t, e_pro) and a report's as
+        # (t, trial, e_pro)
+        report = self._report(trials=2, checkpoints=[100, 200])
+        for out in report.trials:
+            assert [t for t, _ in out.rows] == [100, 200]
+            assert out.rows == [(p.t, p.e_pro) for p in out.points]
+        assert report.rows == [(t, out.trial, e) for t in (100, 200)
+                               for out in report.trials for tt, e in out.rows if tt == t]
+        assert all(len(row) == 3 for row in report.rows)
+
+    @pytest.mark.parametrize("kind", ["diagnostics", "no-diagnostics", "diverged"])
+    def test_json_reemission_is_byte_identical(self, tmp_path, kind):
+        if kind == "diverged":
+            report = harness.run_experiment(harness.parse_config(custom_config(
+                task="psw", variant="iteration_free", trials=8, seed=1, t_max=200,
+                schedule={"kind": "constant", "alpha": 0.2})))
+            assert 0 < report.diverged < 8
+        else:
+            report = self._report(trials=3)
+        path = tmp_path / "in.json"
+        harness.emit_report(report, "json", path)
+        if kind == "no-diagnostics":  # as written before diagnostics existed
+            obj = json.loads(path.read_text())
+            for row in obj["rows"]:
+                del row["offdiag_ratio"], row["floor_margin"]
+            path.write_text(json.dumps(obj, indent=2) + "\n")
+        again = tmp_path / "again.json"
+        harness.emit_report(harness.report_from_json(path), "json", again)
+        assert again.read_bytes() == path.read_bytes()
 
     def _edited_report(self, tmp_path, edit, trials=2):
         obj = self._report(trials=trials).to_json_dict()
@@ -807,7 +871,7 @@ class TestEmitReport:
         assert back.comparable() == report.comparable()
 
         def fields(trials):
-            return [(o.trial, o.status, o.diverged_at, o.cause, o.rows, o.diagnostics)
+            return [(o.trial, o.status, o.diverged_at, o.cause, o.points)
                     for o in trials]
         assert fields(back.trials) == fields(report.trials)
 

@@ -80,24 +80,6 @@ class TestModelState:
         assert st.m[0, 0] != cp.m[0, 0]
 
 
-class TestSplitDiag:
-    def test_diagonal_input(self):
-        d, m_o = model.split_diag(np.diag([1.0, 2.0]))
-        assert np.array_equal(d, [1.0, 2.0])
-        assert not m_o.any()
-
-    def test_mixed_input(self):
-        d, m_o = model.split_diag(np.array([[1.0, 3.0], [3.0, 2.0]]))
-        assert np.array_equal(d, [1.0, 2.0])
-        assert np.array_equal(m_o, [[0.0, 3.0], [3.0, 0.0]])
-
-    def test_roundtrip_bit_exact(self):
-        rng = np.random.default_rng(12)
-        m = rng.normal(size=(10, 10))
-        d, m_o = model.split_diag(m)
-        assert np.array_equal(np.diag(d) + m_o, m)
-
-
 class TestApproxInverse:
     def test_diagonal_exact(self):
         out = model.approx_inverse(np.diag([2.0, 4.0]))
@@ -164,7 +146,8 @@ class TestForward:
     def test_two_step_matches_assembled_filter(self):
         for seed in range(5):
             st = random_state(seed)
-            d, m_o = model.split_diag(st.m)
+            d = np.diagonal(st.m)
+            m_o = st.m - np.diag(d)
             filt = (np.eye(3) - m_o / d[:, None]) @ (st.w / d[:, None])
             x = np.random.default_rng(seed).normal(size=10)
             y = model.forward(st, x, Variant.ITERATION_FREE)
@@ -207,10 +190,12 @@ class TestPlasticity:
             assert np.array_equal(new.w, st.w)
             assert np.array_equal(new.m, st.m)
 
-    def test_negative_step_rejected(self):
+    @pytest.mark.parametrize("alpha", [-0.1, np.nan, np.inf])
+    def test_bad_step_rejected(self, alpha):
+        # an input error, not a divergence: no model error, and no warning
         st = random_state(18)
-        with pytest.raises(ValueError):
-            model.plasticity(st, np.ones(10), np.ones(3), -0.1, Task.PSP)
+        with pytest.raises(ValueError, match="^alpha must be nonnegative and finite$"):
+            model.plasticity(st, np.ones(10), np.ones(3), alpha, Task.PSP)
 
     def test_diagonal_floor_guard(self):
         # a large step with output only on the first axis drives the second
