@@ -18,7 +18,6 @@ acceptance criteria at their own.
 import functools
 import json
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +32,14 @@ def pair_label(task, variant):
     return ("if" if variant is Variant.ITERATION_FREE else "") + task.name
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    seconds: float
-    detail: str = ""
+    __slots__ = ("name", "passed", "seconds", "detail")
+
+    def __init__(self, name, passed, seconds, detail=""):
+        self.name = name
+        self.passed = passed
+        self.seconds = seconds
+        self.detail = detail
 
 
 def _worst(*values):

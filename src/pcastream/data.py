@@ -7,7 +7,6 @@ plain-text dataset format (one comma-separated vector per line).
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,17 +48,15 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
-@dataclass
 class CovarianceSpec:
     """Population covariance G = rotation @ diag(spectrum) @ rotation.T."""
 
-    n: int
-    rotation: np.ndarray
-    spectrum: np.ndarray
+    __slots__ = ("n", "rotation", "spectrum")
 
-    def __post_init__(self):
-        self.rotation = np.asarray(self.rotation, dtype=float)
-        self.spectrum = np.asarray(self.spectrum, dtype=float)
+    def __init__(self, n, rotation, spectrum):
+        self.n = n
+        self.rotation = np.asarray(rotation, dtype=float)
+        self.spectrum = np.asarray(spectrum, dtype=float)
         if self.rotation.shape != (self.n, self.n) or self.spectrum.shape != (self.n,):
             raise ValueError("rotation/spectrum shapes do not match n")
         if not linalg.is_orthonormal(self.rotation):
@@ -105,41 +102,72 @@ def sample_block(spec, rng, count):
 
 
 class StepSchedule:
-    """Learning rate as a function of the 1-based iteration index."""
+    """Learning rate as a function of the 1-based iteration index.
+
+    A schedule is an immutable value: schedules of one type with equal
+    fields are equal and hash alike, and the repr names the fields, as in
+    ``Constant(alpha=0.1)``. A subclass lists its fields in ``__slots__``
+    and sets each once, in ``__init__``, by ``object.__setattr__``.
+    """
+
+    __slots__ = ()
 
     def rate(self, t):
         raise NotImplementedError
 
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickling rebuilds through __init__
+        return type(self), self._fields()
+
+
 class Constant(StepSchedule):
-    alpha: float
+    __slots__ = ("alpha",)
 
-    def __post_init__(self):
-        if not linalg.is_positive_finite(self.alpha):
+    def __init__(self, alpha):
+        if not linalg.is_positive_finite(alpha):
             raise ValueError("alpha must be positive and finite")
+        object.__setattr__(self, "alpha", alpha)
 
     def rate(self, t):
         return self.alpha
 
 
-@dataclass(frozen=True)
 class InverseTime(StepSchedule):
     """rate(t) = numerator / (offset + t)."""
 
-    numerator: float
-    offset: float
+    __slots__ = ("numerator", "offset")
 
-    def __post_init__(self):
-        if not (linalg.is_positive_finite(self.numerator)
-                and linalg.is_positive_finite(self.offset)):
+    def __init__(self, numerator, offset):
+        if not (linalg.is_positive_finite(numerator)
+                and linalg.is_positive_finite(offset)):
             raise ValueError("numerator and offset must be positive and finite")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "offset", offset)
 
     def rate(self, t):
         return self.numerator / (self.offset + t)
 
 
-@dataclass(frozen=True)
 class PiecewiseConstant(StepSchedule):
     """rate(t) = alpha_i for the first threshold with t <= t_i.
 
@@ -148,11 +176,10 @@ class PiecewiseConstant(StepSchedule):
     finite.
     """
 
-    pieces: tuple
+    __slots__ = ("pieces",)
 
-    def __post_init__(self):
-        pieces = tuple((float(t), float(a)) for t, a in self.pieces)
-        object.__setattr__(self, "pieces", pieces)
+    def __init__(self, pieces):
+        pieces = tuple((float(t), float(a)) for t, a in pieces)
         if not pieces:
             raise ValueError("pieces must be nonempty")
         bounds = [-math.inf] + [t for t, _ in pieces]  # NaN fails each comparison
@@ -160,6 +187,7 @@ class PiecewiseConstant(StepSchedule):
             raise ValueError("thresholds must be strictly increasing, above -inf")
         if not all(linalg.is_positive_finite(a) for _, a in pieces):
             raise ValueError("rates must be positive and finite")
+        object.__setattr__(self, "pieces", pieces)
 
     def rate(self, t):
         for threshold, alpha in self.pieces:
@@ -168,24 +196,30 @@ class PiecewiseConstant(StepSchedule):
         return self.pieces[-1][1]
 
 
-@dataclass
 class ProblemPreset:
     """Named problem: covariance spectrum plus all learner settings.
 
     The rotation of the covariance is not part of the preset; it is drawn
-    per trial (or once, if a fixed rotation is requested).
+    per trial (or once, if a fixed rotation is requested). ``tau`` and
+    ``m_init`` (the scale of the identity initialization) map each Task to
+    a float, ``online_schedule`` each Task to a StepSchedule.
     """
 
-    name: str
-    n: int
-    k: int
-    spectrum: np.ndarray
-    lam: np.ndarray
-    tau: dict            # Task -> float
-    m_init: dict         # Task -> scale of the identity initialization
-    w_init_std: float
-    online_schedule: dict  # Task -> StepSchedule
-    offline_schedule: StepSchedule = field(default_factory=lambda: Constant(0.1))
+    __slots__ = ("name", "n", "k", "spectrum", "lam", "tau", "m_init",
+                 "w_init_std", "online_schedule", "offline_schedule")
+
+    def __init__(self, name, n, k, spectrum, lam, tau, m_init, w_init_std,
+                 online_schedule, offline_schedule=Constant(0.1)):
+        self.name = name
+        self.n = n
+        self.k = k
+        self.spectrum = spectrum
+        self.lam = lam
+        self.tau = tau
+        self.m_init = m_init
+        self.w_init_std = w_init_std
+        self.online_schedule = online_schedule
+        self.offline_schedule = offline_schedule  # a schedule is immutable: shared safely
 
     def covariance_spec(self, rotation):
         return CovarianceSpec(self.n, rotation, self.spectrum)

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from typing import NamedTuple
 
@@ -53,29 +52,36 @@ _KNOWN_KEYS = {
 _DEFAULT_T_MAX = {"online": 10000, "offline": 1000}
 
 
-@dataclass
 class ExperimentConfig:
     """Fully resolved experiment description (preset constants expanded)."""
 
-    task: Task
-    variant: Variant
-    mode: str
-    preset: str
-    n: int
-    k: int
-    lam: np.ndarray
-    tau: float
-    schedule: object
-    spectrum: np.ndarray
-    m_init: float
-    w_init_std: float
-    t_max: int
-    checkpoints: tuple
-    trials: int
-    seed: int
-    fixed_rotation: bool = False
-    workers: int = 1
-    output_path: str = None
+    __slots__ = ("task", "variant", "mode", "preset", "n", "k", "lam", "tau",
+                 "schedule", "spectrum", "m_init", "w_init_std", "t_max",
+                 "checkpoints", "trials", "seed", "fixed_rotation", "workers",
+                 "output_path")
+
+    def __init__(self, task, variant, mode, preset, n, k, lam, tau, schedule,
+                 spectrum, m_init, w_init_std, t_max, checkpoints, trials, seed,
+                 fixed_rotation=False, workers=1, output_path=None):
+        self.task = task
+        self.variant = variant
+        self.mode = mode
+        self.preset = preset
+        self.n = n
+        self.k = k
+        self.lam = lam
+        self.tau = tau
+        self.schedule = schedule
+        self.spectrum = spectrum
+        self.m_init = m_init
+        self.w_init_std = w_init_std
+        self.t_max = t_max
+        self.checkpoints = checkpoints
+        self.trials = trials
+        self.seed = seed
+        self.fixed_rotation = fixed_rotation
+        self.workers = workers
+        self.output_path = output_path
 
     def eval_points(self):
         return tuple(sorted(set(self.checkpoints) | {self.t_max}))
@@ -115,14 +121,21 @@ class EvalPoint(NamedTuple):
     floor_margin: float = None
 
 
-@dataclass
 class TrialOutcome:
-    trial: int
-    status: str                  # "completed" or "diverged"
-    points: list = field(default_factory=list)  # EvalPoint, completed trials only
-    diverged_at: int = None
-    wall_clock_s: float = 0.0
-    cause: str = None            # the model error of a diverged trial
+    """One trial's result: its status, "completed" or "diverged"; the
+    EvalPoints of a completed trial (a fresh list unless ``points`` is
+    given); and the iteration and model error that ended a diverged one."""
+
+    __slots__ = ("trial", "status", "points", "diverged_at", "wall_clock_s", "cause")
+
+    def __init__(self, trial, status, points=None, diverged_at=None,
+                 wall_clock_s=0.0, cause=None):
+        self.trial = trial
+        self.status = status
+        self.points = [] if points is None else points
+        self.diverged_at = diverged_at
+        self.wall_clock_s = wall_clock_s
+        self.cause = cause
 
     @property
     def rows(self):
@@ -133,21 +146,20 @@ class TrialOutcome:
 _TRIAL_KEYS = ("trial", "status", "diverged_at", "cause", "wall_clock_s")
 
 
-@dataclass
 class SummaryReport:
-    """Experiment result: the config and each trial's outcome.
+    """Experiment result: the config and each trial's outcome (TrialOutcome,
+    by trial index).
 
-    The rows, medians and diverged count are derived from the trials at
-    construction, so they cannot disagree with them.
+    The rows ((t, trial, e_pro), sorted), the medians (t -> median e_pro
+    over completed trials) and the diverged count are derived from the
+    trials at construction, so they cannot disagree with them.
     """
 
-    config: ExperimentConfig
-    trials: list                 # TrialOutcome, by trial index
-    rows: list = field(init=False)         # (t, trial, e_pro), sorted
-    medians: dict = field(init=False)      # t -> median e_pro over completed trials
-    diverged: int = field(init=False)
+    __slots__ = ("config", "trials", "rows", "medians", "diverged", "_points")
 
-    def __post_init__(self):
+    def __init__(self, config, trials):
+        self.config = config
+        self.trials = trials
         done = [o for o in self.trials if o.status == "completed"]
         # (trial, point) of every completed trial, by (t, trial)
         self._points = sorted(((o.trial, p) for o in done for p in o.points),

@@ -9,7 +9,6 @@ is inverted exactly or through its near-diagonal approximation.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +25,20 @@ def leading_separated(values, k):
     return bool((-np.diff(values[: k + 1]) > GAP_FLOOR).all())
 
 
-@dataclass
 class GroundTruth:
     """Leading eigenvectors (columns of u_k) and root-eigenvalues of G."""
 
-    u_k: np.ndarray
-    sigma_k: np.ndarray
+    __slots__ = ("u_k", "sigma_k")
 
-    def __post_init__(self):
-        k = self.u_k.shape[1]
-        if self.sigma_k.shape != (k,):
+    def __init__(self, u_k, sigma_k):
+        self.u_k = u_k
+        self.sigma_k = sigma_k
+        k = u_k.shape[1]
+        if sigma_k.shape != (k,):
             raise ShapeMismatchError("sigma_k length does not match u_k")
-        if not linalg.is_orthonormal(self.u_k):
+        if not linalg.is_orthonormal(u_k):
             raise ValueError("u_k columns are not orthonormal within 1e-10")
-        if not linalg.is_positive_decreasing(self.sigma_k):
+        if not linalg.is_positive_decreasing(sigma_k):
             raise ValueError("sigma_k must be strictly decreasing and positive")
 
 

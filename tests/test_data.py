@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -171,6 +173,49 @@ class TestSchedules:
     def test_non_finite_fields_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+    def test_value_semantics(self):
+        """Equal by type and fields, hashed alike, and shown by field."""
+        assert Constant(0.1) == Constant(0.1)
+        assert Constant(0.1) != InverseTime(10.0, 250.0)
+        assert Constant(0.1) != Constant(0.2)
+        assert InverseTime(10.0, 250.0) != InverseTime(10.0, 251.0)
+        pieces = ((100.0, 1e-2), (math.inf, 1e-3))
+        assert PiecewiseConstant(list(pieces)) == PiecewiseConstant(pieces)
+        for a, b in [(Constant(0.1), Constant(0.1)),
+                     (InverseTime(10.0, 250.0), InverseTime(10.0, 250.0)),
+                     (PiecewiseConstant(pieces), PiecewiseConstant(pieces))]:
+            assert hash(a) == hash(b)
+        assert len({Constant(0.1), Constant(0.1), InverseTime(10.0, 250.0)}) == 2
+        assert repr(Constant(0.1)) == "Constant(alpha=0.1)"
+        assert repr(InverseTime(10.0, 250.0)) == "InverseTime(numerator=10.0, offset=250.0)"
+        assert (repr(PiecewiseConstant(((100, 0.01), (math.inf, 0.001))))
+                == "PiecewiseConstant(pieces=((100.0, 0.01), (inf, 0.001)))")
+
+    @pytest.mark.parametrize("sched, name", [
+        (Constant(0.1), "alpha"),
+        (InverseTime(10.0, 250.0), "offset"),
+        (PiecewiseConstant(((math.inf, 0.1),)), "pieces"),
+    ])
+    def test_immutable(self, sched, name):
+        with pytest.raises(AttributeError):
+            setattr(sched, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(sched, name)
+        with pytest.raises(AttributeError):
+            sched.extra = 1.0
+        assert getattr(sched, name) != 1.0
+
+    @pytest.mark.parametrize("sched", [
+        Constant(0.1),
+        InverseTime(10.0, 250.0),
+        PiecewiseConstant(((100.0, 1e-2), (math.inf, 1e-3))),
+    ])
+    def test_pickle_and_copy_round_trip(self, sched):
+        """The process pool pickles each config's schedule."""
+        for back in (pickle.loads(pickle.dumps(sched)), copy.copy(sched),
+                     copy.deepcopy(sched)):
+            assert type(back) is type(sched) and back == sched
 
 
 class TestPresets:

@@ -692,6 +692,12 @@ class TestEmitReport:
                                for out in report.trials for tt, e in out.rows if tt == t]
         assert all(len(row) == 3 for row in report.rows)
 
+    def test_each_outcome_owns_its_points(self):
+        # a trial's record appends to its outcome's points in place
+        a, b = harness.TrialOutcome(0, "completed"), harness.TrialOutcome(0, "completed")
+        a.points.append(harness.EvalPoint(1, 0.5))
+        assert a.points is not b.points and b.points == []
+
     @pytest.mark.parametrize("kind", ["diagnostics", "no-diagnostics", "diverged"])
     def test_json_reemission_is_byte_identical(self, tmp_path, kind):
         if kind == "diverged":
