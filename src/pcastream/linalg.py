@@ -169,7 +169,7 @@ def lu_factor(a):
     :func:`frobenius`, so the decision holds at any scale of a, and the
     first matrix over the threshold is named by its condition number.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.ascontiguousarray(a, dtype=float)  # a view of M is copied once, not per dot
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeMismatchError("expected square matrix")
     try:

@@ -11,7 +11,7 @@ is kept as the reference learner.
 
 The online kernels (``forward``, ``plasticity``, ``online_step`` and the
 helpers they call) also take a stack of B independent learners that
-share the gain and time constant: W of shape B x K x N, M of B x K x K
+share the gain and time constant: ``[W | M]`` of shape B x K x (N + K)
 and one input per learner, B x N. Every operation acts on each slice
 alone, with the same arithmetic as on a single learner, so each slice of
 a stacked result equals the single-learner result bit for bit; a check
@@ -56,13 +56,14 @@ class ModelState:
     lam -- diagonal gain, length K, strictly decreasing positive
     tau -- time-constant ratio between the M and W updates, finite, > 0
 
-    A state carries the read-only gain constants ``(lam lam',
-    diag(lam**2))`` of the lateral targets, built once from lam. Stacks
-    (B x K x K and B x K x N) and states made from valid ones come from
-    :meth:`_unchecked`.
+    The weights are one C-contiguous ``wm = [W | M]``, K x (N + K) or B x
+    K x (N + K), with views ``w`` and ``m``; ``coefs`` holds the update
+    constants (:class:`_Coefficients`). An updated state's wm is read-only
+    and its ``diag`` is M's diagonal as the update tested it (else None).
+    Stacks and states made from valid ones come from :meth:`_unchecked`.
     """
 
-    __slots__ = ("m", "w", "lam", "tau", "targets")
+    __slots__ = ("wm", "w", "m", "lam", "tau", "coefs", "diag")
 
     def __init__(self, m, w, lam, tau):
         m = np.array(m, dtype=float)
@@ -85,17 +86,18 @@ class ModelState:
             raise ValueError("gain entries must be strictly decreasing and positive")
         if not linalg.is_positive_finite(tau):
             raise ValueError("tau must be positive and finite")
-        self.m, self.w, self.lam, self.tau = m, w, lam, tau
-        self.targets = _gain_targets(lam)
+        self._set(np.concatenate((w, m), axis=1), lam, tau)
+
+    def _set(self, wm, lam, tau, coefs=None, diag=None):
+        n = wm.shape[-1] - wm.shape[-2]
+        self.wm, self.w, self.m, self.lam, self.tau = wm, wm[..., :n], wm[..., n:], lam, tau
+        self.coefs, self.diag = _Coefficients(lam, n) if coefs is None else coefs, diag
+        return self
 
     @classmethod
-    def _unchecked(cls, m, w, lam, tau, targets=None):
-        """A state or stack taken as given: valid by construction, with
-        the ``targets`` of its source, or invalid on purpose in a test."""
-        state = cls.__new__(cls)
-        state.m, state.w, state.lam, state.tau = m, w, lam, tau
-        state.targets = _gain_targets(lam) if targets is None else targets
-        return state
+    def _unchecked(cls, wm, lam, tau, coefs=None, diag=None):
+        """A state or stack taken as given: valid by construction, or a test's."""
+        return cls.__new__(cls)._set(wm, lam, tau, coefs, diag)
 
     @property
     def k(self):
@@ -109,18 +111,15 @@ class ModelState:
     def stack(cls, states):
         """One stack of learners that share the gain and time constant."""
         first = states[0]
-        return cls._unchecked(np.stack([s.m for s in states]),
-                              np.stack([s.w for s in states]),
-                              first.lam, first.tau, first.targets)
+        return cls._unchecked(np.stack([s.wm for s in states]), first.lam, first.tau,
+                              first.coefs)
 
     def __getitem__(self, index):
         """Learner ``index`` of a stack, or the sub-stack of an index list."""
-        return self._unchecked(self.m[index], self.w[index], self.lam, self.tau,
-                               self.targets)
+        return self._unchecked(self.wm[index], self.lam, self.tau, self.coefs)
 
     def copy(self):
-        return self._unchecked(self.m.copy(), self.w.copy(), self.lam.copy(),
-                               self.tau, self.targets)
+        return self._unchecked(self.wm.copy(), self.lam.copy(), self.tau, self.coefs)
 
     def __repr__(self):
         return f"ModelState(k={self.k}, n={self.n}, tau={self.tau})"
@@ -131,17 +130,39 @@ def outside_horizon(points, t_max):
     return sorted(t for t in points if not 1 <= t <= t_max)
 
 
-def _gain_targets(lam):
-    """``(lam lam', diag(lam**2))``, read-only: the entrywise gain of the
-    projection target ``(lam lam') * M`` and the whitening target. Both
-    are exactly symmetric, so neither target breaks the symmetry of M."""
-    outer = np.multiply.outer(lam, lam)
-    square = np.diag(lam * lam)
-    outer.flags.writeable = square.flags.writeable = False
-    return outer, square
+class _Coefficients(dict):
+    """The read-only constants of the update of ``[W | M]``, shared by
+    every state made from the first: ``coefs[wm.shape]``, built on first
+    use and shaped like wm so that no update broadcasts, is ``(psp, psw,
+    square, columns)``: ``C = psp = [1 | lam lam']`` for projection, ``C
+    = psw = [1 | 0]`` and ``S = square = [-0 | diag(lam**2)]`` for
+    whitening (:func:`_increment`), 0 on W's columns and 1 on M's."""
+
+    def __init__(self, lam, n):
+        self.lam, self.n, self.last = lam, n, (None,)
+
+    def rate(self, shape, alpha, tau):
+        """``(alpha, alpha / tau)[columns]``, kept (callers only read it) while
+        a constant schedule repeats alpha."""
+        last = self.last
+        if alpha != last[0] or tau != last[1] or shape != last[2]:
+            rate = np.array((alpha, alpha / tau))[self[shape][3]]
+            last = self.last = alpha, tau, shape, rate
+        return last[3]
+
+    def __missing__(self, shape):
+        lam, n, columns = self.lam, self.n, np.zeros(shape, dtype=np.intp)
+        columns[..., n:] = 1
+        psp, psw, square = 1.0 - columns, 1.0 - columns, -0.0 * columns
+        psp[..., n:] = np.multiply.outer(lam, lam)
+        square[..., n:] = np.diag(lam * lam)
+        consts = self[shape] = (psp, psw, square, columns)
+        for a in consts:
+            a.setflags(write=False)
+        return consts
 
 
-def _lateral_solve(m, b, variant):
+def _lateral_solve(m, b, variant, d=None):
     """``M^-1 b`` for a vector or a matrix b (one row per output), per
     slice of a stack of M.
 
@@ -152,22 +173,20 @@ def _lateral_solve(m, b, variant):
     It uses no general inversion, and its error is quadratic in the
     off-diagonal norm.
 
-    The iteration-free pass first rejects a diagonal entry below
-    ``DIAGONAL_FLOOR`` in any slice. It decides as ``d.min() < floor``
-    does, so a NaN diagonal passes, but tests the diagonal as a list of
-    floats, which is cheaper than numpy reductions on a few entries. The
-    pass writes into its own temporaries and leaves b alone.
+    The iteration-free pass uses a diagonal ``d`` its update tested, or
+    rejects an entry below ``DIAGONAL_FLOOR`` in any slice as ``d.min() <
+    floor`` does (a NaN passes), on a list of floats. It writes only into
+    its own temporaries.
     """
     if variant is Variant.EXACT_INVERSE:
         return linalg.lu_solve(linalg.lu_factor(m), b)
-    d = m.diagonal(0, -2, -1).copy()
-    diag = d.ravel().tolist()
-    if min(diag) < DIAGONAL_FLOOR and not any(map(math.isnan, diag)):
-        raise DegenerateDiagonalError("diagonal entry below invertibility floor")
-    if b.ndim == m.ndim - 1:
-        product = np.matvec
-    else:
-        product = np.matmul
+    if d is None:
+        d = m.diagonal(0, -2, -1).copy()
+        diag = d.ravel().tolist()
+        if min(diag) < DIAGONAL_FLOOR and not any(map(math.isnan, diag)):
+            raise DegenerateDiagonalError("diagonal entry below invertibility floor")
+    product = np.matvec if b.ndim < m.ndim else np.matmul
+    if product is np.matmul:
         d = d[..., None]
     y_ff = b / d
     lateral = product(m, y_ff)
@@ -178,77 +197,62 @@ def _lateral_solve(m, b, variant):
 
 
 def approx_inverse(m):
-    """First-order near-diagonal inverse ``D^-1 - D^-1 (m - D) D^-1``.
-
-    D is the diagonal part of m: the two-step pass applied to the
-    identity.
-    """
+    """First-order near-diagonal inverse ``D^-1 - D^-1 (m - D) D^-1``, D
+    the diagonal part of m: the two-step pass applied to the identity."""
     m = np.asarray(m, dtype=float)
     return _lateral_solve(m, np.eye(m.shape[0]), Variant.ITERATION_FREE)
 
 
 def forward(state, x, variant):
-    """Output for one input vector, using the pre-update weights.
-
-    Iteration-free: the two-step pass on ``w @ x``. Exact: solve
-    ``m @ y = w @ x``.
-    """
-    return _lateral_solve(state.m, np.matvec(state.w, x), variant)
+    """Output for one input vector from the pre-update weights: the
+    two-step pass on ``w @ x`` (iteration-free), or ``m @ y = w @ x``
+    solved (exact)."""
+    return _lateral_solve(state.m, np.matvec(state.w, x), variant, state.diag)
 
 
-def lateral_drive(corr, state, task):
-    """Output correlation ``corr`` minus the lateral target, in place.
-
-    The target is ``(lam lam') * M`` for projection and the fixed
-    ``diag(lam**2)`` for whitening, both from the state's gain constants
-    ``state.targets``. Both are exactly symmetric for a symmetric M, so
-    the drive is exactly as symmetric as ``corr``.
-    """
-    outer, square = state.targets
+def _increment(state, hebb, task):
+    """``hebb - C * wm`` or ``hebb - (C * wm + S)`` (:class:`_Coefficients`)
+    in the fresh ``hebb = [H_W | H_M]``: 1 * W is W, ``x + -0`` is x and
+    ``+-0 + +0`` is +0, so each entry is H_W - W, or H_M minus the exactly
+    symmetric target ``(lam lam') * M`` or ``diag(lam**2)``, bit for bit."""
+    psp, psw, square, _ = state.coefs[state.wm.shape]
     if task is Task.PSP:
-        corr -= outer * state.m
+        hebb -= psp * state.wm
     else:
-        corr -= square
-    return corr
+        target = psw * state.wm
+        target += square
+        hebb -= target
+    return hebb
 
 
-def _apply_update(state, dw, dm, alpha):
-    """The state moved by ``alpha * dw`` (W) and ``alpha / tau * dm`` (M).
-
-    dw and dm must be fresh temporaries of the state's shapes: the new W
-    is formed in dw and the moved M in dm. Every operation on M is
-    entrywise, so an exactly symmetric M and dm give an exactly
-    symmetric new M, and no repair is needed: callers pass a symmetric
-    dm. A diagonal at the floor (or NaN) or an overflow in any slice is
-    divergence (:func:`linalg.all_finite`, so finite weights whose
-    squares overflow still pass).
-    """
+def _apply_update(state, delta, alpha):
+    """``wm + r * delta`` with r = ``(alpha, alpha / tau)[columns]``, in the
+    fresh delta: one scale and one add, entrywise, so an exactly symmetric
+    M block stays so. A diagonal at the floor (or NaN) or an overflow in
+    any slice is divergence (:func:`linalg.all_finite`: finite weights
+    whose squares overflow pass). The new wm is read-only, and the new
+    state carries the diagonal tested here."""
     if not 0 <= alpha < math.inf:  # an input error, not a divergence
         raise ValueError("alpha must be nonnegative and finite")
-    dw *= alpha
-    w = np.add(state.w, dw, out=dw)
-    dm *= alpha / state.tau
-    m = np.add(state.m, dm, out=dm)
-    if not all(map(DIAGONAL_FLOOR.__lt__, m.diagonal(0, -2, -1).ravel().tolist())):
+    delta *= state.coefs.rate(delta.shape, alpha, state.tau)
+    wm = np.add(state.wm, delta, out=delta)
+    d = wm.diagonal(state.w.shape[-1], -2, -1).copy()
+    if not all(map(DIAGONAL_FLOOR.__lt__, d.ravel().tolist())):
         raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
-    if not (linalg.all_finite(m) and linalg.all_finite(w)):
+    if not linalg.all_finite(wm):
         raise DegenerateDiagonalError("weights overflowed")
-    return ModelState._unchecked(m, w, state.lam, state.tau, state.targets)
+    wm.setflags(write=False)
+    return ModelState._unchecked(wm, state.lam, state.tau, state.coefs, d)
 
 
 def plasticity(state, x, y, alpha, task):
-    """One Hebbian/anti-Hebbian weight update for the pair (x, y).
-
-    W moves toward the input/output correlation. M moves along the
-    output correlation minus its target, ``(lam lam') * M`` for
-    projection or the fixed ``diag(lam**2)`` for whitening, at 1/tau of
-    the W rate. ``y y'`` is exactly symmetric, so M stays so.
-    """
-    y_col = y[..., :, None]
-    dw = y_col * x[..., None, :]
-    dw -= state.w
-    return _apply_update(state, dw,
-                         lateral_drive(y_col * y[..., None, :], state, task), alpha)
+    """One Hebbian/anti-Hebbian weight update for the pair (x, y): W moves
+    toward ``y x'``, M along ``y y'`` minus its target, ``(lam lam') * M``
+    (projection) or ``diag(lam**2)`` (whitening), at 1/tau of the W rate;
+    both from the one outer product ``y [x, y]'``. ``y y'`` is exactly
+    symmetric, so M stays so."""
+    hebb = y[..., :, None] * np.concatenate((x, y), axis=-1)[..., None, :]
+    return _apply_update(state, _increment(state, hebb, task), alpha)
 
 
 def online_step(state, x, alpha, task, variant):
@@ -321,4 +325,4 @@ def neural_filter(state, variant):
 
     The same solve as ``forward``, applied to W instead of ``W x``.
     """
-    return _lateral_solve(state.m, state.w, variant)
+    return _lateral_solve(state.m, state.w, variant, state.diag)

@@ -12,40 +12,38 @@ coordinates, whose perturbed states are all evaluated as one stack.
 
 import numpy as np
 
-from . import metrics
+from . import linalg, metrics
 from .errors import TrialDivergedError
 from .model import (
     ModelState,
     Task,
     _apply_update,
+    _increment,
     advance,
-    lateral_drive,
     neural_filter,
     outside_horizon,
 )
 
 
 def _averaged_field(state, g, task, variant):
-    """The averaged update directions ``(F G - W, F G F' - target)``.
-
-    F is the learner's filter; the second entry is the lateral drive
-    before its 1/tau rate. ``F G F'`` is symmetric only up to rounding,
-    so it is symmetrized here, once: the drive is then exactly
-    symmetric, and so is every M that ``_apply_update`` forms from it.
+    """The averaged update direction of ``[W | M]``, ``model._increment``
+    of ``[F G, F G F']`` with F the learner's filter: ``F G - W`` and the
+    lateral drive before its 1/tau rate. ``F G F'`` is symmetric only up
+    to rounding, so it is symmetrized here, once: the drive and every M
+    that ``_apply_update`` forms from it are then exactly symmetric.
     """
     f = neural_filter(state, variant)
     fg = f @ g
     corr = fg @ f.mT
     corr = corr + corr.mT
     corr *= 0.5
-    return fg - state.w, lateral_drive(corr, state, task)
+    return _increment(state, np.concatenate((fg, corr), axis=-1), task)
 
 
 def offline_step(state, g, alpha, task, variant):
     """One forward-Euler step of the averaged dynamics; a stack of learners
     steps on one covariance each, every slice bit for bit as alone."""
-    return _apply_update(state, *_averaged_field(state, g, task, variant),
-                         alpha)
+    return _apply_update(state, _averaged_field(state, g, task, variant), alpha)
 
 
 def construct_fixed_point(g, lam, task, signs=None, tau=None, order=None):
@@ -71,39 +69,37 @@ def fixed_point_residual(state, g, task, variant):
     the lateral drive (against ``(lam lam') * M`` for projection,
     ``diag(lam^2)`` for whitening).
     """
-    dw, dm = _averaged_field(state, g, task, variant)
-    return float(np.linalg.norm(dw) + np.linalg.norm(dm))
-
-
-def _pack(w, m):
-    """W and the upper triangle of M as one coordinate vector, one row
-    per learner of a stack."""
-    rows, cols = np.triu_indices(m.shape[-1])
-    return np.concatenate([w.reshape(*w.shape[:-2], -1), m[..., rows, cols]],
-                          axis=-1)
+    field = _averaged_field(state, g, task, variant)
+    n = state.n
+    return linalg.frobenius(field[..., :n]) + linalg.frobenius(field[..., n:])
 
 
 def _jacobian(state, g, task, variant, eps):
-    """Central-difference Jacobian of the packed vector field, column i
-    from the pair of states ``base +- eps`` on coordinate i.
+    """Central-difference Jacobian of the vector field on the packed
+    coordinates, W then the upper triangle of M (at the flat positions
+    ``coord`` of ``[W | M]``); column i from the pair of states ``base +-
+    eps`` on coordinate i.
 
     All 2 * dim perturbed states go through one stacked field
     evaluation. M is rebuilt from its upper triangle as the triangle
     plus its strict part transposed, so the diagonal is never doubled.
     """
-    base = _pack(state.w, state.m)
-    dim = base.size
     k, n = state.k, state.n
-    step = eps * np.eye(dim)
-    coords = np.concatenate([base + step, base - step])
-    w = coords[:, : k * n].reshape(-1, k, n)
-    m = np.zeros((2 * dim, k, k))
     rows, cols = np.triu_indices(k)
-    m[:, rows, cols] = coords[:, k * n:]
-    m = m + np.triu(m, 1).mT
-    stack = ModelState._unchecked(m, w, state.lam, state.tau, state.targets)
-    dw, dm = _averaged_field(stack, g, task, variant)
-    field = _pack(dw, dm / state.tau)
+    w_pos = np.arange(k * n)
+    coord = np.concatenate([w_pos + w_pos // n * k, rows * (n + k) + n + cols])
+    base = state.wm.ravel()[coord]
+    dim = base.size
+    step = eps * np.eye(dim)
+    wm = np.zeros((2 * dim, k * (n + k)))
+    wm[:, coord] = np.concatenate([base + step, base - step])
+    wm = wm.reshape(-1, k, n + k)
+    wm[..., n:] += np.triu(wm[..., n:], 1).mT
+    # coefficients of its own: their copies for this stack's shape go with it
+    stack = ModelState._unchecked(wm, state.lam, state.tau)
+    field = _averaged_field(stack, g, task, variant)
+    field[..., n:] /= state.tau
+    field = field.reshape(2 * dim, -1)[:, coord]
     return ((field[:dim] - field[dim:]) / (2.0 * eps)).T
 
 

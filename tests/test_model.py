@@ -63,15 +63,34 @@ class TestModelState:
         assert np.array_equal(np.triu(st.m), np.triu(m))
 
     def test_gain_targets_shared_and_read_only(self):
+        # the gain targets live in the update coefficients of [W | M], which
+        # are built once, shared by every derived state and read-only
         st = random_state(1)
-        outer, square = st.targets
-        assert np.array_equal(outer, np.outer(st.lam, st.lam))
-        assert np.array_equal(square, np.diag(st.lam**2))
-        assert not (outer.flags.writeable or square.flags.writeable)
+        n = st.n
+        psp, psw, square, columns = st.coefs[st.wm.shape]
+        assert (psp[:, :n] == 1).all() and (square[:, :n] == 0).all()
+        assert np.array_equal(psp[:, n:], np.outer(st.lam, st.lam))
+        assert np.array_equal(square[:, n:], np.diag(st.lam**2))
+        assert np.array_equal(columns, np.tile([0] * n + [1] * st.k, (st.k, 1)))
+        assert np.array_equal(psw, columns == 0) and np.signbit(square[:, :n]).all()
         stack = ModelState.stack([st, random_state(2)])
         new = model.plasticity(stack, np.ones((2, 10)), np.ones((2, 3)), 0.1, Task.PSP)
-        for derived in (st.copy(), stack, stack[1], stack[[0]], new):
-            assert derived.targets is st.targets
+        averaged = offline.offline_step(stack, np.stack([np.eye(10)] * 2), 0.1, Task.PSW,
+                                        Variant.ITERATION_FREE)
+        for derived in (st.copy(), stack, stack[1], stack[[0]], new, new[0], averaged):
+            assert derived.coefs is st.coefs
+        for one, full in zip(st.coefs[st.wm.shape], st.coefs[stack.wm.shape]):
+            assert np.array_equal(full, np.broadcast_to(one, stack.wm.shape))
+        assert all(not a.flags.writeable for consts in st.coefs.values() for a in consts)
+
+    def test_joint_layout(self):
+        # one C-contiguous [W | M]; w and m are views of it
+        st = random_state(3)
+        stack = ModelState.stack([st, random_state(4)])
+        for state in (st, stack, stack[1], st.copy()):
+            assert all(np.shares_memory(view, state.wm) for view in (state.w, state.m))
+            assert np.array_equal(state.wm, np.concatenate((state.w, state.m), -1))
+        assert st.wm.flags.c_contiguous and stack.wm.flags.c_contiguous
 
     def test_copy_is_independent(self):
         st = random_state(0)
@@ -287,12 +306,12 @@ class TestOverflowGuard:
 
     @staticmethod
     def _plasticity(m, w, x, y, alpha):
-        state = ModelState._unchecked(m, w, LAM2, 1.0)
+        state = ModelState._unchecked(np.concatenate((w, m), -1), LAM2, 1.0)
         return model.plasticity(state, x, y, alpha, Task.PSP)
 
     @staticmethod
     def _offline(m, w, g, alpha, variant):
-        state = ModelState._unchecked(m, w, LAM2, 1.0)
+        state = ModelState._unchecked(np.concatenate((w, m), -1), LAM2, 1.0)
         return offline.offline_step(state, g, alpha, Task.PSP, variant)
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack-of-3"])
@@ -438,7 +457,7 @@ def stacked_steps(draw):
     # sum of squares of its finite weights does
     m *= draw(weight_scales)
     w *= draw(weight_scales)
-    state = ModelState._unchecked(m, w, lam, 0.5)
+    state = ModelState._unchecked(np.concatenate((w, m), -1), lam, 0.5)
     alpha = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 4.0]))
     return (state, rng.normal(size=(b, n)), alpha, draw(st.sampled_from(list(Task))),
             draw(st.sampled_from(list(Variant))))
@@ -508,3 +527,148 @@ class TestStackedStep:
             assert np.array_equal(stack[i].m, st_i.m)
             assert np.array_equal(stack[i].w, st_i.w)
         assert np.array_equal(stack[[0, 2]].w, stack.w[[0, 2]])
+
+
+def _below_floor(kind, low):
+    """A valid stack of three, or state made from one, whose last lateral
+    diagonal entry is then set to ``low`` in place: a constructor state,
+    a stack, an indexed sub-stack or slice, or a copy of a stepped stack."""
+    states = [random_state(seed) for seed in (50, 51, 52)]
+    stack = ModelState.stack(states)
+    state = {
+        "constructor": states[-1],
+        "stack": stack,
+        "index-list": stack[[0, 2]],
+        "index": stack[2],
+        "copy": model.plasticity(stack, np.ones((3, 10)), np.zeros((3, 3)), 0.01,
+                                 Task.PSP).copy(),
+    }[kind]
+    state.m[(-1, 2, 2) if state.m.ndim == 3 else (2, 2)] = low
+    return state
+
+
+class TestCarriedDiagonal:
+    """A state formed by an update carries its tested lateral diagonal; no
+    other state does, so a diagonal changed in place is still tested."""
+
+    def test_stepped_states_are_read_only(self):
+        stack = ModelState.stack([random_state(seed) for seed in (60, 61)])
+        g = np.stack([np.eye(10)] * 2)
+        for task in Task:
+            online = model.plasticity(stack, np.ones((2, 10)), np.ones((2, 3)), 0.01, task)
+            averaged = offline.offline_step(stack, g, 0.01, task, Variant.ITERATION_FREE)
+            for new in (online, averaged):
+                assert new.diag is not None
+                for a in (new.wm, new.w, new.m, new[1].wm, new[1].m):
+                    assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    new.m[0, 2, 2] = 0.0
+
+    def test_only_updates_carry_a_diagonal(self):
+        st = random_state(62)
+        stack = ModelState.stack([st, random_state(63)])
+        new = model.plasticity(stack, np.ones((2, 10)), np.ones((2, 3)), 0.01, Task.PSW)
+        assert np.array_equal(new.diag, np.diagonal(new.m, 0, -2, -1))
+        for state in (st, stack, stack[0], stack[[1]], new[0], new[[0]], new.copy()):
+            assert state.diag is None
+
+    @pytest.mark.parametrize("low", [0.0, -1.0, 1e-13])
+    @pytest.mark.parametrize("kind",
+                             ["constructor", "stack", "index-list", "index", "copy"])
+    def test_floor_still_checked(self, kind, low):
+        state = _below_floor(kind, low)
+        n = state.n
+        x = np.ones(state.w.shape[:-2] + (n,))
+        g = np.broadcast_to(np.eye(n), state.w.shape[:-2] + (n, n))
+        variant = Variant.ITERATION_FREE
+        calls = (lambda: model.forward(state, x, variant),
+                 lambda: model.neural_filter(state, variant),
+                 lambda: model.online_step(state, x, 0.01, Task.PSP, variant),
+                 lambda: offline.offline_step(state, g, 0.01, Task.PSW, variant))
+        for call in calls:
+            with pytest.raises(DegenerateDiagonalError, match="below invertibility floor"):
+                call()
+
+
+def _parent_update(state, hebb_w, corr, alpha, task):
+    """The update as separate W and M arrays: W + alpha (H_W - W) and
+    M + (alpha / tau) (H_M - target), in that operation order, with the
+    floor test on the new M's diagonal before the overflow test of M, then
+    W. Returns (w, m)."""
+    dw = hebb_w - state.w
+    if task is Task.PSP:
+        corr -= np.multiply.outer(state.lam, state.lam) * state.m
+    else:
+        corr -= np.diag(state.lam * state.lam)
+    if not 0 <= alpha < np.inf:
+        raise ValueError("alpha must be nonnegative and finite")
+    dw *= alpha
+    w = state.w + dw
+    dm = corr * (alpha / state.tau)
+    m = state.m + dm
+    if not (np.diagonal(m, 0, -2, -1) > model.DIAGONAL_FLOOR).all():
+        raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
+    if not (np.isfinite(m).all() and np.isfinite(w).all()):
+        raise DegenerateDiagonalError("weights overflowed")
+    return w, m
+
+
+def _parent_online(state, x, alpha, task, variant):
+    y = model.forward(state, x, variant)
+    return _parent_update(state, y[..., :, None] * x[..., None, :],
+                          y[..., :, None] * y[..., None, :], alpha, task)
+
+
+def _parent_averaged(state, g, alpha, task, variant):
+    f = model.neural_filter(state, variant)
+    fg = f @ g
+    corr = fg @ f.mT
+    corr = corr + corr.mT
+    corr *= 0.5
+    return _parent_update(state, fg, corr, alpha, task)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
+def _outcome(step):
+    """(w, m) of a step, or the type and message of the model error it raised."""
+    try:
+        result = step()
+    except (ValueError, *MODEL_ERRORS) as exc:
+        return type(exc), str(exc)
+    return result
+
+
+# random stacks include weights whose products overflow
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestParentFormulas:
+    """The one update of [W | M] equals the separate W and M updates bit
+    for bit, and fails in the same way, online and averaged, on single
+    learners and stacks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_steps(), st.integers(0, 2**32 - 1))
+    def test_step_matches_separate_updates(self, case, seed):
+        state, x, alpha, task, variant = case
+        b, n = x.shape
+        a = np.random.default_rng(seed).normal(size=(b, n, n))
+        g = a @ a.mT / n
+
+        def new_online(s, xs):
+            return model.online_step(s, xs, alpha, task, variant)[1]
+
+        def new_averaged(s, gs):
+            return offline.offline_step(s, gs, alpha, task, variant)
+
+        for s, xs, gs in [(state, x, g)] + [(state[i], x[i], g[i]) for i in range(b)]:
+            for new, parent, arg in ((new_online, _parent_online, xs),
+                                     (new_averaged, _parent_averaged, gs)):
+                expected = _outcome(lambda: parent(s, arg, alpha, task, variant))
+                got = _outcome(lambda: new(s, arg))
+                if isinstance(expected[0], type):
+                    assert got == expected
+                    continue
+                assert isinstance(got, ModelState), got
+                assert _same_bits(got.w, expected[0]) and _same_bits(got.m, expected[1])

@@ -104,7 +104,7 @@ def stacked_learners(draw):
     # sum of squares of its finite weights does
     m *= draw(weight_scales)
     w *= draw(weight_scales)
-    state = ModelState._unchecked(m, w, np.linspace(1.0, 0.6, k), 0.5)
+    state = ModelState._unchecked(np.concatenate((w, m), -1), np.linspace(1.0, 0.6, k), 0.5)
     alpha = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 4.0]))
     return state, a @ a.mT / n, alpha
 
@@ -205,6 +205,18 @@ class TestFixedPointResidual:
                                           Variant.EXACT_INVERSE)
         assert r1 > r0 + 0.1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_large_finite_weights_do_not_overflow(self, variant):
+        # F = M^-1 W is all ones, so each of the six entries of F G - W is
+        # about -1e160: their sum of squares overflows, their norm does not
+        st = ModelState(1e160 * np.eye(2), 1e160 * np.ones((2, 3)), [1.0, 0.5], 0.5)
+        g = np.eye(3)
+        r = offline.fixed_point_residual(st, g, Task.PSW, variant)
+        assert r == pytest.approx(np.sqrt(6.0) * 1e160, rel=1e-12)
+        with pytest.raises(ValueError, match="^state is not close enough"):
+            offline.jacobian_spectrum(st, g, Task.PSW, variant)
+
 
 def reference_jacobian(state, g, task, variant, eps):
     """The finite-difference Jacobian column by column: one packed field
@@ -216,10 +228,10 @@ def reference_jacobian(state, g, task, variant, eps):
         m = np.zeros((k, k))
         m[iu] = vec[k * n:]
         m = m + np.triu(m, 1).T
-        moved = ModelState._unchecked(m, vec[: k * n].reshape(k, n), state.lam,
-                                      state.tau)
-        dw, dm = offline._averaged_field(moved, g, task, variant)
-        return np.concatenate([dw.ravel(), (dm / state.tau)[iu]])
+        moved = ModelState._unchecked(
+            np.concatenate((vec[: k * n].reshape(k, n), m), -1), state.lam, state.tau)
+        field = offline._averaged_field(moved, g, task, variant)
+        return np.concatenate([field[:, :n].ravel(), (field[:, n:] / state.tau)[iu]])
 
     base = np.concatenate([state.w.ravel(), state.m[iu]])
     dim = base.size
