@@ -9,17 +9,18 @@ execution order or worker count, and the run is reproducible bit for
 bit (wall-clock fields aside) within one implementation.
 
 The trials that one process runs advance together as a stack of
-learners through ``model.advance``, one step call per step for all
-of them: ``online_step`` on a sample per trial, or ``offline_step`` on
-each trial's covariance. Each learner's arithmetic is the same in any
-stack, so which trials share a stack (one per worker process) does not
-change any result either.
+learners through ``model.advance``, which steps their raw weights along
+the online increment on a sample per trial, or the averaged one on each
+trial's covariance. Each learner's arithmetic is the same in any stack,
+so which trials share a stack (one per worker process) does not change
+any result either.
 """
 
 import json
 import math
 import os
 import time
+from functools import partial
 from itertools import groupby, repeat
 from typing import NamedTuple
 
@@ -42,7 +43,8 @@ from .errors import (
     NonFiniteReadoutError,
     ReportFormatError,
 )
-from .model import ModelState, Task, Variant, advance, online_step
+from .model import ModelState, Task, Variant, advance
+from .model import online_step  # noqa: F401  (the name perfbench/tracing.py binds)
 
 _KNOWN_KEYS = {
     "task", "variant", "mode", "preset", "n", "k", "lambda", "tau",
@@ -455,10 +457,10 @@ class _Trial:
 
 def _run_stack(config, indices, rotation=None):
     """Outcomes of the trials ``indices``, in order, stepped in lockstep
-    by ``model.advance``: ``online_step`` on one sample per trial, drawn
-    from the trial's own stream in the same chunks as when run alone, or
-    ``offline_step`` on the trials' covariances. Every trial reports the
-    stack's wall time."""
+    by ``model.advance``: along the online increment on one sample per
+    trial, drawn from the trial's own stream in the same chunks as when
+    run alone, or along the averaged one on the trials' covariances.
+    Every trial reports the stack's wall time."""
     start = time.perf_counter()
     trials = [_Trial(config, i, rotation) for i in indices]
     if config.mode == "online":
@@ -466,17 +468,16 @@ def _run_stack(config, indices, rotation=None):
             return np.stack([data.sample_block(trials[p].spec, trials[p].rng, count)
                              for p in live], axis=1)
 
-        def step(state, x, rate):
-            return online_step(state, x, rate, config.task, config.variant)[1]
+        increment = model.online_increment
     else:
         def draw(live, count):  # no samples: one row of covariances
             return np.stack([trials[p].g for p in live])[None]
 
-        def step(state, g, rate):
-            return offline.offline_step(state, g, rate, config.task, config.variant)
+        increment = offline.averaged_increment
 
-    advance(ModelState.stack([trial.initial for trial in trials]), config.t_max,
-            set(config.eval_points()), config.schedule, step, draw,
+    stack = ModelState.stack([trial.initial for trial in trials])
+    advance(stack, config.t_max, set(config.eval_points()), config.schedule,
+            partial(increment, config.variant, stack.coefs[config.task]), draw,
             visit=lambda t, p, state: trials[p].record(t, state),
             diverge=lambda t, p, exc: trials[p].diverge(t, exc))
     wall_clock_s = time.perf_counter() - start

@@ -132,33 +132,39 @@ def outside_horizon(points, t_max):
 
 class _Coefficients(dict):
     """The read-only constants of the update of ``[W | M]``, shared by
-    every state made from the first: ``coefs[wm.shape]``, built on first
-    use and shaped like wm so that no update broadcasts, is ``(psp, psw,
-    square, columns)``: ``C = psp = [1 | lam lam']`` for projection, ``C
-    = psw = [1 | 0]`` and ``S = square = [-0 | diag(lam**2)]`` for
-    whitening (:func:`_increment`), 0 on W's columns and 1 on M's."""
+    every state made from the first: ``coefs[task]`` is that task's
+    :class:`_Targets`, made on first use."""
 
     def __init__(self, lam, n):
-        self.lam, self.n, self.last = lam, n, (None,)
+        self.lam, self.n = lam, n
 
-    def rate(self, shape, alpha, tau):
-        """``(alpha, alpha / tau)[columns]``, kept (callers only read it) while
-        a constant schedule repeats alpha."""
-        last = self.last
-        if alpha != last[0] or tau != last[1] or shape != last[2]:
-            rate = np.array((alpha, alpha / tau))[self[shape][3]]
-            last = self.last = alpha, tau, shape, rate
-        return last[3]
+    def __missing__(self, task):
+        targets = self[task] = _Targets(self.lam, self.n, task)
+        return targets
+
+
+class _Targets(dict):
+    """What :func:`_increment` reads for one task, by the shape of wm,
+    built on first use and shaped like wm so that no update broadcasts:
+    ``(C,)`` with ``C = [1 | lam lam']`` for projection, ``(C, S)`` with
+    ``C = [1 | 0]`` and ``S = [-0 | diag(lam**2)]`` for whitening."""
+
+    def __init__(self, lam, n, task):
+        self.lam, self.n, self.task = lam, n, task
 
     def __missing__(self, shape):
-        lam, n, columns = self.lam, self.n, np.zeros(shape, dtype=np.intp)
-        columns[..., n:] = 1
-        psp, psw, square = 1.0 - columns, 1.0 - columns, -0.0 * columns
-        psp[..., n:] = np.multiply.outer(lam, lam)
-        square[..., n:] = np.diag(lam * lam)
-        consts = self[shape] = (psp, psw, square, columns)
+        n, c = self.n, np.ones(shape)
+        if self.task is Task.PSP:
+            c[..., n:] = np.multiply.outer(self.lam, self.lam)
+            consts = (c,)
+        else:
+            c[..., n:] = 0.0
+            square = np.full(shape, -0.0)
+            square[..., n:] = np.diag(self.lam * self.lam)
+            consts = (c, square)
         for a in consts:
             a.setflags(write=False)
+        self[shape] = consts
         return consts
 
 
@@ -203,45 +209,104 @@ def approx_inverse(m):
     return _lateral_solve(m, np.eye(m.shape[0]), Variant.ITERATION_FREE)
 
 
+def _forward(wm, d, x, variant):
+    """The output of ``[W | M]`` with carried diagonal d (or None) for
+    input x: the two-step pass on ``W x``, or ``M y = W x`` solved."""
+    n = x.shape[-1]
+    return _lateral_solve(wm[..., n:], np.matvec(wm[..., :n], x), variant, d)
+
+
+def _filter(wm, d, variant):
+    """The input-to-output map F of ``[W | M]``: the solve of
+    :func:`_forward` applied to W instead of ``W x``."""
+    n = wm.shape[-1] - wm.shape[-2]
+    return _lateral_solve(wm[..., n:], wm[..., :n], variant, d)
+
+
 def forward(state, x, variant):
     """Output for one input vector from the pre-update weights: the
     two-step pass on ``w @ x`` (iteration-free), or ``m @ y = w @ x``
     solved (exact)."""
-    return _lateral_solve(state.m, np.matvec(state.w, x), variant, state.diag)
+    return _forward(state.wm, state.diag, x, variant)
 
 
-def _increment(state, hebb, task):
-    """``hebb - C * wm`` or ``hebb - (C * wm + S)`` (:class:`_Coefficients`)
-    in the fresh ``hebb = [H_W | H_M]``: 1 * W is W, ``x + -0`` is x and
-    ``+-0 + +0`` is +0, so each entry is H_W - W, or H_M minus the exactly
+def neural_filter(state, variant):
+    """The effective input-to-output linear map F, with ``forward == F @ x``.
+
+    The same solve as ``forward``, applied to W instead of ``W x``.
+    """
+    return _filter(state.wm, state.diag, variant)
+
+
+def _hebbian(x, y):
+    """``y [x, y]'``, one outer product per learner: W's Hebbian term
+    ``y x'`` and M's ``y y'``, which is exactly symmetric."""
+    return y[..., :, None] * np.concatenate((x, y), axis=-1)[..., None, :]
+
+
+def _increment(wm, hebb, targets):
+    """``hebb - C * wm`` or ``hebb - (C * wm + S)`` (:class:`_Targets`) in
+    the fresh ``hebb = [H_W | H_M]``: 1 * W is W, ``x + -0`` is x and ``+-0
+    + +0`` is +0, so each entry is H_W - W, or H_M minus the exactly
     symmetric target ``(lam lam') * M`` or ``diag(lam**2)``, bit for bit."""
-    psp, psw, square, _ = state.coefs[state.wm.shape]
-    if task is Task.PSP:
-        hebb -= psp * state.wm
+    consts = targets[wm.shape]
+    if targets.task is Task.PSP:
+        hebb -= consts[0] * wm
     else:
-        target = psw * state.wm
-        target += square
+        target = consts[0] * wm
+        target += consts[1]
         hebb -= target
     return hebb
 
 
-def _apply_update(state, delta, alpha):
-    """``wm + r * delta`` with r = ``(alpha, alpha / tau)[columns]``, in the
-    fresh delta: one scale and one add, entrywise, so an exactly symmetric
-    M block stays so. A diagonal at the floor (or NaN) or an overflow in
-    any slice is divergence (:func:`linalg.all_finite`: finite weights
-    whose squares overflow pass). The new wm is read-only, and the new
-    state carries the diagonal tested here."""
-    if not 0 <= alpha < math.inf:  # an input error, not a divergence
+def online_increment(variant, targets, wm, d, x):
+    """The online update direction of ``[W | M]`` (carried diagonal d, or
+    None) for the sample x: :func:`_increment` of ``y [x, y]'``, with y
+    the output of the pre-update weights."""
+    return _increment(wm, _hebbian(x, _forward(wm, d, x, variant)), targets)
+
+
+def _rates(alphas, tau, n, out):
+    """``out`` filled with one row of rates of ``[W | M]`` per step: alpha
+    on W's n columns and ``alpha / tau`` on M's (an overflow is infinite,
+    as in Python). A negative or non-finite alpha is an input error, not a
+    divergence: it raises before any step uses it."""
+    alpha = np.fromiter(alphas, dtype=float, count=len(out))
+    if not ((alpha >= 0) & (alpha < math.inf)).all():
         raise ValueError("alpha must be nonnegative and finite")
-    delta *= state.coefs.rate(delta.shape, alpha, state.tau)
-    wm = np.add(state.wm, delta, out=delta)
-    d = wm.diagonal(state.w.shape[-1], -2, -1).copy()
+    out[:, :n] = alpha[:, None]
+    with np.errstate(over="ignore"):
+        out[:, n:] = (alpha / tau)[:, None]
+    return out
+
+
+def _step(wm, d, x, rate, increment):
+    """The array step: ``wm + rate * increment(wm, d, x)`` for a learner
+    or stack ``[W | M]`` with carried diagonal d (or None), input x and one
+    row of :func:`_rates`, broadcast over the rows of W and M and over the
+    stack (or a copy of it shaped like wm): one scale and one add,
+    entrywise, in the fresh increment, so an exactly symmetric M block
+    stays so. A diagonal at the floor (or NaN) or an overflow in any slice
+    is divergence (:func:`linalg.all_finite`: finite weights whose squares
+    overflow pass). Returns the new wm, read-only, and M's diagonal as
+    tested here."""
+    delta = increment(wm, d, x)
+    delta *= rate
+    wm = np.add(wm, delta, out=delta)
+    d = wm.diagonal(wm.shape[-1] - wm.shape[-2], -2, -1).copy()
     if not all(map(DIAGONAL_FLOOR.__lt__, d.ravel().tolist())):
         raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
     if not linalg.all_finite(wm):
         raise DegenerateDiagonalError("weights overflowed")
     wm.setflags(write=False)
+    return wm, d
+
+
+def _stepped(state, x, alpha, increment):
+    """:func:`_step` of a state or stack at rate alpha, as a new state
+    that carries the diagonal the step tested."""
+    rate = _rates((alpha,), state.tau, state.n, np.empty((1, state.wm.shape[-1])))[0]
+    wm, d = _step(state.wm, state.diag, x, rate, increment)
     return ModelState._unchecked(wm, state.lam, state.tau, state.coefs, d)
 
 
@@ -251,8 +316,8 @@ def plasticity(state, x, y, alpha, task):
     (projection) or ``diag(lam**2)`` (whitening), at 1/tau of the W rate;
     both from the one outer product ``y [x, y]'``. ``y y'`` is exactly
     symmetric, so M stays so."""
-    hebb = y[..., :, None] * np.concatenate((x, y), axis=-1)[..., None, :]
-    return _apply_update(state, _increment(state, hebb, task), alpha)
+    return _stepped(state, x, alpha, lambda wm, _d, _x: _increment(
+        wm, _hebbian(x, y), state.coefs[task]))
 
 
 def online_step(state, x, alpha, task, variant):
@@ -266,63 +331,70 @@ def online_step(state, x, alpha, task, variant):
     return y, plasticity(state, x, y, alpha, task)
 
 
-def _replay(live, state, x, t, rate, step, diverge):
+def _replay(live, wm, d, x, t, rate, increment, diverge):
     """Step t again one trial at a time, after the stack's step raised; a
     trial whose own step fails goes to ``diverge``. Returns the others'
-    new stack (None if none is left) and their indices in ``live``."""
+    new wm and diagonal stacks (None if none is left) and their indices
+    in ``live``."""
     kept, steps = [], []
     for j, position in enumerate(live):
         try:
-            steps.append(step(state[j], x[j], rate))
+            steps.append(_step(wm[j], None if d is None else d[j], x[j], rate, increment))
         except MODEL_ERRORS as exc:
             diverge(t, position, exc)
         else:
             kept.append(j)
-    return (ModelState.stack(steps) if steps else None), kept
+    if not steps:
+        return None, None, kept
+    wms, ds = zip(*steps)
+    return np.stack(wms), np.stack(ds), kept
 
 
-def advance(state, t_max, points, schedule, step, draw, visit, diverge):
+def advance(state, t_max, points, schedule, increment, draw, visit, diverge):
     """Step a stack of learners from ``state`` through step ``t_max``.
 
-    ``step(state, x, rate)`` moves a stack, or one learner, at
-    ``schedule.rate(t)``. ``draw(live, count)`` gives the inputs of the
-    trials at stack positions ``live``, one column each: ``count`` rows
-    (chunks of ``_SAMPLE_CHUNK`` steps), or one row for every step.
-    ``visit(t, position, state)`` sees each live trial at each t in
-    ``points`` (at t = 0 when ``t_max == 0``) and returns whether it goes
-    on; ``diverge(t, position, exc)`` gets a trial whose own step raised
-    a model error. A trial that ends leaves the stack; the others go on.
+    The loop steps the raw ``[W | M]`` of the stack and the diagonal each
+    step carries with :func:`_step`, along ``increment(wm, d, x)`` at the
+    rates of :func:`_rates`, one table per chunk of ``_SAMPLE_CHUNK`` steps
+    from ``schedule.rate``. ``draw(live, count)`` gives the inputs of the
+    trials at stack positions ``live``, one column each: ``count`` rows,
+    or one row for every step. ``visit(t, position, state)`` sees each
+    live trial, as a state, at each t in ``points`` (at t = 0 when
+    ``t_max == 0``) and returns whether it goes on; ``diverge(t, position,
+    exc)`` gets a trial whose own step raised a model error. A trial that
+    ends leaves the stack; the others go on.
     """
-    live = list(range(len(state.w)))
+    live = list(range(len(state.wm)))
     if t_max == 0:  # the initial state is the only snapshot
         for j in live:
             visit(0, j, state[j])
+    wm, d, n = state.wm, state.diag, state.n
+    table = np.empty((min(_SAMPLE_CHUNK, t_max), wm.shape[-1]))  # refilled per chunk
     t = 0
     while t < t_max and live:
         count = min(_SAMPLE_CHUNK, t_max - t)
         block = draw(live, count)  # (rows, trials, ...)
-        for r in range(count):
+        rates = _rates(map(schedule.rate, range(t + 1, t + count + 1)), state.tau, n,
+                       table[:count])
+        # at one rate for the whole chunk, a copy of the row shaped like wm
+        # scales each step without the cost of a broadcast
+        full = np.broadcast_to(rates[0], wm.shape).copy() if (rates == rates[0]).all() else None
+        for r, row in enumerate(rates):
             t += 1
             x = block[r % len(block)]
-            rate = schedule.rate(t)
             try:
-                state = step(state, x, rate)
+                wm, d = _step(wm, d, x, full if full is not None and full.shape == wm.shape
+                              else row, increment)
             except MODEL_ERRORS:
-                state, kept = _replay(live, state, x, t, rate, step, diverge)
+                wm, d, kept = _replay(live, wm, d, x, t, row, increment, diverge)
                 live, block = [live[j] for j in kept], block[:, kept]
             if t in points and live:
-                kept = [j for j, position in enumerate(live)
-                        if visit(t, position, state[j])]
+                kept = [j for j, position in enumerate(live) if visit(
+                    t, position, ModelState._unchecked(wm[j], state.lam, state.tau,
+                                                       state.coefs))]
                 if len(kept) < len(live):
-                    live, state, block = ([live[j] for j in kept], state[kept],
+                    live, wm, d, block = ([live[j] for j in kept], wm[kept], d[kept],
                                           block[:, kept])
             if not live:
                 break
-
-
-def neural_filter(state, variant):
-    """The effective input-to-output linear map F, with ``forward == F @ x``.
-
-    The same solve as ``forward``, applied to W instead of ``W x``.
-    """
-    return _lateral_solve(state.m, state.w, variant, state.diag)
+        del block, x  # freed before the next chunk draws its own

@@ -10,6 +10,8 @@ a finite-difference Jacobian on the flattened (W, upper-triangular M)
 coordinates, whose perturbed states are all evaluated as one stack.
 """
 
+from functools import partial
+
 import numpy as np
 
 from . import linalg, metrics
@@ -17,33 +19,37 @@ from .errors import TrialDivergedError
 from .model import (
     ModelState,
     Task,
-    _apply_update,
+    _Targets,
+    _filter,
     _increment,
+    _stepped,
     advance,
-    neural_filter,
+    neural_filter,  # noqa: F401  (the name perfbench/tracing.py binds)
     outside_horizon,
 )
 
 
-def _averaged_field(state, g, task, variant):
-    """The averaged update direction of ``[W | M]``, ``model._increment``
-    of ``[F G, F G F']`` with F the learner's filter: ``F G - W`` and the
-    lateral drive before its 1/tau rate. ``F G F'`` is symmetric only up
-    to rounding, so it is symmetrized here, once: the drive and every M
-    that ``_apply_update`` forms from it are then exactly symmetric.
+def averaged_increment(variant, targets, wm, d, g):
+    """The averaged update direction of ``[W | M]`` (carried diagonal d,
+    or None) on the covariance g: ``model._increment`` of ``[F G, F G
+    F']`` with F the learner's filter, that is ``F G - W`` and the lateral
+    drive before its 1/tau rate. ``F G F'`` is symmetric only up to
+    rounding, so it is symmetrized here, once: the drive and every M that
+    a step forms from it are then exactly symmetric.
     """
-    f = neural_filter(state, variant)
+    f = _filter(wm, d, variant)
     fg = f @ g
     corr = fg @ f.mT
     corr = corr + corr.mT
     corr *= 0.5
-    return _increment(state, np.concatenate((fg, corr), axis=-1), task)
+    return _increment(wm, np.concatenate((fg, corr), axis=-1), targets)
 
 
 def offline_step(state, g, alpha, task, variant):
     """One forward-Euler step of the averaged dynamics; a stack of learners
     steps on one covariance each, every slice bit for bit as alone."""
-    return _apply_update(state, _averaged_field(state, g, task, variant), alpha)
+    return _stepped(state, g, alpha, partial(averaged_increment, variant,
+                                             state.coefs[task]))
 
 
 def construct_fixed_point(g, lam, task, signs=None, tau=None, order=None):
@@ -69,7 +75,7 @@ def fixed_point_residual(state, g, task, variant):
     the lateral drive (against ``(lam lam') * M`` for projection,
     ``diag(lam^2)`` for whitening).
     """
-    field = _averaged_field(state, g, task, variant)
+    field = averaged_increment(variant, state.coefs[task], state.wm, state.diag, g)
     n = state.n
     return linalg.frobenius(field[..., :n]) + linalg.frobenius(field[..., n:])
 
@@ -95,9 +101,8 @@ def _jacobian(state, g, task, variant, eps):
     wm[:, coord] = np.concatenate([base + step, base - step])
     wm = wm.reshape(-1, k, n + k)
     wm[..., n:] += np.triu(wm[..., n:], 1).mT
-    # coefficients of its own: their copies for this stack's shape go with it
-    stack = ModelState._unchecked(wm, state.lam, state.tau)
-    field = _averaged_field(stack, g, task, variant)
+    # targets of their own: their copies for this stack's shape go with them
+    field = averaged_increment(variant, _Targets(state.lam, n, task), wm, None, g)
     field[..., n:] /= state.tau
     field = field.reshape(2 * dim, -1)[:, coord]
     return ((field[:dim] - field[dim:]) / (2.0 * eps)).T
@@ -146,8 +151,9 @@ def run_offline(initial, g, schedule, t_max, checkpoints=(), *,
     def diverge(t, _, exc):
         raise TrialDivergedError(t, exc) from exc
 
-    advance(ModelState.stack([initial]), t_max, wanted | {t_max}, schedule,
-            lambda state, x, rate: offline_step(state, x, rate, task, variant),
+    stack = ModelState.stack([initial])
+    advance(stack, t_max, wanted | {t_max}, schedule,
+            partial(averaged_increment, variant, stack.coefs[task]),
             lambda live, count: np.asarray(g, dtype=float)[None, None], visit,
             diverge)
     return snaps

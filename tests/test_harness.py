@@ -63,6 +63,64 @@ EXTREME_SCALE_CONFIGS = {
 }
 
 
+# configs of eight trials some of which diverge, and the step at which
+# each of those does, by test id. The PSP case overshoots for three steps
+# (alpha / tau > 1), then settles; the outcomes hold for rates moved by
+# 1e-9 relative, so they do not hang on the last bit of the arithmetic
+MIXED_DIVERGENCE = {
+    "psw-iteration_free-constant": (
+        custom_config(task="psw", variant="iteration_free", trials=8, seed=1, t_max=200,
+                      schedule={"kind": "constant", "alpha": 0.2}),
+        {0: 33, 1: 8, 2: 89, 3: 60, 4: 4, 5: 3, 6: 3}),
+    "psp-exact-overshoot": (
+        custom_config(task="psp", variant="exact", trials=8, seed=1, t_max=200,
+                      schedule={"kind": "piecewise", "pieces": [[3, 0.6], [None, 0.05]]}),
+        {0: 1, 1: 3, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1}),
+    "offline-psw-iteration_free-constant": (
+        custom_config(task="psw", variant="iteration_free", mode="offline", trials=8,
+                      seed=1, t_max=200, checkpoints=[50],
+                      schedule={"kind": "constant", "alpha": 0.5}),
+        {1: 11, 4: 2, 5: 11, 6: 2}),
+}
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Runs a several-stack experiment's stacks in this process, through a
+    stand-in for the process pool; gives the list of the pool sizes asked
+    for."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+class BadRate(data.StepSchedule):
+    """0.01 at every step but ``at``, where the rate is ``bad``."""
+
+    __slots__ = ("bad", "at")
+
+    def __init__(self, bad, at):
+        object.__setattr__(self, "bad", bad)
+        object.__setattr__(self, "at", at)
+
+    def rate(self, t):
+        return self.bad if t == self.at else 0.01
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: (st.lists(inner, max_size=4)
@@ -461,28 +519,13 @@ class TestRunExperiment:
         assert r1.comparable() == r2.comparable()
 
     @pytest.mark.parametrize("cores, processes", [(2, 2), (None, 1), (8, 5)])
-    def test_processes_capped_at_cores(self, monkeypatch, cores, processes):
-        seen = []
-
-        class InProcessPool:  # records its size and runs the stacks here
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    def test_processes_capped_at_cores(self, monkeypatch, in_process_pool, cores,
+                                       processes):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         cfg = harness.parse_config(make_config(trials=5, workers=5, t_max=20,
                                                checkpoints=[20]))
         report = harness.run_experiment(cfg)
-        assert seen == [processes]
+        assert in_process_pool == [processes]
         assert report.comparable() == harness.run_experiment(cfg, workers=1).comparable()
 
     def test_worker_count_invariance(self):
@@ -537,26 +580,35 @@ class TestRunExperiment:
         (back,) = harness.report_from_json(path).trials
         assert back.cause == trial["cause"]
 
-    # the PSP case overshoots for three steps (alpha / tau > 1), then
-    # settles; its outcomes hold for rates moved by 1e-9 relative, so
-    # they do not hang on the last bit of the arithmetic
-    @pytest.mark.parametrize("task, variant, schedule, expected", [
-        ("psw", "iteration_free", {"kind": "constant", "alpha": 0.2},
-         {0: 33, 1: 8, 2: 89, 3: 60, 4: 4, 5: 3, 6: 3}),
-        ("psp", "exact", {"kind": "piecewise", "pieces": [[3, 0.6], [None, 0.05]]},
-         {0: 1, 1: 3, 2: 2, 3: 1, 4: 1, 5: 1, 6: 1}),
-    ], ids=["psw-iteration_free-constant", "psp-exact-overshoot"])
-    def test_mixed_divergence_outcomes(self, task, variant, schedule, expected):
-        self._assert_outcomes(custom_config(
-            task=task, variant=variant, schedule=schedule, trials=8, seed=1, t_max=200),
-            expected)
+    @pytest.mark.parametrize("case", ["psw-iteration_free-constant",
+                                      "psp-exact-overshoot"])
+    def test_mixed_divergence_outcomes(self, case):
+        self._assert_outcomes(*MIXED_DIVERGENCE[case])
 
     def test_offline_mixed_divergence_outcomes(self):
-        self._assert_outcomes(custom_config(
-            task="psw", variant="iteration_free", mode="offline",
-            schedule={"kind": "constant", "alpha": 0.5},
-            trials=8, seed=1, t_max=200, checkpoints=[50]),
-            {1: 11, 4: 2, 5: 11, 6: 2})
+        self._assert_outcomes(*MIXED_DIVERGENCE["offline-psw-iteration_free-constant"])
+
+    @pytest.mark.parametrize("case", sorted(MIXED_DIVERGENCE))
+    def test_replay_and_drops_match_stacks_of_one(self, in_process_pool, case):
+        # one stack of eight replays its failing steps trial by trial and
+        # drops the trials that end; eight stacks of one do neither
+        cfg = harness.parse_config(MIXED_DIVERGENCE[case][0])
+        stacked = harness.run_experiment(cfg, workers=1)
+        assert harness.run_experiment(cfg, workers=8).comparable() == stacked.comparable()
+        assert in_process_pool == [min(8, os.cpu_count() or 1)]
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.01])
+    def test_bad_rate_is_an_input_error(self, bad):
+        # inside the first chunk of steps, online and averaged
+        online = harness.parse_config(make_config(trials=2, t_max=50, checkpoints=[50]))
+        online.schedule = BadRate(bad, at=7)
+        with pytest.raises(ValueError, match="^alpha must be nonnegative and finite$"):
+            harness.run_experiment(online)
+        initial = ModelState(np.eye(2), np.full((2, 3), 0.1), np.array([1.0, 0.5]), 0.5)
+        for variant in Variant:
+            with pytest.raises(ValueError, match="^alpha must be nonnegative and finite$"):
+                offline.run_offline(initial, np.diag([2.0, 1.0, 0.5]), BadRate(bad, at=7),
+                                    50, task=Task.PSP, variant=variant)
 
     @staticmethod
     def _assert_outcomes(text, expected):
@@ -593,6 +645,36 @@ class TestRunExperiment:
         assert report.diverged == 0
         assert report.rows == sorted(expected)
         assert len(report.rows) == 12
+
+    @pytest.mark.parametrize("task, variant", [
+        ("psp", "iteration_free"), ("psp", "exact"),
+        ("psw", "iteration_free"), ("psw", "exact")])
+    def test_online_rows_match_single_trajectories(self, task, variant):
+        # the lockstep stack against a plain online_step loop, trial by
+        # trial, on samples drawn in the same chunks of steps: the points
+        # lie inside the first chunk, at its last step and past its edge
+        cfg = harness.parse_config(make_config(
+            task=task, variant=variant, trials=3, t_max=1100,
+            checkpoints=[1, 500, 1024, 1025, 1100]))
+        report = harness.run_experiment(cfg)
+        expected = []
+        for i in range(cfg.trials):
+            trial = harness._Trial(cfg, i, None)
+            state = trial.initial
+            for start in range(0, cfg.t_max, model._SAMPLE_CHUNK):
+                count = min(model._SAMPLE_CHUNK, cfg.t_max - start)
+                for t, x in enumerate(data.sample_block(trial.spec, trial.rng, count),
+                                      start + 1):
+                    _, state = model.online_step(state, x, cfg.schedule.rate(t),
+                                                 cfg.task, cfg.variant)
+                    if t in cfg.checkpoints:
+                        u_hat = metrics.estimate_subspace(state, cfg.task, cfg.variant,
+                                                          trial.truth.sigma_k)
+                        expected.append(
+                            (t, i, metrics.procrustes_error(u_hat, trial.truth.u_k)))
+        assert report.diverged == 0
+        assert report.rows == sorted(expected)
+        assert len(report.rows) == 15
 
     def test_medians_over_completed_only(self):
         cfg = harness.parse_config(make_config(trials=3))

@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcastream import linalg, model, offline
+from pcastream import data, linalg, model, offline
 from pcastream.errors import MODEL_ERRORS, DegenerateDiagonalError, SingularMatrixError
 from pcastream.model import ModelState, Task, Variant
 
@@ -64,24 +66,34 @@ class TestModelState:
 
     def test_gain_targets_shared_and_read_only(self):
         # the gain targets live in the update coefficients of [W | M], which
-        # are built once, shared by every derived state and read-only
+        # are built once per shape and task, shared by every derived state
+        # and read-only
         st = random_state(1)
         n = st.n
-        psp, psw, square, columns = st.coefs[st.wm.shape]
+        (psp,) = st.coefs[Task.PSP][st.wm.shape]
+        psw, square = st.coefs[Task.PSW][st.wm.shape]
         assert (psp[:, :n] == 1).all() and (square[:, :n] == 0).all()
         assert np.array_equal(psp[:, n:], np.outer(st.lam, st.lam))
         assert np.array_equal(square[:, n:], np.diag(st.lam**2))
-        assert np.array_equal(columns, np.tile([0] * n + [1] * st.k, (st.k, 1)))
-        assert np.array_equal(psw, columns == 0) and np.signbit(square[:, :n]).all()
+        assert np.array_equal(psw, np.tile([1] * n + [0] * st.k, (st.k, 1)))
+        assert np.signbit(square[:, :n]).all()
         stack = ModelState.stack([st, random_state(2)])
         new = model.plasticity(stack, np.ones((2, 10)), np.ones((2, 3)), 0.1, Task.PSP)
         averaged = offline.offline_step(stack, np.stack([np.eye(10)] * 2), 0.1, Task.PSW,
                                         Variant.ITERATION_FREE)
         for derived in (st.copy(), stack, stack[1], stack[[0]], new, new[0], averaged):
             assert derived.coefs is st.coefs
-        for one, full in zip(st.coefs[st.wm.shape], st.coefs[stack.wm.shape]):
-            assert np.array_equal(full, np.broadcast_to(one, stack.wm.shape))
-        assert all(not a.flags.writeable for consts in st.coefs.values() for a in consts)
+        for task in Task:
+            targets = st.coefs[task]
+            for one, full in zip(targets[st.wm.shape], targets[stack.wm.shape]):
+                assert np.array_equal(full, np.broadcast_to(one, stack.wm.shape))
+            assert all(not a.flags.writeable for consts in targets.values() for a in consts)
+
+    def test_coefficients_built_only_for_the_task_stepped(self):
+        st = random_state(5)
+        assert not st.coefs
+        model.plasticity(st, np.ones(10), np.ones(3), 0.1, Task.PSP)
+        assert list(st.coefs) == [Task.PSP] and list(st.coefs[Task.PSP]) == [st.wm.shape]
 
     def test_joint_layout(self):
         # one C-contiguous [W | M]; w and m are views of it
@@ -527,6 +539,36 @@ class TestStackedStep:
             assert np.array_equal(stack[i].m, st_i.m)
             assert np.array_equal(stack[i].w, st_i.w)
         assert np.array_equal(stack[[0, 2]].w, stack.w[[0, 2]])
+
+
+class TestAdvance:
+    def test_trials_dropped_at_a_point_go_on_as_alone(self):
+        # a visit ends the middle trial of three at t = 5; the others step
+        # on, with their carried diagonals, as each does in a stack of one
+        states = [random_state(seed) for seed in (70, 71, 72)]
+        xs = np.random.default_rng(70).normal(size=(20, 3, 10))
+
+        def run(indices, drop):
+            seen = {}
+
+            def visit(t, position, state):
+                seen[t, indices[position]] = state.wm.copy()
+                return not (t == 5 and indices[position] in drop)
+
+            stack = ModelState.stack([states[i] for i in indices])
+            increment = partial(model.online_increment, Variant.ITERATION_FREE,
+                                stack.coefs[Task.PSP])
+            model.advance(stack, 20, {5, 20}, data.InverseTime(10.0, 250.0), increment,
+                          lambda live, count: xs[:count][:, [indices[p] for p in live]],
+                          visit, diverge=None)
+            return seen
+
+        stacked = run([0, 1, 2], drop={1})
+        assert sorted(stacked) == [(5, 0), (5, 1), (5, 2), (20, 0), (20, 2)]
+        for i in (0, 2):
+            alone = run([i], drop=set())
+            for t in (5, 20):
+                assert np.array_equal(stacked[t, i], alone[t, i])
 
 
 def _below_floor(kind, low):
