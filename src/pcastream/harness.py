@@ -345,7 +345,9 @@ def _decode(raw):
              f"leading k+1 spectrum values must differ by more than "
              f"{metrics.GAP_FLOOR:g}")
     _require(linalg.is_positive_finite(tau), "tau must be positive")
-    _require(m_init > 0, "m_init must be positive")
+    # the initial M must pass ModelState's floor on its diagonal
+    _require(m_init > model.DIAGONAL_FLOOR,
+             f"m_init must be above {model.DIAGONAL_FLOOR:g}")
     _require(w_init_std > 0, "w_init_std must be positive")
 
     t_max = _coerce(raw, "t_max", _int, _DEFAULT_T_MAX[mode])

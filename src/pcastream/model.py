@@ -209,25 +209,11 @@ def approx_inverse(m):
     return _lateral_solve(m, np.eye(m.shape[0]), Variant.ITERATION_FREE)
 
 
-def _forward(wm, d, x, variant):
-    """The output of ``[W | M]`` with carried diagonal d (or None) for
-    input x: the two-step pass on ``W x``, or ``M y = W x`` solved."""
-    n = x.shape[-1]
-    return _lateral_solve(wm[..., n:], np.matvec(wm[..., :n], x), variant, d)
-
-
-def _filter(wm, d, variant):
-    """The input-to-output map F of ``[W | M]``: the solve of
-    :func:`_forward` applied to W instead of ``W x``."""
-    n = wm.shape[-1] - wm.shape[-2]
-    return _lateral_solve(wm[..., n:], wm[..., :n], variant, d)
-
-
 def forward(state, x, variant):
     """Output for one input vector from the pre-update weights: the
     two-step pass on ``w @ x`` (iteration-free), or ``m @ y = w @ x``
     solved (exact)."""
-    return _forward(state.wm, state.diag, x, variant)
+    return _lateral_solve(state.m, np.matvec(state.w, x), variant, state.diag)
 
 
 def neural_filter(state, variant):
@@ -235,35 +221,59 @@ def neural_filter(state, variant):
 
     The same solve as ``forward``, applied to W instead of ``W x``.
     """
-    return _filter(state.wm, state.diag, variant)
+    return _lateral_solve(state.m, state.w, variant, state.diag)
 
 
-def _hebbian(x, y):
-    """``y [x, y]'``, one outer product per learner: W's Hebbian term
-    ``y x'`` and M's ``y y'``, which is exactly symmetric."""
-    return y[..., :, None] * np.concatenate((x, y), axis=-1)[..., None, :]
+class _Workspace:
+    """What steps of ``[W | M]`` of one shape write into, made once per
+    stack shape and chunk of steps: two C-contiguous buffers, each with
+    its W, M and (read-only) diagonal views, ``cur`` read by a step and
+    ``nxt`` written, which swap only after the new weights pass the
+    step's tests; the increment ``h`` with its blocks ``h_w`` and
+    ``h_m``; and ``rate``, a chunk's one row of rates shaped like wm (a
+    broadcast costs more than the copy), or None. ``d`` is cur's diagonal
+    as an update tested it, or None: a contiguous copy, which the two-step
+    pass reads faster than a view. The first cur is the array given, only
+    read by the first step: a caller that steps more than once gives an
+    array of its own."""
+
+    __slots__ = ("cur", "nxt", "d", "h", "h_w", "h_m", "rate")
+
+    def __init__(self, wm, d, rate=None):
+        n, h = wm.shape[-1] - wm.shape[-2], np.empty(wm.shape)
+        self.cur, self.nxt = [(a, a[..., :n], a[..., n:], a.diagonal(n, -2, -1))
+                              for a in (wm, np.empty(wm.shape))]
+        self.d, self.h, self.h_w, self.h_m = d, h, h[..., :n], h[..., n:]
+        self.rate = None if rate is None else np.broadcast_to(rate, wm.shape).copy()
 
 
-def _increment(wm, hebb, targets):
-    """``hebb - C * wm`` or ``hebb - (C * wm + S)`` (:class:`_Targets`) in
-    the fresh ``hebb = [H_W | H_M]``: 1 * W is W, ``x + -0`` is x and ``+-0
-    + +0`` is +0, so each entry is H_W - W, or H_M minus the exactly
+def _increment(ws, targets):
+    """``H - C * wm`` or ``H - (C * wm + S)`` (:class:`_Targets`) in the
+    workspace's ``H = [H_W | H_M]``, which holds the drive, with the
+    target formed in the spare buffer: 1 * W is W, ``x + -0`` is x and
+    ``+-0 + +0`` is +0, so each entry is H_W - W, or H_M minus the exactly
     symmetric target ``(lam lam') * M`` or ``diag(lam**2)``, bit for bit."""
+    wm, target, h = ws.cur[0], ws.nxt[0], ws.h
     consts = targets[wm.shape]
-    if targets.task is Task.PSP:
-        hebb -= consts[0] * wm
-    else:
-        target = consts[0] * wm
+    np.multiply(consts[0], wm, out=target)
+    if targets.task is Task.PSW:
         target += consts[1]
-        hebb -= target
-    return hebb
+    h -= target
+    return h
 
 
-def online_increment(variant, targets, wm, d, x):
-    """The online update direction of ``[W | M]`` (carried diagonal d, or
-    None) for the sample x: :func:`_increment` of ``y [x, y]'``, with y
-    the output of the pre-update weights."""
-    return _increment(wm, _hebbian(x, _forward(wm, d, x, variant)), targets)
+def online_increment(variant, targets, ws, x, y=None):
+    """The online update direction of the workspace's ``[W | M]`` for the
+    sample x: :func:`_increment` of the drive ``y [x, y]'``, written into
+    H's two blocks (``y y'`` is exactly symmetric), with y the output of
+    the pre-update weights, or the y given."""
+    if y is None:
+        _, w, m, _ = ws.cur
+        y = _lateral_solve(m, np.matvec(w, x), variant, ws.d)
+    y = y[..., :, None]
+    np.multiply(y, x[..., None, :], out=ws.h_w)
+    np.multiply(y, y.mT, out=ws.h_m)
+    return _increment(ws, targets)
 
 
 def _rates(alphas, tau, n, out):
@@ -280,34 +290,37 @@ def _rates(alphas, tau, n, out):
     return out
 
 
-def _step(wm, d, x, rate, increment):
-    """The array step: ``wm + rate * increment(wm, d, x)`` for a learner
-    or stack ``[W | M]`` with carried diagonal d (or None), input x and one
-    row of :func:`_rates`, broadcast over the rows of W and M and over the
-    stack (or a copy of it shaped like wm): one scale and one add,
-    entrywise, in the fresh increment, so an exactly symmetric M block
-    stays so. A diagonal at the floor (or NaN) or an overflow in any slice
-    is divergence (:func:`linalg.all_finite`: finite weights whose squares
-    overflow pass). Returns the new wm, read-only, and M's diagonal as
-    tested here."""
-    delta = increment(wm, d, x)
-    delta *= rate
-    wm = np.add(wm, delta, out=delta)
-    d = wm.diagonal(wm.shape[-1] - wm.shape[-2], -2, -1).copy()
+def _step(ws, x, row, increment):
+    """The array step: ``wm + rate * increment(ws, x)`` for the learner or
+    stack ``[W | M]`` of a workspace and input x, into its spare buffer, at
+    ``ws.rate`` or one row of :func:`_rates` broadcast over the rows of W
+    and M and over the stack: one scale and one add, entrywise, so an
+    exactly symmetric M block stays so. A diagonal at the floor (or NaN)
+    or an overflow in any slice is divergence (:func:`linalg.all_finite`:
+    finite weights whose squares overflow pass); new weights that pass
+    become current, with the copy of their diagonal that was tested."""
+    h = increment(ws, x)
+    h *= row if ws.rate is None else ws.rate
+    nxt = ws.nxt
+    np.add(ws.cur[0], h, out=nxt[0])
+    d = nxt[3].copy()
     if not all(map(DIAGONAL_FLOOR.__lt__, d.ravel().tolist())):
         raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
-    if not linalg.all_finite(wm):
+    if not linalg.all_finite(nxt[0]):
         raise DegenerateDiagonalError("weights overflowed")
-    wm.setflags(write=False)
-    return wm, d
+    ws.cur, ws.nxt, ws.d = nxt, ws.cur, d
 
 
 def _stepped(state, x, alpha, increment):
-    """:func:`_step` of a state or stack at rate alpha, as a new state
-    that carries the diagonal the step tested."""
+    """:func:`_step` of a state or stack at rate alpha in a fresh
+    workspace, as a new state whose wm is read-only and which carries the
+    diagonal the step tested."""
     rate = _rates((alpha,), state.tau, state.n, np.empty((1, state.wm.shape[-1])))[0]
-    wm, d = _step(state.wm, state.diag, x, rate, increment)
-    return ModelState._unchecked(wm, state.lam, state.tau, state.coefs, d)
+    ws = _Workspace(state.wm, state.diag)
+    _step(ws, x, rate, increment)
+    wm = ws.cur[0]
+    wm.setflags(write=False)
+    return ModelState._unchecked(wm, state.lam, state.tau, state.coefs, ws.d)
 
 
 def plasticity(state, x, y, alpha, task):
@@ -316,8 +329,8 @@ def plasticity(state, x, y, alpha, task):
     (projection) or ``diag(lam**2)`` (whitening), at 1/tau of the W rate;
     both from the one outer product ``y [x, y]'``. ``y y'`` is exactly
     symmetric, so M stays so."""
-    return _stepped(state, x, alpha, lambda wm, _d, _x: _increment(
-        wm, _hebbian(x, y), state.coefs[task]))
+    return _stepped(state, x, alpha, lambda ws, x: online_increment(
+        None, state.coefs[task], ws, x, y))
 
 
 def online_step(state, x, alpha, task, variant):
@@ -331,70 +344,79 @@ def online_step(state, x, alpha, task, variant):
     return y, plasticity(state, x, y, alpha, task)
 
 
-def _replay(live, wm, d, x, t, rate, increment, diverge):
-    """Step t again one trial at a time, after the stack's step raised; a
-    trial whose own step fails goes to ``diverge``. Returns the others'
-    new wm and diagonal stacks (None if none is left) and their indices
+def _frozen(state, wm):
+    """Learner ``wm`` of the stack ``state`` as a state of its own, on a
+    read-only copy that no later step can change."""
+    wm = wm.copy()
+    wm.setflags(write=False)
+    return ModelState._unchecked(wm, state.lam, state.tau, state.coefs)
+
+
+def _replay(live, ws, x, t, row, one, increment, diverge):
+    """Step t again one trial at a time, after the stack's step raised,
+    from ``ws.cur``, which the failed step left as it was; a trial whose
+    own step fails goes to ``diverge``. Returns a workspace of the others
+    at the chunk's one rate (None if no trial is left) and their indices
     in ``live``."""
     kept, steps = [], []
     for j, position in enumerate(live):
+        trial = _Workspace(ws.cur[0][j], None if ws.d is None else ws.d[j])
         try:
-            steps.append(_step(wm[j], None if d is None else d[j], x[j], rate, increment))
+            _step(trial, x[j], row, increment)
         except MODEL_ERRORS as exc:
             diverge(t, position, exc)
         else:
             kept.append(j)
+            steps.append((trial.cur[0], trial.d))
     if not steps:
-        return None, None, kept
+        return None, kept
     wms, ds = zip(*steps)
-    return np.stack(wms), np.stack(ds), kept
+    return _Workspace(np.stack(wms), np.stack(ds), one), kept
 
 
 def advance(state, t_max, points, schedule, increment, draw, visit, diverge):
     """Step a stack of learners from ``state`` through step ``t_max``.
 
-    The loop steps the raw ``[W | M]`` of the stack and the diagonal each
-    step carries with :func:`_step`, along ``increment(wm, d, x)`` at the
-    rates of :func:`_rates`, one table per chunk of ``_SAMPLE_CHUNK`` steps
-    from ``schedule.rate``. ``draw(live, count)`` gives the inputs of the
+    The loop steps the stack's raw ``[W | M]`` in one :class:`_Workspace`
+    with :func:`_step`, along ``increment(ws, x)`` at the rates of
+    :func:`_rates`, one table per chunk of ``_SAMPLE_CHUNK`` steps from
+    ``schedule.rate``. ``draw(live, count)`` gives the inputs of the
     trials at stack positions ``live``, one column each: ``count`` rows,
     or one row for every step. ``visit(t, position, state)`` sees each
-    live trial, as a state, at each t in ``points`` (at t = 0 when
-    ``t_max == 0``) and returns whether it goes on; ``diverge(t, position,
-    exc)`` gets a trial whose own step raised a model error. A trial that
-    ends leaves the stack; the others go on.
+    live trial at each t in ``points`` (at t = 0 when ``t_max == 0``) as
+    a state of its own on a read-only copy, and returns whether it goes
+    on; ``diverge(t, position, exc)`` gets a trial whose own step raised a
+    model error. A trial that ends leaves the stack; the others go on.
     """
     live = list(range(len(state.wm)))
     if t_max == 0:  # the initial state is the only snapshot
         for j in live:
-            visit(0, j, state[j])
-    wm, d, n = state.wm, state.diag, state.n
-    table = np.empty((min(_SAMPLE_CHUNK, t_max), wm.shape[-1]))  # refilled per chunk
+            visit(0, j, _frozen(state, state.wm[j]))
+    ws = _Workspace(state.wm.copy(), state.diag)  # cur: a buffer of its own
+    table = np.empty((min(_SAMPLE_CHUNK, t_max), state.wm.shape[-1]))  # refilled per chunk
     t = 0
     while t < t_max and live:
         count = min(_SAMPLE_CHUNK, t_max - t)
         block = draw(live, count)  # (rows, trials, ...)
-        rates = _rates(map(schedule.rate, range(t + 1, t + count + 1)), state.tau, n,
-                       table[:count])
-        # at one rate for the whole chunk, a copy of the row shaped like wm
-        # scales each step without the cost of a broadcast
-        full = np.broadcast_to(rates[0], wm.shape).copy() if (rates == rates[0]).all() else None
+        rates = _rates(map(schedule.rate, range(t + 1, t + count + 1)), state.tau,
+                       state.n, table[:count])
+        one = rates[0] if (rates == rates[0]).all() else None
+        ws = _Workspace(ws.cur[0], ws.d, one)
         for r, row in enumerate(rates):
             t += 1
             x = block[r % len(block)]
             try:
-                wm, d = _step(wm, d, x, full if full is not None and full.shape == wm.shape
-                              else row, increment)
+                _step(ws, x, row, increment)
             except MODEL_ERRORS:
-                wm, d, kept = _replay(live, wm, d, x, t, row, increment, diverge)
+                ws, kept = _replay(live, ws, x, t, row, one, increment, diverge)
                 live, block = [live[j] for j in kept], block[:, kept]
             if t in points and live:
-                kept = [j for j, position in enumerate(live) if visit(
-                    t, position, ModelState._unchecked(wm[j], state.lam, state.tau,
-                                                       state.coefs))]
+                wm = ws.cur[0]
+                kept = [j for j, position in enumerate(live)
+                        if visit(t, position, _frozen(state, wm[j]))]
                 if len(kept) < len(live):
-                    live, wm, d, block = ([live[j] for j in kept], wm[kept], d[kept],
-                                          block[:, kept])
+                    live, block = [live[j] for j in kept], block[:, kept]
+                    ws = _Workspace(wm[kept], ws.d[kept], one)
             if not live:
                 break
         del block, x  # freed before the next chunk draws its own

@@ -20,8 +20,9 @@ from .model import (
     ModelState,
     Task,
     _Targets,
-    _filter,
+    _Workspace,
     _increment,
+    _lateral_solve,
     _stepped,
     advance,
     neural_filter,  # noqa: F401  (the name perfbench/tracing.py binds)
@@ -29,20 +30,21 @@ from .model import (
 )
 
 
-def averaged_increment(variant, targets, wm, d, g):
-    """The averaged update direction of ``[W | M]`` (carried diagonal d,
-    or None) on the covariance g: ``model._increment`` of ``[F G, F G
-    F']`` with F the learner's filter, that is ``F G - W`` and the lateral
-    drive before its 1/tau rate. ``F G F'`` is symmetric only up to
-    rounding, so it is symmetrized here, once: the drive and every M that
-    a step forms from it are then exactly symmetric.
+def averaged_increment(variant, targets, ws, g):
+    """The averaged update direction of the workspace's ``[W | M]`` on the
+    covariance g: ``model._increment`` of the drive ``[F G, F G F']``,
+    written into H's two blocks, with F the learner's filter; that is ``F
+    G - W`` and the lateral drive before its 1/tau rate. ``F G F'`` is
+    symmetric only up to rounding, so it is symmetrized here, once: the
+    drive and every M that a step forms from it are then exactly
+    symmetric.
     """
-    f = _filter(wm, d, variant)
-    fg = f @ g
+    _, w, m, _ = ws.cur
+    f = _lateral_solve(m, w, variant, ws.d)
+    fg = np.matmul(f, g, out=ws.h_w)
     corr = fg @ f.mT
-    corr = corr + corr.mT
-    corr *= 0.5
-    return _increment(wm, np.concatenate((fg, corr), axis=-1), targets)
+    np.multiply(corr + corr.mT, 0.5, out=ws.h_m)
+    return _increment(ws, targets)
 
 
 def offline_step(state, g, alpha, task, variant):
@@ -75,7 +77,8 @@ def fixed_point_residual(state, g, task, variant):
     the lateral drive (against ``(lam lam') * M`` for projection,
     ``diag(lam^2)`` for whitening).
     """
-    field = averaged_increment(variant, state.coefs[task], state.wm, state.diag, g)
+    field = averaged_increment(variant, state.coefs[task],
+                               _Workspace(state.wm, state.diag), g)
     n = state.n
     return linalg.frobenius(field[..., :n]) + linalg.frobenius(field[..., n:])
 
@@ -102,7 +105,8 @@ def _jacobian(state, g, task, variant, eps):
     wm = wm.reshape(-1, k, n + k)
     wm[..., n:] += np.triu(wm[..., n:], 1).mT
     # targets of their own: their copies for this stack's shape go with them
-    field = averaged_increment(variant, _Targets(state.lam, n, task), wm, None, g)
+    field = averaged_increment(variant, _Targets(state.lam, n, task),
+                               _Workspace(wm, None), g)
     field[..., n:] /= state.tau
     field = field.reshape(2 * dim, -1)[:, coord]
     return ((field[:dim] - field[dim:]) / (2.0 * eps)).T
@@ -144,8 +148,8 @@ def run_offline(initial, g, schedule, t_max, checkpoints=(), *,
         raise ValueError(f"checkpoints outside [1, t_max]: {bad}")
     snaps = {}
 
-    def visit(t, _, state):
-        snaps[t] = state.copy()
+    def visit(t, _, state):  # a read-only copy of its own
+        snaps[t] = state
         return True
 
     def diverge(t, _, exc):

@@ -19,6 +19,7 @@ from pcastream.checks import CHECKS, run_verification
 from pcastream.errors import (
     ConfigParseError,
     ConfigValidationError,
+    DegenerateDiagonalError,
     ReportFormatError,
 )
 from pcastream.model import ModelState, Task, Variant
@@ -330,6 +331,23 @@ class TestConfigRulesMatchConstructors:
             assert _accepts(lambda: harness.parse_config(text)) == _accepts(build)
 
     @settings(max_examples=150, deadline=None)
+    @given(st.floats())
+    @example(1e-300)
+    @example(model.DIAGONAL_FLOOR)
+    @example(2e-12)
+    def test_m_init(self, m_init):
+        # the decoder's bound is the floor ModelState puts on M's diagonal
+        text = custom_config(m_init=m_init)
+
+        def state():
+            try:
+                ModelState(np.diag([m_init, m_init]), np.zeros((2, 4)), [1.0, 0.8], 0.5)
+            except DegenerateDiagonalError as exc:
+                raise ValueError("below the floor") from exc
+
+        assert _accepts(lambda: harness.parse_config(text)) == _accepts(state)
+
+    @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 3), st.lists(st.integers(-1, 4), max_size=3))
     def test_checkpoints(self, t_max, checkpoints):
         text = custom_config(mode="offline", t_max=t_max, checkpoints=checkpoints)
@@ -476,6 +494,16 @@ class TestParseConfig:
     def test_bad_values_rejected(self, text):
         with pytest.raises(ConfigValidationError):
             harness.parse_config(text)
+
+    @pytest.mark.parametrize("m_init, accepted",
+                             [(1e-300, False), (1e-12, False), (2e-12, True)])
+    def test_m_init_above_diagonal_floor(self, m_init, accepted):
+        text = custom_config(m_init=m_init)
+        if accepted:
+            assert harness.parse_config(text).m_init == m_init
+        else:
+            with pytest.raises(ConfigValidationError, match="^m_init must be above 1e-12$"):
+                harness.parse_config(text)
 
     def test_tie_at_k_rejected(self):
         # the subspace of the top k=2 components is not unique
@@ -1151,6 +1179,23 @@ class TestCli:
         proc = run_cli("run", "--config", str(cfg_path))
         assert proc.returncode == 2
         assert "t_max" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_m_init_at_floor_exits_2(self, tmp_path):
+        # run and report alike: a named config error, not the traceback of
+        # the initial state's floor test
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(custom_config(m_init=1e-300, t_max=2))
+        proc = run_cli("run", "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert "config error: m_init" in proc.stderr and "Traceback" not in proc.stderr
+        obj = harness.run_experiment(harness.parse_config(
+            custom_config(m_init=2e-12, t_max=2))).to_json_dict()
+        obj["config"]["m_init"] = 1e-300
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        proc = run_cli("report", "--in", str(path))
+        assert proc.returncode == 2
+        assert "m_init must be above" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("content", [
         HUGE_N_CONFIG.encode(), b"\xff\xfe" + make_config().encode(),

@@ -714,3 +714,128 @@ class TestParentFormulas:
                     continue
                 assert isinstance(got, ModelState), got
                 assert _same_bits(got.w, expected[0]) and _same_bits(got.m, expected[1])
+
+
+@st.composite
+def stack_runs(draw):
+    """A stack of 1-4 small learners, online or averaged, with its inputs,
+    a schedule and the points visited; large rates, small diagonals and
+    huge weights make some trials fail partway through, and a visit may
+    end a trial."""
+    b = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k + 1, 6))
+    t_max = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = rng.normal(size=(b, k, k))
+    m = draw(st.sampled_from([0.0, 0.05, 0.3])) * (e + e.mT)
+    idx = np.arange(k)
+    m[:, idx, idx] = rng.uniform(draw(st.sampled_from([1e-13, 0.05, 0.5])), 1.5, size=(b, k))
+    w = rng.normal(size=(b, k, n))
+    m *= draw(weight_scales)
+    w *= draw(weight_scales)
+    state = ModelState._unchecked(np.concatenate((w, m), -1), np.linspace(1.0, 0.6, k), 0.5)
+    schedule = draw(st.one_of(
+        st.sampled_from([1e-3, 0.1, 0.6, 2.0, 8.0]).map(data.Constant),
+        st.sampled_from([(1.0, 5.0), (40.0, 2.0)]).map(lambda a: data.InverseTime(*a))))
+    online = draw(st.booleans())
+    if online:
+        inputs = rng.normal(size=(t_max, b, n))
+    else:
+        a = rng.normal(size=(b, n, n))
+        inputs = a @ a.mT / n
+    points = draw(st.sets(st.integers(1, t_max)))
+    ends = draw(st.sets(st.integers(0, b - 1)))
+    return (state, online, inputs, schedule, t_max, points, ends,
+            draw(st.sampled_from(list(Task))), draw(st.sampled_from(list(Variant))))
+
+
+# random stacks include weights whose products overflow
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestAdvanceMatchesOneShot:
+    """``advance`` on a stack equals, trial by trial, a fold of the one-shot
+    step on a stack of one: the bits of every visited state, which trials
+    diverge, at which t and with which message. A failing stack step has
+    already written into the spare buffer, so its per-trial replay must
+    read the buffer from before the step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack_runs())
+    def test_trial_by_trial(self, case):
+        state, online, inputs, schedule, t_max, points, ends, task, variant = case
+        seen = {}
+
+        def visit(t, position, visited):
+            seen[position, t] = visited.wm.tobytes()
+            return position not in ends
+
+        def diverge(t, position, exc):
+            seen[position, "diverged"] = (t, type(exc), str(exc))
+
+        coefs = state.coefs[task]
+        if online:
+            increment = partial(model.online_increment, variant, coefs)
+            draw = lambda live, count: inputs[:count][:, live]
+        else:
+            increment = partial(offline.averaged_increment, variant, coefs)
+            draw = lambda live, count: inputs[live][None]
+        model.advance(state, t_max, points, schedule, increment, draw, visit, diverge)
+
+        expected = {}
+        for i in range(len(state.wm)):
+            one = state[[i]]
+            for t in range(1, t_max + 1):
+                alpha = schedule.rate(t)
+                try:
+                    if online:
+                        one = model.online_step(one, inputs[t - 1, [i]], alpha, task,
+                                                variant)[1]
+                    else:
+                        one = offline.offline_step(one, inputs[[i]], alpha, task, variant)
+                except MODEL_ERRORS as exc:
+                    expected[i, "diverged"] = (t, type(exc), str(exc))
+                    break
+                if t in points:
+                    expected[i, t] = one.wm[0].tobytes()
+                    if i in ends:
+                        break
+        assert seen == expected
+
+
+class TestVisitedStatesStayFrozen:
+    """``visit`` may keep the states it gets without copying them: each is
+    read-only and no later step of the stack changes it."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("online", [True, False], ids=["online", "averaged"])
+    def test_kept_states_equal_the_one_shot_fold(self, online, variant):
+        states = [random_state(seed) for seed in (80, 81)]
+        rng = np.random.default_rng(80)
+        xs = rng.normal(size=(8, 2, 10))
+        a = rng.normal(size=(2, 10, 10))
+        gs = a @ a.mT / 10
+        stack = ModelState.stack(states)
+        coefs = stack.coefs[Task.PSW]
+        if online:
+            increment = partial(model.online_increment, variant, coefs)
+            draw = lambda live, count: xs[:count][:, live]
+            step = lambda s, i, t: model.online_step(s, xs[t - 1, i], 0.01, Task.PSW,
+                                                     variant)[1]
+        else:
+            increment = partial(offline.averaged_increment, variant, coefs)
+            draw = lambda live, count: gs[live][None]
+            step = lambda s, i, t: offline.offline_step(s, gs[i], 0.01, Task.PSW, variant)
+        kept = {}
+
+        def visit(t, position, state):
+            kept[t, position] = state
+            return True
+
+        model.advance(stack, 8, {1, 2, 3}, data.Constant(0.01), increment, draw, visit,
+                      diverge=None)
+        assert sorted(kept) == [(t, i) for t in (1, 2, 3) for i in (0, 1)]
+        for i, state in enumerate(states):
+            for t in (1, 2, 3):
+                state = step(state, i, t)
+                assert _same_bits(kept[t, i].wm, state.wm)
+                assert not kept[t, i].wm.flags.writeable

@@ -230,7 +230,8 @@ def reference_jacobian(state, g, task, variant, eps):
         m = m + np.triu(m, 1).T
         moved = ModelState._unchecked(
             np.concatenate((vec[: k * n].reshape(k, n), m), -1), state.lam, state.tau)
-        field = offline.averaged_increment(variant, moved.coefs[task], moved.wm, None, g)
+        field = offline.averaged_increment(variant, moved.coefs[task],
+                                           model._Workspace(moved.wm, None), g)
         return np.concatenate([field[:, :n].ravel(), (field[:, n:] / state.tau)[iu]])
 
     base = np.concatenate([state.w.ravel(), state.m[iu]])
@@ -339,6 +340,20 @@ class TestRunOffline:
         for t in (1, 20, 50):
             assert np.array_equal(snaps[t].w, expected[t].w)
             assert np.array_equal(snaps[t].m, expected[t].m)
+
+    def test_snapshots_stay_frozen(self):
+        # run_offline keeps the states advance hands it, uncopied: each is
+        # read-only, and no later step changes it
+        g, pre = small_covariance(35)
+        for variant in Variant:
+            st = fresh_state(pre, Task.PSW)
+            snaps = offline.run_offline(st, g, Constant(0.1), 8, [1, 2, 3],
+                                        task=Task.PSW, variant=variant)
+            assert list(snaps) == [1, 2, 3, 8]
+            for t in (1, 2, 3):
+                st = offline.offline_step(st, g, 0.1, Task.PSW, variant)
+                assert same_bits(snaps[t].wm, st.wm)
+                assert not snaps[t].wm.flags.writeable
 
     def test_fixed_point_is_invariant_along_run(self):
         g, pre = small_covariance(32)
