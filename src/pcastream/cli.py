@@ -51,7 +51,11 @@ def _cmd_run(args):
     if out and _overwrites(out, args.config):
         print(f"refusing to overwrite the config {args.config}", file=sys.stderr)
         return 2
-    report = harness.run_experiment(config, workers=args.workers)
+    try:
+        report = harness.run_experiment(config, workers=args.workers)
+    except ConfigValidationError as exc:  # a w_init_std whose draws overflow
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     completed = len(report.trials) - report.diverged
     for t, e in sorted(report.medians.items()):
         print(f"t={t}  median_e_pro={e:.6e}  (over {completed} trials)")

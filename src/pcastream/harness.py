@@ -338,6 +338,9 @@ def _decode(raw):
     w_init_std = _coerce(raw, "w_init_std", _number, 1.0 / math.sqrt(n))
     _require(linalg.is_positive_decreasing(lam),
              "lambda must be strictly decreasing and positive")
+    # lam[0]**2, the largest entry of both lateral targets, must not overflow
+    _require(math.isfinite(lam.item(0) * lam.item(0)),
+             "lambda[0] squared must be finite")
     _require(linalg.is_positive_nonincreasing(spectrum),
              "spectrum must be positive and nonincreasing")
     # ground_truth needs a unique, ordered leading k-subspace
@@ -404,6 +407,9 @@ def load_config(path):
 
 def _initial_state(config, gen):
     w0 = gen.normal(0.0, config.w_init_std, size=(config.k, config.n))
+    # a finite std can still draw a weight that overflows
+    _require(linalg.all_finite(w0),
+             f"w_init_std {config.w_init_std:g} draws infinite weights")
     m0 = config.m_init * np.eye(config.k)
     return ModelState(m0, w0, config.lam, config.tau)
 
@@ -479,7 +485,8 @@ def _run_stack(config, indices, rotation=None):
 
     stack = ModelState.stack([trial.initial for trial in trials])
     advance(stack, config.t_max, set(config.eval_points()), config.schedule,
-            partial(increment, config.variant, stack.coefs[config.task]), draw,
+            partial(increment, config.variant,
+                    model._Targets(stack.lam, stack.n, config.task)), draw,
             visit=lambda t, p, state: trials[p].record(t, state),
             diverge=lambda t, p, exc: trials[p].diverge(t, exc))
     wall_clock_s = time.perf_counter() - start

@@ -93,7 +93,8 @@ def procrustes_error(u_hat, u_true):
     Q ranges over K x K orthogonal matrices; the minimizer comes from the
     SVD of ``u_hat.T @ u_true``. The error is evaluated as the explicit
     residual at the optimal Q (not via the trace identity), which stays
-    accurate all the way down to the rounding floor.
+    accurate all the way down to the rounding floor. Finite inputs whose
+    product overflows give an error that overflows too: infinity.
     """
     u_hat = np.asarray(u_hat, dtype=float)
     u_true = np.asarray(u_true, dtype=float)
@@ -101,7 +102,10 @@ def procrustes_error(u_hat, u_true):
         raise ShapeMismatchError(
             f"shape mismatch: {u_hat.shape} vs {u_true.shape}")
     k = u_true.shape[1]
-    a, _, b = linalg.svd_small(u_hat.T @ u_true)
+    cross = u_hat.T @ u_true
+    if not linalg.all_finite(cross) and all(map(linalg.all_finite, (u_hat, u_true))):
+        return math.inf
+    a, _, b = linalg.svd_small(cross)
     q = a @ b.T
     resid = u_hat @ q - u_true
     return float(np.sum(resid * resid) / k)

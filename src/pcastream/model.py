@@ -57,13 +57,12 @@ class ModelState:
     tau -- time-constant ratio between the M and W updates, finite, > 0
 
     The weights are one C-contiguous ``wm = [W | M]``, K x (N + K) or B x
-    K x (N + K), with views ``w`` and ``m``; ``coefs`` holds the update
-    constants (:class:`_Coefficients`). An updated state's wm is read-only
-    and its ``diag`` is M's diagonal as the update tested it (else None).
-    Stacks and states made from valid ones come from :meth:`_unchecked`.
+    K x (N + K), with views ``w`` and ``m``. An updated state's wm is
+    read-only. Stacks and states made from valid ones come from
+    :meth:`_unchecked`.
     """
 
-    __slots__ = ("wm", "w", "m", "lam", "tau", "coefs", "diag")
+    __slots__ = ("wm", "w", "m", "lam", "tau")
 
     def __init__(self, m, w, lam, tau):
         m = np.array(m, dtype=float)
@@ -88,16 +87,15 @@ class ModelState:
             raise ValueError("tau must be positive and finite")
         self._set(np.concatenate((w, m), axis=1), lam, tau)
 
-    def _set(self, wm, lam, tau, coefs=None, diag=None):
+    def _set(self, wm, lam, tau):
         n = wm.shape[-1] - wm.shape[-2]
         self.wm, self.w, self.m, self.lam, self.tau = wm, wm[..., :n], wm[..., n:], lam, tau
-        self.coefs, self.diag = _Coefficients(lam, n) if coefs is None else coefs, diag
         return self
 
     @classmethod
-    def _unchecked(cls, wm, lam, tau, coefs=None, diag=None):
+    def _unchecked(cls, wm, lam, tau):
         """A state or stack taken as given: valid by construction, or a test's."""
-        return cls.__new__(cls)._set(wm, lam, tau, coefs, diag)
+        return cls.__new__(cls)._set(wm, lam, tau)
 
     @property
     def k(self):
@@ -111,15 +109,14 @@ class ModelState:
     def stack(cls, states):
         """One stack of learners that share the gain and time constant."""
         first = states[0]
-        return cls._unchecked(np.stack([s.wm for s in states]), first.lam, first.tau,
-                              first.coefs)
+        return cls._unchecked(np.stack([s.wm for s in states]), first.lam, first.tau)
 
     def __getitem__(self, index):
         """Learner ``index`` of a stack, or the sub-stack of an index list."""
-        return self._unchecked(self.wm[index], self.lam, self.tau, self.coefs)
+        return self._unchecked(self.wm[index], self.lam, self.tau)
 
     def copy(self):
-        return self._unchecked(self.wm.copy(), self.lam.copy(), self.tau, self.coefs)
+        return self._unchecked(self.wm.copy(), self.lam.copy(), self.tau)
 
     def __repr__(self):
         return f"ModelState(k={self.k}, n={self.n}, tau={self.tau})"
@@ -128,19 +125,6 @@ class ModelState:
 def outside_horizon(points, t_max):
     """The points outside [1, t_max], sorted: a run never reaches them."""
     return sorted(t for t in points if not 1 <= t <= t_max)
-
-
-class _Coefficients(dict):
-    """The read-only constants of the update of ``[W | M]``, shared by
-    every state made from the first: ``coefs[task]`` is that task's
-    :class:`_Targets`, made on first use."""
-
-    def __init__(self, lam, n):
-        self.lam, self.n = lam, n
-
-    def __missing__(self, task):
-        targets = self[task] = _Targets(self.lam, self.n, task)
-        return targets
 
 
 class _Targets(dict):
@@ -179,7 +163,7 @@ def _lateral_solve(m, b, variant, d=None):
     It uses no general inversion, and its error is quadratic in the
     off-diagonal norm.
 
-    The iteration-free pass uses a diagonal ``d`` its update tested, or
+    The iteration-free pass uses a diagonal ``d`` its step tested, or
     rejects an entry below ``DIAGONAL_FLOOR`` in any slice as ``d.min() <
     floor`` does (a NaN passes), on a list of floats. It writes only into
     its own temporaries.
@@ -213,7 +197,7 @@ def forward(state, x, variant):
     """Output for one input vector from the pre-update weights: the
     two-step pass on ``w @ x`` (iteration-free), or ``m @ y = w @ x``
     solved (exact)."""
-    return _lateral_solve(state.m, np.matvec(state.w, x), variant, state.diag)
+    return _lateral_solve(state.m, np.matvec(state.w, x), variant)
 
 
 def neural_filter(state, variant):
@@ -221,7 +205,7 @@ def neural_filter(state, variant):
 
     The same solve as ``forward``, applied to W instead of ``W x``.
     """
-    return _lateral_solve(state.m, state.w, variant, state.diag)
+    return _lateral_solve(state.m, state.w, variant)
 
 
 class _Workspace:
@@ -239,7 +223,7 @@ class _Workspace:
 
     __slots__ = ("cur", "nxt", "d", "h", "h_w", "h_m", "rate")
 
-    def __init__(self, wm, d, rate=None):
+    def __init__(self, wm, d=None, rate=None):
         n, h = wm.shape[-1] - wm.shape[-2], np.empty(wm.shape)
         self.cur, self.nxt = [(a, a[..., :n], a[..., n:], a.diagonal(n, -2, -1))
                               for a in (wm, np.empty(wm.shape))]
@@ -313,14 +297,13 @@ def _step(ws, x, row, increment):
 
 def _stepped(state, x, alpha, increment):
     """:func:`_step` of a state or stack at rate alpha in a fresh
-    workspace, as a new state whose wm is read-only and which carries the
-    diagonal the step tested."""
+    workspace, as a new state whose wm is read-only."""
     rate = _rates((alpha,), state.tau, state.n, np.empty((1, state.wm.shape[-1])))[0]
-    ws = _Workspace(state.wm, state.diag)
+    ws = _Workspace(state.wm)
     _step(ws, x, rate, increment)
     wm = ws.cur[0]
     wm.setflags(write=False)
-    return ModelState._unchecked(wm, state.lam, state.tau, state.coefs, ws.d)
+    return ModelState._unchecked(wm, state.lam, state.tau)
 
 
 def plasticity(state, x, y, alpha, task):
@@ -330,7 +313,7 @@ def plasticity(state, x, y, alpha, task):
     both from the one outer product ``y [x, y]'``. ``y y'`` is exactly
     symmetric, so M stays so."""
     return _stepped(state, x, alpha, lambda ws, x: online_increment(
-        None, state.coefs[task], ws, x, y))
+        None, _Targets(state.lam, state.n, task), ws, x, y))
 
 
 def online_step(state, x, alpha, task, variant):
@@ -349,7 +332,7 @@ def _frozen(state, wm):
     read-only copy that no later step can change."""
     wm = wm.copy()
     wm.setflags(write=False)
-    return ModelState._unchecked(wm, state.lam, state.tau, state.coefs)
+    return ModelState._unchecked(wm, state.lam, state.tau)
 
 
 def _replay(live, ws, x, t, row, one, increment, diverge):
@@ -392,7 +375,7 @@ def advance(state, t_max, points, schedule, increment, draw, visit, diverge):
     if t_max == 0:  # the initial state is the only snapshot
         for j in live:
             visit(0, j, _frozen(state, state.wm[j]))
-    ws = _Workspace(state.wm.copy(), state.diag)  # cur: a buffer of its own
+    ws = _Workspace(state.wm.copy())  # cur: a buffer of its own
     table = np.empty((min(_SAMPLE_CHUNK, t_max), state.wm.shape[-1]))  # refilled per chunk
     t = 0
     while t < t_max and live:

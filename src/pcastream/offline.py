@@ -51,7 +51,7 @@ def offline_step(state, g, alpha, task, variant):
     """One forward-Euler step of the averaged dynamics; a stack of learners
     steps on one covariance each, every slice bit for bit as alone."""
     return _stepped(state, g, alpha, partial(averaged_increment, variant,
-                                             state.coefs[task]))
+                                             _Targets(state.lam, state.n, task)))
 
 
 def construct_fixed_point(g, lam, task, signs=None, tau=None, order=None):
@@ -77,8 +77,8 @@ def fixed_point_residual(state, g, task, variant):
     the lateral drive (against ``(lam lam') * M`` for projection,
     ``diag(lam^2)`` for whitening).
     """
-    field = averaged_increment(variant, state.coefs[task],
-                               _Workspace(state.wm, state.diag), g)
+    field = averaged_increment(variant, _Targets(state.lam, state.n, task),
+                               _Workspace(state.wm), g)
     n = state.n
     return linalg.frobenius(field[..., :n]) + linalg.frobenius(field[..., n:])
 
@@ -104,9 +104,7 @@ def _jacobian(state, g, task, variant, eps):
     wm[:, coord] = np.concatenate([base + step, base - step])
     wm = wm.reshape(-1, k, n + k)
     wm[..., n:] += np.triu(wm[..., n:], 1).mT
-    # targets of their own: their copies for this stack's shape go with them
-    field = averaged_increment(variant, _Targets(state.lam, n, task),
-                               _Workspace(wm, None), g)
+    field = averaged_increment(variant, _Targets(state.lam, n, task), _Workspace(wm), g)
     field[..., n:] /= state.tau
     field = field.reshape(2 * dim, -1)[:, coord]
     return ((field[:dim] - field[dim:]) / (2.0 * eps)).T
@@ -157,7 +155,7 @@ def run_offline(initial, g, schedule, t_max, checkpoints=(), *,
 
     stack = ModelState.stack([initial])
     advance(stack, t_max, wanted | {t_max}, schedule,
-            partial(averaged_increment, variant, stack.coefs[task]),
+            partial(averaged_increment, variant, _Targets(stack.lam, stack.n, task)),
             lambda live, count: np.asarray(g, dtype=float)[None, None], visit,
             diverge)
     return snaps

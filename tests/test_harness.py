@@ -59,6 +59,10 @@ EXTREME_SCALE_CONFIGS = {
                          "NonFiniteReadoutError: filter is not finite"),
     "procrustes-overflows": (custom_config(t_max=0, w_init_std=1e160),
                              "NonFiniteReadoutError: Procrustes error is not finite"),
+    "procrustes-product-overflows": (
+        custom_config(t_max=0, w_init_std=2.07556714115463e307, seed=1,
+                      variant="iteration_free", **{"lambda": [1.0, 0.25]}),
+        "NonFiniteReadoutError: Procrustes error is not finite"),
     "spectrum-1e300": (custom_config(mode="offline", t_max=3,
                                      spectrum=[1e300, 1e299, 1e298, 1e297]), None),
 }
@@ -505,6 +509,18 @@ class TestParseConfig:
             with pytest.raises(ConfigValidationError, match="^m_init must be above 1e-12$"):
                 harness.parse_config(text)
 
+    @pytest.mark.parametrize("lam, accepted",
+                             [([1e200, 1e199], False), ([1e150, 1e149], True)])
+    def test_lambda_square_finite(self, lam, accepted):
+        # lam[0]**2 is the largest entry of both lateral targets
+        text = custom_config(**{"lambda": lam})
+        if accepted:
+            assert harness.parse_config(text).lam.tolist() == lam
+        else:
+            with pytest.raises(ConfigValidationError,
+                               match=r"^lambda\[0\] squared must be finite$"):
+                harness.parse_config(text)
+
     def test_tie_at_k_rejected(self):
         # the subspace of the top k=2 components is not unique
         with pytest.raises(ConfigValidationError, match="k\\+1"):
@@ -585,6 +601,22 @@ class TestRunExperiment:
         for outcome in report.trials:
             assert outcome.status == "diverged"
             assert outcome.diverged_at >= 1
+
+    # the first step's products overflow
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["online", "offline"])
+    def test_huge_finite_initial_weights_diverge(self, mode):
+        report = harness.run_experiment(harness.parse_config(custom_config(
+            mode=mode, w_init_std=1e300, trials=2, t_max=5)))
+        assert report.diverged == 2
+        assert all(o.diverged_at == 1 for o in report.trials)
+
+    def test_largest_gain_whose_square_is_finite_runs(self):
+        # no overflow warning: the first step drives M's diagonal below the floor
+        report = harness.run_experiment(harness.parse_config(custom_config(
+            trials=2, t_max=5, **{"lambda": [1e150, 1e149]})))
+        assert [(o.diverged_at, o.cause) for o in report.trials] == [
+            (1, "DegenerateDiagonalError: updated lateral diagonal hit the floor")] * 2
 
     def test_more_than_64_components(self):
         # a 65 x 65 Procrustes SVD at every evaluation point
@@ -1196,6 +1228,43 @@ class TestCli:
         proc = run_cli("report", "--in", str(path))
         assert proc.returncode == 2
         assert "m_init must be above" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_w_init_std_drawing_infinite_weights_exits_2(self, tmp_path, workers):
+        # the decoder cannot know the draws: the run ends in a named config error
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(custom_config(w_init_std=1e308, trials=2, t_max=2))
+        out = tmp_path / "out.json"
+        proc = run_cli("run", "--config", str(cfg_path), "--out", str(out),
+                       "--format", "json", "--workers", workers)
+        assert proc.returncode == 2
+        # with two stacks, the other one may step (and warn) before this ends
+        assert proc.stderr.endswith("config error: w_init_std 1e+308 draws infinite weights\n")
+        assert "Traceback" not in proc.stderr and not out.exists()
+
+    def test_gain_whose_square_overflows_exits_2(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(custom_config(**{"lambda": [1e200, 1e199]}))
+        proc = run_cli("run", "--config", str(cfg_path))
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: lambda[0] squared must be finite\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.floats(1e-300, 1.7e308),
+           st.lists(st.floats(1e-300, 1.7e308), min_size=2, max_size=2, unique=True),
+           st.sampled_from(["psp", "psw"]), st.sampled_from(["iteration_free", "exact"]),
+           st.sampled_from(["online", "offline"]), st.integers(0, 5))
+    @example(1e308, [1.0, 0.8], "psp", "exact", "online", 2)
+    @example(1.0, [1e200, 1e199], "psp", "exact", "online", 2)
+    def test_run_at_any_scale_ends_in_an_exit_code(self, tmp_path, w_init_std, lam, task,
+                                                   variant, mode, t_max):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(custom_config(
+            w_init_std=w_init_std, task=task, variant=variant, mode=mode, t_max=t_max,
+            trials=2, **{"lambda": sorted(lam, reverse=True)}))
+        assert cli.main(["run", "--config", str(cfg_path)]) in (0, 1, 2)
 
     @pytest.mark.parametrize("content", [
         HUGE_N_CONFIG.encode(), b"\xff\xfe" + make_config().encode(),

@@ -144,6 +144,16 @@ class TestProcrustesError:
         with pytest.raises(ShapeMismatchError):
             metrics.procrustes_error(np.zeros((5, 2)), np.zeros((5, 3)))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_inputs_whose_product_overflows(self):
+        # u_hat' u_true is (c / max|u_true|) I, above the largest float
+        u_true, _ = linalg.qr(np.random.default_rng(46).normal(size=(7, 3)))
+        u_hat = 1.7e308 * (u_true / np.abs(u_true).max())
+        assert linalg.all_finite(u_hat)
+        assert metrics.procrustes_error(u_hat, u_true) == np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            metrics.procrustes_error(np.full((7, 3), np.nan), u_true)
+
 
 class TestLateralDiagnostics:
     def test_near_diagonal_matrix(self):

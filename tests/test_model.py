@@ -64,36 +64,24 @@ class TestModelState:
         assert (st.m == st.m.T).all()
         assert np.array_equal(np.triu(st.m), np.triu(m))
 
-    def test_gain_targets_shared_and_read_only(self):
-        # the gain targets live in the update coefficients of [W | M], which
-        # are built once per shape and task, shared by every derived state
-        # and read-only
+    def test_gain_targets_read_only(self):
+        # what the increment of [W | M] subtracts, per task: one read-only
+        # copy per shape of wm, each equal to the broadcast of a learner's
         st = random_state(1)
         n = st.n
-        (psp,) = st.coefs[Task.PSP][st.wm.shape]
-        psw, square = st.coefs[Task.PSW][st.wm.shape]
+        targets = {task: model._Targets(st.lam, n, task) for task in Task}
+        (psp,) = targets[Task.PSP][st.wm.shape]
+        psw, square = targets[Task.PSW][st.wm.shape]
         assert (psp[:, :n] == 1).all() and (square[:, :n] == 0).all()
         assert np.array_equal(psp[:, n:], np.outer(st.lam, st.lam))
         assert np.array_equal(square[:, n:], np.diag(st.lam**2))
         assert np.array_equal(psw, np.tile([1] * n + [0] * st.k, (st.k, 1)))
         assert np.signbit(square[:, :n]).all()
         stack = ModelState.stack([st, random_state(2)])
-        new = model.plasticity(stack, np.ones((2, 10)), np.ones((2, 3)), 0.1, Task.PSP)
-        averaged = offline.offline_step(stack, np.stack([np.eye(10)] * 2), 0.1, Task.PSW,
-                                        Variant.ITERATION_FREE)
-        for derived in (st.copy(), stack, stack[1], stack[[0]], new, new[0], averaged):
-            assert derived.coefs is st.coefs
-        for task in Task:
-            targets = st.coefs[task]
-            for one, full in zip(targets[st.wm.shape], targets[stack.wm.shape]):
+        for by_shape in targets.values():
+            for one, full in zip(by_shape[st.wm.shape], by_shape[stack.wm.shape]):
                 assert np.array_equal(full, np.broadcast_to(one, stack.wm.shape))
-            assert all(not a.flags.writeable for consts in targets.values() for a in consts)
-
-    def test_coefficients_built_only_for_the_task_stepped(self):
-        st = random_state(5)
-        assert not st.coefs
-        model.plasticity(st, np.ones(10), np.ones(3), 0.1, Task.PSP)
-        assert list(st.coefs) == [Task.PSP] and list(st.coefs[Task.PSP]) == [st.wm.shape]
+            assert all(not a.flags.writeable for consts in by_shape.values() for a in consts)
 
     def test_joint_layout(self):
         # one C-contiguous [W | M]; w and m are views of it
@@ -557,7 +545,7 @@ class TestAdvance:
 
             stack = ModelState.stack([states[i] for i in indices])
             increment = partial(model.online_increment, Variant.ITERATION_FREE,
-                                stack.coefs[Task.PSP])
+                                model._Targets(stack.lam, stack.n, Task.PSP))
             model.advance(stack, 20, {5, 20}, data.InverseTime(10.0, 250.0), increment,
                           lambda live, count: xs[:count][:, [indices[p] for p in live]],
                           visit, diverge=None)
@@ -590,8 +578,9 @@ def _below_floor(kind, low):
 
 
 class TestCarriedDiagonal:
-    """A state formed by an update carries its tested lateral diagonal; no
-    other state does, so a diagonal changed in place is still tested."""
+    """A state formed by an update is read-only; the two-step pass on any
+    state tests its lateral diagonal, so a diagonal changed in place is
+    caught."""
 
     def test_stepped_states_are_read_only(self):
         stack = ModelState.stack([random_state(seed) for seed in (60, 61)])
@@ -600,19 +589,10 @@ class TestCarriedDiagonal:
             online = model.plasticity(stack, np.ones((2, 10)), np.ones((2, 3)), 0.01, task)
             averaged = offline.offline_step(stack, g, 0.01, task, Variant.ITERATION_FREE)
             for new in (online, averaged):
-                assert new.diag is not None
                 for a in (new.wm, new.w, new.m, new[1].wm, new[1].m):
                     assert not a.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     new.m[0, 2, 2] = 0.0
-
-    def test_only_updates_carry_a_diagonal(self):
-        st = random_state(62)
-        stack = ModelState.stack([st, random_state(63)])
-        new = model.plasticity(stack, np.ones((2, 10)), np.ones((2, 3)), 0.01, Task.PSW)
-        assert np.array_equal(new.diag, np.diagonal(new.m, 0, -2, -1))
-        for state in (st, stack, stack[0], stack[[1]], new[0], new[[0]], new.copy()):
-            assert state.diag is None
 
     @pytest.mark.parametrize("low", [0.0, -1.0, 1e-13])
     @pytest.mark.parametrize("kind",
@@ -772,7 +752,7 @@ class TestAdvanceMatchesOneShot:
         def diverge(t, position, exc):
             seen[position, "diverged"] = (t, type(exc), str(exc))
 
-        coefs = state.coefs[task]
+        coefs = model._Targets(state.lam, state.n, task)
         if online:
             increment = partial(model.online_increment, variant, coefs)
             draw = lambda live, count: inputs[:count][:, live]
@@ -815,7 +795,7 @@ class TestVisitedStatesStayFrozen:
         a = rng.normal(size=(2, 10, 10))
         gs = a @ a.mT / 10
         stack = ModelState.stack(states)
-        coefs = stack.coefs[Task.PSW]
+        coefs = model._Targets(stack.lam, stack.n, Task.PSW)
         if online:
             increment = partial(model.online_increment, variant, coefs)
             draw = lambda live, count: xs[:count][:, live]

@@ -230,7 +230,7 @@ def reference_jacobian(state, g, task, variant, eps):
         m = m + np.triu(m, 1).T
         moved = ModelState._unchecked(
             np.concatenate((vec[: k * n].reshape(k, n), m), -1), state.lam, state.tau)
-        field = offline.averaged_increment(variant, moved.coefs[task],
+        field = offline.averaged_increment(variant, model._Targets(moved.lam, moved.n, task),
                                            model._Workspace(moved.wm, None), g)
         return np.concatenate([field[:, :n].ravel(), (field[:, n:] / state.tau)[iu]])
 
