@@ -437,17 +437,16 @@ class _Trial:
 
     def record(self, t, state):
         """Evaluate a snapshot at t; False if a model error, or a readout
-        that is not finite, ended the trial."""
+        that is not finite, ended the trial. Finite weights too large to
+        read out overflow here; the finiteness tests name that, and
+        ``model.advance``, which calls this, keeps it from warning."""
         cfg = self.config
         try:
-            # finite weights too large to read out overflow here; the
-            # finiteness tests name that, so it need not warn
-            with np.errstate(over="ignore", invalid="ignore"):
-                u_hat = metrics.estimate_subspace(state, cfg.task, cfg.variant,
-                                                  self.truth.sigma_k)
-                if not linalg.all_finite(u_hat):
-                    raise NonFiniteReadoutError("filter is not finite")
-                e_pro = metrics.procrustes_error(u_hat, self.truth.u_k)
+            u_hat = metrics.estimate_subspace(state, cfg.task, cfg.variant,
+                                              self.truth.sigma_k)
+            if not linalg.all_finite(u_hat):
+                raise NonFiniteReadoutError("filter is not finite")
+            e_pro = metrics.procrustes_error(u_hat, self.truth.u_k)
             if not math.isfinite(e_pro):
                 raise NonFiniteReadoutError("Procrustes error is not finite")
         except MODEL_ERRORS as exc:

@@ -1,15 +1,17 @@
 """Dense linear algebra for small matrices, backed by LAPACK.
 
-Every kernel is a thin wrapper over ``numpy.linalg`` that adds the
-package's contracts: input checks, descending eigenvalue and singular
-value order, a nonnegative diagonal of R, a singularity test to working
-precision, and the package's error types in place of ``LinAlgError``.
+Every kernel is a thin wrapper over ``numpy.linalg`` (``lu_factor``
+over its LAPACK inverse gufunc) that adds the package's contracts: input
+checks, descending eigenvalue and singular value order, a nonnegative
+diagonal of R, a singularity test to working precision, and the
+package's error types in place of ``LinAlgError``.
 Repeated calls on identical input produce identical output bit for bit.
 """
 
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     NoConvergenceError,
@@ -157,6 +159,17 @@ def svd_small(a):
     return u, s, vt.T
 
 
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+def _inverse(a):
+    """The inverse of each matrix of a C-contiguous float array from
+    NumPy's LAPACK gufunc itself, the one call ``np.linalg.inv`` makes;
+    for K <= 10 its Python wrapper costs more than the factorization. The
+    gufunc flags a zero pivot as an invalid operation, which this errstate
+    raises as FloatingPointError; as a decorator it costs less per call
+    than a ``with`` block."""
+    return _umath_linalg.inv(a, signature="d->d")
+
+
 def lu_factor(a):
     """Factor a square matrix, or each matrix of a stack, for :func:`lu_solve`.
 
@@ -169,13 +182,14 @@ def lu_factor(a):
     :func:`frobenius`, so the decision holds at any scale of a, and the
     first matrix over the threshold is named by its condition number.
     """
-    a = np.ascontiguousarray(a, dtype=float)  # a view of M is copied once, not per dot
+    # a view of M is copied once: the gufunc and both dots read it faster
+    a = np.ascontiguousarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeMismatchError("expected square matrix")
     try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
+        inv = _inverse(a)
+    except FloatingPointError as exc:
+        raise SingularMatrixError("matrix is singular: Singular matrix") from exc
     # Each matrix's condition number is at most the product of the whole
     # stack's norms, so a stack that passes this bound needs no per-matrix
     # test: two dot products, where NumPy calls on tiny arrays cost more

@@ -156,26 +156,27 @@ def _lateral_solve(m, b, variant, d=None):
     """``M^-1 b`` for a vector or a matrix b (one row per output), per
     slice of a stack of M.
 
-    Exact: one factorization of M. Iteration-free: the two-step pass,
-    ``D^-1 b - D^-1 M_o D^-1 b`` with D the diagonal and M_o the
-    off-diagonal part of M: b scaled by the diagonal, then one lateral
-    correction of that provisional signal, again scaled by the diagonal.
-    It uses no general inversion, and its error is quadratic in the
-    off-diagonal norm.
+    Exact: b multiplied by the explicit inverse of M from
+    :func:`linalg.lu_factor`, looked up at each call. Iteration-free: the
+    two-step pass, ``D^-1 b - D^-1 M_o D^-1 b`` with D the diagonal and
+    M_o the off-diagonal part of M: b scaled by the diagonal, then one
+    lateral correction of that provisional signal, again scaled by the
+    diagonal. It uses no general inversion, and its error is quadratic in
+    the off-diagonal norm.
 
     The iteration-free pass uses a diagonal ``d`` its step tested, or
     rejects an entry below ``DIAGONAL_FLOOR`` in any slice as ``d.min() <
     floor`` does (a NaN passes), on a list of floats. It writes only into
     its own temporaries.
     """
+    product = np.matvec if b.ndim < m.ndim else np.matmul
     if variant is Variant.EXACT_INVERSE:
-        return linalg.lu_solve(linalg.lu_factor(m), b)
+        return product(linalg.lu_factor(m), b)
     if d is None:
         d = m.diagonal(0, -2, -1).copy()
         diag = d.ravel().tolist()
         if min(diag) < DIAGONAL_FLOOR and not any(map(math.isnan, diag)):
             raise DegenerateDiagonalError("diagonal entry below invertibility floor")
-    product = np.matvec if b.ndim < m.ndim else np.matmul
     if product is np.matmul:
         d = d[..., None]
     y_ff = b / d
@@ -279,19 +280,20 @@ def _step(ws, x, row, increment):
     stack ``[W | M]`` of a workspace and input x, into its spare buffer, at
     ``ws.rate`` or one row of :func:`_rates` broadcast over the rows of W
     and M and over the stack: one scale and one add, entrywise, so an
-    exactly symmetric M block stays so. A diagonal at the floor (or NaN)
-    or an overflow in any slice is divergence (:func:`linalg.all_finite`:
-    finite weights whose squares overflow pass); new weights that pass
+    exactly symmetric M block stays so. An overflow in any slice
+    (:func:`linalg.all_finite`: finite weights whose squares overflow
+    pass), tested first so that an infinite or NaN diagonal is named as
+    one, or a diagonal at the floor is divergence; new weights that pass
     become current, with the copy of their diagonal that was tested."""
     h = increment(ws, x)
     h *= row if ws.rate is None else ws.rate
     nxt = ws.nxt
     np.add(ws.cur[0], h, out=nxt[0])
+    if not linalg.all_finite(nxt[0]):
+        raise DegenerateDiagonalError("weights overflowed")
     d = nxt[3].copy()
     if not all(map(DIAGONAL_FLOOR.__lt__, d.ravel().tolist())):
         raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
-    if not linalg.all_finite(nxt[0]):
-        raise DegenerateDiagonalError("weights overflowed")
     ws.cur, ws.nxt, ws.d = nxt, ws.cur, d
 
 
@@ -372,34 +374,37 @@ def advance(state, t_max, points, schedule, increment, draw, visit, diverge):
     model error. A trial that ends leaves the stack; the others go on.
     """
     live = list(range(len(state.wm)))
-    if t_max == 0:  # the initial state is the only snapshot
-        for j in live:
-            visit(0, j, _frozen(state, state.wm[j]))
     ws = _Workspace(state.wm.copy())  # cur: a buffer of its own
     table = np.empty((min(_SAMPLE_CHUNK, t_max), state.wm.shape[-1]))  # refilled per chunk
     t = 0
-    while t < t_max and live:
-        count = min(_SAMPLE_CHUNK, t_max - t)
-        block = draw(live, count)  # (rows, trials, ...)
-        rates = _rates(map(schedule.rate, range(t + 1, t + count + 1)), state.tau,
-                       state.n, table[:count])
-        one = rates[0] if (rates == rates[0]).all() else None
-        ws = _Workspace(ws.cur[0], ws.d, one)
-        for r, row in enumerate(rates):
-            t += 1
-            x = block[r % len(block)]
-            try:
-                _step(ws, x, row, increment)
-            except MODEL_ERRORS:
-                ws, kept = _replay(live, ws, x, t, row, one, increment, diverge)
-                live, block = [live[j] for j in kept], block[:, kept]
-            if t in points and live:
-                wm = ws.cur[0]
-                kept = [j for j, position in enumerate(live)
-                        if visit(t, position, _frozen(state, wm[j]))]
-                if len(kept) < len(live):
+    # a diverging step, or the readout of weights too large, overflows on
+    # its way to the tests that name it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if t_max == 0:  # the initial state is the only snapshot
+            for j in live:
+                visit(0, j, _frozen(state, state.wm[j]))
+        while t < t_max and live:
+            count = min(_SAMPLE_CHUNK, t_max - t)
+            block = draw(live, count)  # (rows, trials, ...)
+            rates = _rates(map(schedule.rate, range(t + 1, t + count + 1)), state.tau,
+                           state.n, table[:count])
+            one = rates[0] if (rates == rates[0]).all() else None
+            ws = _Workspace(ws.cur[0], ws.d, one)
+            for r, row in enumerate(rates):
+                t += 1
+                x = block[r % len(block)]
+                try:
+                    _step(ws, x, row, increment)
+                except MODEL_ERRORS:
+                    ws, kept = _replay(live, ws, x, t, row, one, increment, diverge)
                     live, block = [live[j] for j in kept], block[:, kept]
-                    ws = _Workspace(wm[kept], ws.d[kept], one)
-            if not live:
-                break
-        del block, x  # freed before the next chunk draws its own
+                if t in points and live:
+                    wm = ws.cur[0]
+                    kept = [j for j, position in enumerate(live)
+                            if visit(t, position, _frozen(state, wm[j]))]
+                    if len(kept) < len(live):
+                        live, block = [live[j] for j in kept], block[:, kept]
+                        ws = _Workspace(wm[kept], ws.d[kept], one)
+                if not live:
+                    break
+            del block, x  # freed before the next chunk draws its own

@@ -602,14 +602,14 @@ class TestRunExperiment:
             assert outcome.status == "diverged"
             assert outcome.diverged_at >= 1
 
-    # the first step's products overflow
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # the first step's products overflow, without a RuntimeWarning; offline,
+    # trial 0's new diagonal is [-inf, inf], an overflow below the floor
     @pytest.mark.parametrize("mode", ["online", "offline"])
     def test_huge_finite_initial_weights_diverge(self, mode):
         report = harness.run_experiment(harness.parse_config(custom_config(
             mode=mode, w_init_std=1e300, trials=2, t_max=5)))
-        assert report.diverged == 2
-        assert all(o.diverged_at == 1 for o in report.trials)
+        assert [(o.diverged_at, o.cause) for o in report.trials] == [
+            (1, "DegenerateDiagonalError: weights overflowed")] * 2
 
     def test_largest_gain_whose_square_is_finite_runs(self):
         # no overflow warning: the first step drives M's diagonal below the floor

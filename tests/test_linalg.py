@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -389,6 +390,51 @@ class TestLuFactorScale:
 
         a = balanced_matrix(n, seed, log_cond)
         assert accepted(10.0 ** exponent * a) == accepted(a)
+
+
+@st.composite
+def invertible_stacks(draw):
+    """A matrix, or a stack of 1-4, n x n with n 1-12, far from singular
+    (diagonally dominant): contiguous, or the M blocks of ``[W | M]``,
+    which are strided views."""
+    b, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(seeds))
+    wm = rng.normal(size=(b, n, draw(st.sampled_from([0, 1, 7])) + n))
+    wm[..., -n:] += (n + 1) * np.eye(n)
+    m = wm[..., -n:]
+    if draw(st.booleans()):
+        m = np.ascontiguousarray(m)
+    return m[0] if b == 1 and draw(st.booleans()) else m
+
+
+class TestLuFactorGufunc:
+    """``lu_factor`` calls NumPy's private LAPACK inverse gufunc; a NumPy
+    release that changes it must fail here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(invertible_stacks())
+    def test_matches_numpy_inverse_bit_for_bit(self, m):
+        expected = np.linalg.inv(m)
+        got = linalg.lu_factor(m)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    # a zero pivot is singular to LAPACK; a NaN one is not, so a NaN matrix
+    # fails the condition test, as it does through np.linalg.inv
+    @pytest.mark.parametrize("bad, message", [
+        (np.ones((2, 2)), "^matrix is singular: Singular matrix$"),
+        (np.zeros((2, 2)), "^matrix is singular: Singular matrix$"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "^condition number nan above threshold$"),
+    ], ids=["rank-one", "zero", "nan"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack-of-3"])
+    def test_singular_and_nan_raise_without_warning(self, bad, message, stacked):
+        if stacked:
+            bad = np.stack([np.eye(2), bad, 2.0 * np.eye(2)])
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError, match=message):
+                linalg.lu_factor(bad)
+        assert np.geterr() == before
 
 
 def test_import_leaves_scipy_unloaded():

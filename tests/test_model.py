@@ -278,15 +278,18 @@ def _plasticity_case(kind):
 
 def _offline_case(kind):
     """(m, w, g, alpha) of a 2 -> 2 learner whose averaged step makes one
-    off-diagonal pair of M Inf or NaN, or ("finite") keeps every entry
-    finite while their sum of squares overflows. With M = I the filter is
-    W itself; G's large off-diagonal overflows only F G F' off its
-    diagonal."""
+    off-diagonal pair of M Inf or NaN, or one diagonal entry NaN (an
+    overflow, not the floor), or ("finite") keeps every entry finite while
+    their sum of squares overflows. With M = I the filter is W itself; G's
+    large off-diagonal overflows only F G F' off its diagonal, and its
+    large first diagonal entry only F G F'[0, 0], which a zero rate turns
+    into NaN."""
     eye = np.eye(2)
     g = np.array([[1.0, 1e10], [1e10, 1.0]])
     return {
         "m-inf": (eye, 1e150 * eye, g, 0.1),
         "m-nan": (eye, 1e150 * eye, g, 0.0),
+        "diag-nan": (eye, 1e150 * eye, np.diag([1e10, 1.0]), 0.0),
         "finite": (BIG * eye, BIG * eye, eye, 0.1),
     }[kind]
 
@@ -325,7 +328,7 @@ class TestOverflowGuard:
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack-of-3"])
-    @pytest.mark.parametrize("kind", ["m-inf", "m-nan"])
+    @pytest.mark.parametrize("kind", ["m-inf", "m-nan", "diag-nan"])
     def test_offline_step_overflow_raises(self, kind, stacked, variant):
         *arrays, alpha = _offline_case(kind)
         if stacked:
@@ -615,8 +618,8 @@ class TestCarriedDiagonal:
 def _parent_update(state, hebb_w, corr, alpha, task):
     """The update as separate W and M arrays: W + alpha (H_W - W) and
     M + (alpha / tau) (H_M - target), in that operation order, with the
-    floor test on the new M's diagonal before the overflow test of M, then
-    W. Returns (w, m)."""
+    overflow test of M, then W, before the floor test on the new M's
+    diagonal. Returns (w, m)."""
     dw = hebb_w - state.w
     if task is Task.PSP:
         corr -= np.multiply.outer(state.lam, state.lam) * state.m
@@ -628,10 +631,10 @@ def _parent_update(state, hebb_w, corr, alpha, task):
     w = state.w + dw
     dm = corr * (alpha / state.tau)
     m = state.m + dm
-    if not (np.diagonal(m, 0, -2, -1) > model.DIAGONAL_FLOOR).all():
-        raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
     if not (np.isfinite(m).all() and np.isfinite(w).all()):
         raise DegenerateDiagonalError("weights overflowed")
+    if not (np.diagonal(m, 0, -2, -1) > model.DIAGONAL_FLOOR).all():
+        raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
     return w, m
 
 
