@@ -221,11 +221,8 @@ class ProblemPreset:
         self.online_schedule = online_schedule
         self.offline_schedule = offline_schedule  # a schedule is immutable: shared safely
 
-    def covariance_spec(self, rotation):
-        return CovarianceSpec(self.n, rotation, self.spectrum)
-
     def draw_covariance(self, rng):
-        return self.covariance_spec(haar_orthogonal(self.n, rng))
+        return CovarianceSpec(self.n, haar_orthogonal(self.n, rng), self.spectrum)
 
     def schedule(self, task, mode):
         return self.online_schedule[task] if mode == "online" else self.offline_schedule

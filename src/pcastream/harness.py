@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import data, linalg, metrics, model, offline
+from . import data, linalg, metrics, model
 from .data import (
     Constant,
     CovarianceSpec,
@@ -480,12 +480,11 @@ def _run_stack(config, indices, rotation=None):
         def draw(live, count):  # no samples: one row of covariances
             return np.stack([trials[p].g for p in live])[None]
 
-        increment = offline.averaged_increment
+        increment = model.averaged_increment
 
     stack = ModelState.stack([trial.initial for trial in trials])
-    advance(stack, config.t_max, set(config.eval_points()), config.schedule,
-            partial(increment, config.variant,
-                    model._Targets(stack.lam, stack.n, config.task)), draw,
+    advance(stack, config.task, config.t_max, set(config.eval_points()), config.schedule,
+            partial(increment, config.variant), draw,
             visit=lambda t, p, state: trials[p].record(t, state),
             diverge=lambda t, p, exc: trials[p].diverge(t, exc))
     wall_clock_s = time.perf_counter() - start

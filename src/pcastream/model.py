@@ -16,7 +16,9 @@ and one input per learner, B x N. Every operation acts on each slice
 alone, with the same arithmetic as on a single learner, so each slice of
 a stacked result equals the single-learner result bit for bit; a check
 that fails on any slice fails the whole call. ``advance`` is the one
-loop that steps such a stack through time, online or averaged.
+loop that steps such a stack through time, online or averaged: along
+``online_increment`` or its expectation over a known covariance,
+``averaged_increment``, the two forms of the one update rule.
 """
 
 import math
@@ -127,31 +129,6 @@ def outside_horizon(points, t_max):
     return sorted(t for t in points if not 1 <= t <= t_max)
 
 
-class _Targets(dict):
-    """What :func:`_increment` reads for one task, by the shape of wm,
-    built on first use and shaped like wm so that no update broadcasts:
-    ``(C,)`` with ``C = [1 | lam lam']`` for projection, ``(C, S)`` with
-    ``C = [1 | 0]`` and ``S = [-0 | diag(lam**2)]`` for whitening."""
-
-    def __init__(self, lam, n, task):
-        self.lam, self.n, self.task = lam, n, task
-
-    def __missing__(self, shape):
-        n, c = self.n, np.ones(shape)
-        if self.task is Task.PSP:
-            c[..., n:] = np.multiply.outer(self.lam, self.lam)
-            consts = (c,)
-        else:
-            c[..., n:] = 0.0
-            square = np.full(shape, -0.0)
-            square[..., n:] = np.diag(self.lam * self.lam)
-            consts = (c, square)
-        for a in consts:
-            a.setflags(write=False)
-        self[shape] = consts
-        return consts
-
-
 def _lateral_solve(m, b, variant, d=None):
     """``M^-1 b`` for a vector or a matrix b (one row per output), per
     slice of a stack of M.
@@ -210,44 +187,59 @@ def neural_filter(state, variant):
 
 
 class _Workspace:
-    """What steps of ``[W | M]`` of one shape write into, made once per
-    stack shape and chunk of steps: two C-contiguous buffers, each with
-    its W, M and (read-only) diagonal views, ``cur`` read by a step and
-    ``nxt`` written, which swap only after the new weights pass the
-    step's tests; the increment ``h`` with its blocks ``h_w`` and
+    """What steps of ``[W | M]`` of one shape and task write into, made
+    once per stack shape and chunk of steps: two C-contiguous buffers,
+    each with its W, M and (read-only) diagonal views, ``cur`` read by a
+    step and ``nxt`` written, which swap only after the new weights pass
+    the step's tests; the increment ``h`` with its blocks ``h_w`` and
     ``h_m``; and ``rate``, a chunk's one row of rates shaped like wm (a
     broadcast costs more than the copy), or None. ``d`` is cur's diagonal
     as an update tested it, or None: a contiguous copy, which the two-step
-    pass reads faster than a view. The first cur is the array given, only
-    read by the first step: a caller that steps more than once gives an
-    array of its own."""
+    pass reads faster than a view. ``target`` is what :func:`_increment`
+    subtracts, shaped like wm so that no update broadcasts: ``(C,)`` with
+    ``C = [1 | lam lam']`` for projection, ``(C, S)`` with ``C = [1 | 0]``
+    and ``S = [-0 | diag(lam**2)]`` for whitening. The first cur is the
+    array given, only read by the first step: a caller that steps more
+    than once gives an array of its own."""
 
-    __slots__ = ("cur", "nxt", "d", "h", "h_w", "h_m", "rate")
+    __slots__ = ("cur", "nxt", "d", "h", "h_w", "h_m", "rate", "lam", "task", "target")
 
-    def __init__(self, wm, d=None, rate=None):
+    def __init__(self, wm, lam, task, d=None, rate=None):
         n, h = wm.shape[-1] - wm.shape[-2], np.empty(wm.shape)
         self.cur, self.nxt = [(a, a[..., :n], a[..., n:], a.diagonal(n, -2, -1))
                               for a in (wm, np.empty(wm.shape))]
         self.d, self.h, self.h_w, self.h_m = d, h, h[..., :n], h[..., n:]
         self.rate = None if rate is None else np.broadcast_to(rate, wm.shape).copy()
+        self.lam, self.task, c = lam, task, np.ones(wm.shape)
+        if task is Task.PSP:
+            c[..., n:] = np.multiply.outer(lam, lam)
+            self.target = (c,)
+        else:
+            c[..., n:] = 0.0
+            square = np.full(wm.shape, -0.0)
+            square[..., n:] = np.diag(lam * lam)
+            self.target = (c, square)
+
+    def like(self, wm, d=None, rate=None):
+        """A workspace of the same task for wm."""
+        return _Workspace(wm, self.lam, self.task, d, rate)
 
 
-def _increment(ws, targets):
-    """``H - C * wm`` or ``H - (C * wm + S)`` (:class:`_Targets`) in the
-    workspace's ``H = [H_W | H_M]``, which holds the drive, with the
-    target formed in the spare buffer: 1 * W is W, ``x + -0`` is x and
-    ``+-0 + +0`` is +0, so each entry is H_W - W, or H_M minus the exactly
-    symmetric target ``(lam lam') * M`` or ``diag(lam**2)``, bit for bit."""
+def _increment(ws):
+    """``H - C * wm`` or ``H - (C * wm + S)`` (the workspace's target) in
+    its ``H = [H_W | H_M]``, which holds the drive, with the target formed
+    in the spare buffer: 1 * W is W, ``x + -0`` is x and ``+-0 + +0`` is
+    +0, so each entry is H_W - W, or H_M minus the exactly symmetric
+    target ``(lam lam') * M`` or ``diag(lam**2)``, bit for bit."""
     wm, target, h = ws.cur[0], ws.nxt[0], ws.h
-    consts = targets[wm.shape]
-    np.multiply(consts[0], wm, out=target)
-    if targets.task is Task.PSW:
-        target += consts[1]
+    np.multiply(ws.target[0], wm, out=target)
+    if ws.task is Task.PSW:
+        target += ws.target[1]
     h -= target
     return h
 
 
-def online_increment(variant, targets, ws, x, y=None):
+def online_increment(variant, ws, x, y=None):
     """The online update direction of the workspace's ``[W | M]`` for the
     sample x: :func:`_increment` of the drive ``y [x, y]'``, written into
     H's two blocks (``y y'`` is exactly symmetric), with y the output of
@@ -258,7 +250,23 @@ def online_increment(variant, targets, ws, x, y=None):
     y = y[..., :, None]
     np.multiply(y, x[..., None, :], out=ws.h_w)
     np.multiply(y, y.mT, out=ws.h_m)
-    return _increment(ws, targets)
+    return _increment(ws)
+
+
+def averaged_increment(variant, ws, g):
+    """The averaged update direction of the workspace's ``[W | M]`` on the
+    covariance g, the expectation of :func:`online_increment`:
+    :func:`_increment` of the drive ``[F G, F G F']``, written into H's
+    two blocks, with F the learner's filter; that is ``F G - W`` and the
+    lateral drive before its 1/tau rate. ``F G F'`` is symmetric only up
+    to rounding, so it is symmetrized here, once: the drive and every M
+    that a step forms from it are then exactly symmetric."""
+    _, w, m, _ = ws.cur
+    f = _lateral_solve(m, w, variant, ws.d)
+    fg = np.matmul(f, g, out=ws.h_w)
+    corr = fg @ f.mT
+    np.multiply(corr + corr.mT, 0.5, out=ws.h_m)
+    return _increment(ws)
 
 
 def _rates(alphas, tau, n, out):
@@ -297,11 +305,12 @@ def _step(ws, x, row, increment):
     ws.cur, ws.nxt, ws.d = nxt, ws.cur, d
 
 
-def _stepped(state, x, alpha, increment):
+@np.errstate(over="ignore", invalid="ignore")  # as in advance
+def _stepped(state, x, alpha, task, increment):
     """:func:`_step` of a state or stack at rate alpha in a fresh
-    workspace, as a new state whose wm is read-only."""
+    workspace of the task, as a new state whose wm is read-only."""
     rate = _rates((alpha,), state.tau, state.n, np.empty((1, state.wm.shape[-1])))[0]
-    ws = _Workspace(state.wm)
+    ws = _Workspace(state.wm, state.lam, task)
     _step(ws, x, rate, increment)
     wm = ws.cur[0]
     wm.setflags(write=False)
@@ -314,8 +323,7 @@ def plasticity(state, x, y, alpha, task):
     (projection) or ``diag(lam**2)`` (whitening), at 1/tau of the W rate;
     both from the one outer product ``y [x, y]'``. ``y y'`` is exactly
     symmetric, so M stays so."""
-    return _stepped(state, x, alpha, lambda ws, x: online_increment(
-        None, _Targets(state.lam, state.n, task), ws, x, y))
+    return _stepped(state, x, alpha, task, lambda ws, x: online_increment(None, ws, x, y))
 
 
 def online_step(state, x, alpha, task, variant):
@@ -337,15 +345,15 @@ def _frozen(state, wm):
     return ModelState._unchecked(wm, state.lam, state.tau)
 
 
-def _replay(live, ws, x, t, row, one, increment, diverge):
+def _replay(live, ws, x, t, row, increment, diverge):
     """Step t again one trial at a time, after the stack's step raised,
     from ``ws.cur``, which the failed step left as it was; a trial whose
     own step fails goes to ``diverge``. Returns a workspace of the others
-    at the chunk's one rate (None if no trial is left) and their indices
-    in ``live``."""
+    at the rate of ``ws`` (None if no trial is left) and their indices in
+    ``live``."""
     kept, steps = [], []
     for j, position in enumerate(live):
-        trial = _Workspace(ws.cur[0][j], None if ws.d is None else ws.d[j])
+        trial = ws.like(ws.cur[0][j], None if ws.d is None else ws.d[j])
         try:
             _step(trial, x[j], row, increment)
         except MODEL_ERRORS as exc:
@@ -356,16 +364,17 @@ def _replay(live, ws, x, t, row, one, increment, diverge):
     if not steps:
         return None, kept
     wms, ds = zip(*steps)
-    return _Workspace(np.stack(wms), np.stack(ds), one), kept
+    # ws.rate, when set, equals every row of its chunk
+    return ws.like(np.stack(wms), np.stack(ds), None if ws.rate is None else row), kept
 
 
-def advance(state, t_max, points, schedule, increment, draw, visit, diverge):
+def advance(state, task, t_max, points, schedule, increment, draw, visit, diverge):
     """Step a stack of learners from ``state`` through step ``t_max``.
 
     The loop steps the stack's raw ``[W | M]`` in one :class:`_Workspace`
-    with :func:`_step`, along ``increment(ws, x)`` at the rates of
-    :func:`_rates`, one table per chunk of ``_SAMPLE_CHUNK`` steps from
-    ``schedule.rate``. ``draw(live, count)`` gives the inputs of the
+    of the task with :func:`_step`, along ``increment(ws, x)`` at the
+    rates of :func:`_rates`, one table per chunk of ``_SAMPLE_CHUNK``
+    steps from ``schedule.rate``. ``draw(live, count)`` gives the inputs of the
     trials at stack positions ``live``, one column each: ``count`` rows,
     or one row for every step. ``visit(t, position, state)`` sees each
     live trial at each t in ``points`` (at t = 0 when ``t_max == 0``) as
@@ -374,7 +383,7 @@ def advance(state, t_max, points, schedule, increment, draw, visit, diverge):
     model error. A trial that ends leaves the stack; the others go on.
     """
     live = list(range(len(state.wm)))
-    ws = _Workspace(state.wm.copy())  # cur: a buffer of its own
+    ws = _Workspace(state.wm.copy(), state.lam, task)  # cur: a buffer of its own
     table = np.empty((min(_SAMPLE_CHUNK, t_max), state.wm.shape[-1]))  # refilled per chunk
     t = 0
     # a diverging step, or the readout of weights too large, overflows on
@@ -389,14 +398,14 @@ def advance(state, t_max, points, schedule, increment, draw, visit, diverge):
             rates = _rates(map(schedule.rate, range(t + 1, t + count + 1)), state.tau,
                            state.n, table[:count])
             one = rates[0] if (rates == rates[0]).all() else None
-            ws = _Workspace(ws.cur[0], ws.d, one)
+            ws = ws.like(ws.cur[0], ws.d, one)
             for r, row in enumerate(rates):
                 t += 1
                 x = block[r % len(block)]
                 try:
                     _step(ws, x, row, increment)
                 except MODEL_ERRORS:
-                    ws, kept = _replay(live, ws, x, t, row, one, increment, diverge)
+                    ws, kept = _replay(live, ws, x, t, row, increment, diverge)
                     live, block = [live[j] for j in kept], block[:, kept]
                 if t in points and live:
                     wm = ws.cur[0]
@@ -404,7 +413,7 @@ def advance(state, t_max, points, schedule, increment, draw, visit, diverge):
                             if visit(t, position, _frozen(state, wm[j]))]
                     if len(kept) < len(live):
                         live, block = [live[j] for j in kept], block[:, kept]
-                        ws = _Workspace(wm[kept], ws.d[kept], one)
+                        ws = ws.like(wm[kept], ws.d[kept], one)
                 if not live:
                     break
             del block, x  # freed before the next chunk draws its own

@@ -1,13 +1,14 @@
 """Deterministic expectation dynamics over a known covariance.
 
 With the population covariance G in hand, the stochastic updates can be
-replaced by their expectations: the input/output correlation becomes
-F G and the output covariance becomes F G F', where F is the learner's
-current input-to-output filter. This module steps those averaged
-dynamics with forward Euler, constructs their fixed points in closed
-form from the eigendecomposition of G, and probes linear stability with
-a finite-difference Jacobian on the flattened (W, upper-triangular M)
-coordinates, whose perturbed states are all evaluated as one stack.
+replaced by their expectations (``model.averaged_increment``): the
+input/output correlation becomes F G and the output covariance F G F',
+where F is the learner's current input-to-output filter. This module
+steps those averaged dynamics with forward Euler, constructs their fixed
+points in closed form from the eigendecomposition of G, and probes
+linear stability with a finite-difference Jacobian on the flattened (W,
+upper-triangular M) coordinates, whose perturbed states are all
+evaluated as one stack.
 """
 
 from functools import partial
@@ -19,39 +20,19 @@ from .errors import TrialDivergedError
 from .model import (
     ModelState,
     Task,
-    _Targets,
     _Workspace,
-    _increment,
-    _lateral_solve,
     _stepped,
     advance,
+    averaged_increment,
     neural_filter,  # noqa: F401  (the name perfbench/tracing.py binds)
     outside_horizon,
 )
 
 
-def averaged_increment(variant, targets, ws, g):
-    """The averaged update direction of the workspace's ``[W | M]`` on the
-    covariance g: ``model._increment`` of the drive ``[F G, F G F']``,
-    written into H's two blocks, with F the learner's filter; that is ``F
-    G - W`` and the lateral drive before its 1/tau rate. ``F G F'`` is
-    symmetric only up to rounding, so it is symmetrized here, once: the
-    drive and every M that a step forms from it are then exactly
-    symmetric.
-    """
-    _, w, m, _ = ws.cur
-    f = _lateral_solve(m, w, variant, ws.d)
-    fg = np.matmul(f, g, out=ws.h_w)
-    corr = fg @ f.mT
-    np.multiply(corr + corr.mT, 0.5, out=ws.h_m)
-    return _increment(ws, targets)
-
-
 def offline_step(state, g, alpha, task, variant):
     """One forward-Euler step of the averaged dynamics; a stack of learners
     steps on one covariance each, every slice bit for bit as alone."""
-    return _stepped(state, g, alpha, partial(averaged_increment, variant,
-                                             _Targets(state.lam, state.n, task)))
+    return _stepped(state, g, alpha, task, partial(averaged_increment, variant))
 
 
 def construct_fixed_point(g, lam, task, signs=None, tau=None, order=None):
@@ -77,8 +58,7 @@ def fixed_point_residual(state, g, task, variant):
     the lateral drive (against ``(lam lam') * M`` for projection,
     ``diag(lam^2)`` for whitening).
     """
-    field = averaged_increment(variant, _Targets(state.lam, state.n, task),
-                               _Workspace(state.wm), g)
+    field = averaged_increment(variant, _Workspace(state.wm, state.lam, task), g)
     n = state.n
     return linalg.frobenius(field[..., :n]) + linalg.frobenius(field[..., n:])
 
@@ -104,7 +84,7 @@ def _jacobian(state, g, task, variant, eps):
     wm[:, coord] = np.concatenate([base + step, base - step])
     wm = wm.reshape(-1, k, n + k)
     wm[..., n:] += np.triu(wm[..., n:], 1).mT
-    field = averaged_increment(variant, _Targets(state.lam, n, task), _Workspace(wm), g)
+    field = averaged_increment(variant, _Workspace(wm, state.lam, task), g)
     field[..., n:] /= state.tau
     field = field.reshape(2 * dim, -1)[:, coord]
     return ((field[:dim] - field[dim:]) / (2.0 * eps)).T
@@ -154,8 +134,7 @@ def run_offline(initial, g, schedule, t_max, checkpoints=(), *,
         raise TrialDivergedError(t, exc) from exc
 
     stack = ModelState.stack([initial])
-    advance(stack, t_max, wanted | {t_max}, schedule,
-            partial(averaged_increment, variant, _Targets(stack.lam, stack.n, task)),
-            lambda live, count: np.asarray(g, dtype=float)[None, None], visit,
-            diverge)
+    advance(stack, task, t_max, wanted | {t_max}, schedule,
+            partial(averaged_increment, variant),
+            lambda live, count: np.asarray(g, dtype=float)[None, None], visit, diverge)
     return snaps

@@ -64,24 +64,26 @@ class TestModelState:
         assert (st.m == st.m.T).all()
         assert np.array_equal(np.triu(st.m), np.triu(m))
 
-    def test_gain_targets_read_only(self):
-        # what the increment of [W | M] subtracts, per task: one read-only
-        # copy per shape of wm, each equal to the broadcast of a learner's
+    def test_workspace_targets(self):
+        # what the increment of [W | M] subtracts, per task: shaped like
+        # wm, and for a stack the broadcast of a learner's
         st = random_state(1)
         n = st.n
-        targets = {task: model._Targets(st.lam, n, task) for task in Task}
-        (psp,) = targets[Task.PSP][st.wm.shape]
-        psw, square = targets[Task.PSW][st.wm.shape]
+        (psp,) = model._Workspace(st.wm, st.lam, Task.PSP).target
+        psw, square = model._Workspace(st.wm, st.lam, Task.PSW).target
         assert (psp[:, :n] == 1).all() and (square[:, :n] == 0).all()
         assert np.array_equal(psp[:, n:], np.outer(st.lam, st.lam))
         assert np.array_equal(square[:, n:], np.diag(st.lam**2))
         assert np.array_equal(psw, np.tile([1] * n + [0] * st.k, (st.k, 1)))
-        assert np.signbit(square[:, :n]).all()
+        assert np.signbit(square[:, :n]).all() and not np.signbit(psw).any()
         stack = ModelState.stack([st, random_state(2)])
-        for by_shape in targets.values():
-            for one, full in zip(by_shape[st.wm.shape], by_shape[stack.wm.shape]):
-                assert np.array_equal(full, np.broadcast_to(one, stack.wm.shape))
-            assert all(not a.flags.writeable for consts in by_shape.values() for a in consts)
+        for task in Task:
+            one = model._Workspace(st.wm, st.lam, task)
+            full = one.like(stack.wm)
+            assert full.task is task and len(full.target) == len(one.target)
+            for a, b in zip(one.target, full.target):
+                assert b.shape == stack.wm.shape
+                assert _same_bits(b, np.broadcast_to(a, stack.wm.shape))
 
     def test_joint_layout(self):
         # one C-contiguous [W | M]; w and m are views of it
@@ -299,7 +301,6 @@ def _in_last_slice(bad, benign):
     return [np.stack([b, b, a]) for a, b in zip(bad, benign)]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestOverflowGuard:
     """An update that overflows W or M in any slice is divergence; finite
     weights pass however large their sum of squares."""
@@ -547,9 +548,9 @@ class TestAdvance:
                 return not (t == 5 and indices[position] in drop)
 
             stack = ModelState.stack([states[i] for i in indices])
-            increment = partial(model.online_increment, Variant.ITERATION_FREE,
-                                model._Targets(stack.lam, stack.n, Task.PSP))
-            model.advance(stack, 20, {5, 20}, data.InverseTime(10.0, 250.0), increment,
+            increment = partial(model.online_increment, Variant.ITERATION_FREE)
+            model.advance(stack, Task.PSP, 20, {5, 20}, data.InverseTime(10.0, 250.0),
+                          increment,
                           lambda live, count: xs[:count][:, [indices[p] for p in live]],
                           visit, diverge=None)
             return seen
@@ -755,14 +756,13 @@ class TestAdvanceMatchesOneShot:
         def diverge(t, position, exc):
             seen[position, "diverged"] = (t, type(exc), str(exc))
 
-        coefs = model._Targets(state.lam, state.n, task)
         if online:
-            increment = partial(model.online_increment, variant, coefs)
+            increment = partial(model.online_increment, variant)
             draw = lambda live, count: inputs[:count][:, live]
         else:
-            increment = partial(offline.averaged_increment, variant, coefs)
+            increment = partial(model.averaged_increment, variant)
             draw = lambda live, count: inputs[live][None]
-        model.advance(state, t_max, points, schedule, increment, draw, visit, diverge)
+        model.advance(state, task, t_max, points, schedule, increment, draw, visit, diverge)
 
         expected = {}
         for i in range(len(state.wm)):
@@ -798,14 +798,13 @@ class TestVisitedStatesStayFrozen:
         a = rng.normal(size=(2, 10, 10))
         gs = a @ a.mT / 10
         stack = ModelState.stack(states)
-        coefs = model._Targets(stack.lam, stack.n, Task.PSW)
         if online:
-            increment = partial(model.online_increment, variant, coefs)
+            increment = partial(model.online_increment, variant)
             draw = lambda live, count: xs[:count][:, live]
             step = lambda s, i, t: model.online_step(s, xs[t - 1, i], 0.01, Task.PSW,
                                                      variant)[1]
         else:
-            increment = partial(offline.averaged_increment, variant, coefs)
+            increment = partial(model.averaged_increment, variant)
             draw = lambda live, count: gs[live][None]
             step = lambda s, i, t: offline.offline_step(s, gs[i], 0.01, Task.PSW, variant)
         kept = {}
@@ -814,8 +813,8 @@ class TestVisitedStatesStayFrozen:
             kept[t, position] = state
             return True
 
-        model.advance(stack, 8, {1, 2, 3}, data.Constant(0.01), increment, draw, visit,
-                      diverge=None)
+        model.advance(stack, Task.PSW, 8, {1, 2, 3}, data.Constant(0.01), increment, draw,
+                      visit, diverge=None)
         assert sorted(kept) == [(t, i) for t in (1, 2, 3) for i in (0, 1)]
         for i, state in enumerate(states):
             for t in (1, 2, 3):
