@@ -20,7 +20,6 @@ import json
 import math
 import os
 import time
-from functools import partial
 from itertools import groupby, repeat
 from typing import NamedTuple
 
@@ -474,17 +473,13 @@ def _run_stack(config, indices, rotation=None):
         def draw(live, count):  # row r holds every live trial's r-th draw
             return np.stack([data.sample_block(trials[p].spec, trials[p].rng, count)
                              for p in live], axis=1)
-
-        increment = model.online_increment
     else:
         def draw(live, count):  # no samples: one row of covariances
             return np.stack([trials[p].g for p in live])[None]
 
-        increment = model.averaged_increment
-
     stack = ModelState.stack([trial.initial for trial in trials])
-    advance(stack, config.task, config.t_max, set(config.eval_points()), config.schedule,
-            partial(increment, config.variant), draw,
+    advance(stack, config.task, config.variant, config.mode == "online", config.t_max,
+            set(config.eval_points()), config.schedule, draw,
             visit=lambda t, p, state: trials[p].record(t, state),
             diverge=lambda t, p, exc: trials[p].diverge(t, exc))
     wall_clock_s = time.perf_counter() - start

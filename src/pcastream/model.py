@@ -16,9 +16,11 @@ and one input per learner, B x N. Every operation acts on each slice
 alone, with the same arithmetic as on a single learner, so each slice of
 a stacked result equals the single-learner result bit for bit; a check
 that fails on any slice fails the whole call. ``advance`` is the one
-loop that steps such a stack through time, online or averaged: along
-``online_increment`` or its expectation over a known covariance,
-``averaged_increment``, the two forms of the one update rule.
+loop that steps such a stack through time, online or averaged (along
+the expectation over a known covariance, ``averaged_increment``): the
+two forms of the one update rule, in the one step that each
+``_Workspace`` binds once with every buffer it writes, which the
+one-shot steps call too.
 """
 
 import math
@@ -129,39 +131,44 @@ def outside_horizon(points, t_max):
     return sorted(t for t in points if not 1 <= t <= t_max)
 
 
-def _lateral_solve(m, b, variant, d=None):
+def _tested_diagonal(m):
+    """A contiguous copy of M's diagonal, per slice of a stack, which the
+    two-step pass reads faster than a view; an entry below
+    ``DIAGONAL_FLOOR`` in any slice is rejected as ``d.min() < floor``
+    rejects it (a NaN passes), on a list of floats."""
+    d = m.diagonal(0, -2, -1).copy()
+    diag = d.ravel().tolist()
+    if min(diag) < DIAGONAL_FLOOR and not any(map(math.isnan, diag)):
+        raise DegenerateDiagonalError("diagonal entry below invertibility floor")
+    return d
+
+
+def _two_step(product, m, b, d, out=None, ff=None, lateral=None, scaled=None):
+    """The two-step pass ``D^-1 b - D^-1 M_o D^-1 b``, D the diagonal and
+    M_o the off-diagonal part of M, per slice of a stack: b scaled by the
+    diagonal d, then one lateral correction of that provisional signal
+    ``ff``, again scaled by the diagonal. ``product`` is ``np.matvec`` for
+    a vector b, or ``np.matmul`` for a matrix b (one row per output, with
+    d shaped ``(..., K, 1)``). It uses no general inversion, and its error
+    is quadratic in the off-diagonal norm. Writes into the buffers given,
+    or new ones, and returns ``out``."""
+    ff = np.divide(b, d, ff)
+    lateral = product(m, ff, lateral)
+    lateral -= np.multiply(d, ff, scaled)
+    lateral /= d
+    return np.subtract(ff, lateral, out)
+
+
+def _lateral_solve(m, b, variant):
     """``M^-1 b`` for a vector or a matrix b (one row per output), per
-    slice of a stack of M.
-
-    Exact: b multiplied by the explicit inverse of M from
-    :func:`linalg.lu_factor`, looked up at each call. Iteration-free: the
-    two-step pass, ``D^-1 b - D^-1 M_o D^-1 b`` with D the diagonal and
-    M_o the off-diagonal part of M: b scaled by the diagonal, then one
-    lateral correction of that provisional signal, again scaled by the
-    diagonal. It uses no general inversion, and its error is quadratic in
-    the off-diagonal norm.
-
-    The iteration-free pass uses a diagonal ``d`` its step tested, or
-    rejects an entry below ``DIAGONAL_FLOOR`` in any slice as ``d.min() <
-    floor`` does (a NaN passes), on a list of floats. It writes only into
-    its own temporaries.
-    """
+    slice of a stack of M: b multiplied by the explicit inverse of M from
+    :func:`linalg.lu_factor`, looked up at each call (exact), or
+    :func:`_two_step` on the tested diagonal (iteration-free)."""
     product = np.matvec if b.ndim < m.ndim else np.matmul
     if variant is Variant.EXACT_INVERSE:
         return product(linalg.lu_factor(m), b)
-    if d is None:
-        d = m.diagonal(0, -2, -1).copy()
-        diag = d.ravel().tolist()
-        if min(diag) < DIAGONAL_FLOOR and not any(map(math.isnan, diag)):
-            raise DegenerateDiagonalError("diagonal entry below invertibility floor")
-    if product is np.matmul:
-        d = d[..., None]
-    y_ff = b / d
-    lateral = product(m, y_ff)
-    lateral -= d * y_ff
-    lateral /= d
-    y_ff -= lateral
-    return y_ff
+    d = _tested_diagonal(m)
+    return _two_step(product, m, b, d if product is np.matvec else d[..., None])
 
 
 def approx_inverse(m):
@@ -186,31 +193,52 @@ def neural_filter(state, variant):
     return _lateral_solve(state.m, state.w, variant)
 
 
+def _less_target(h, target, wm, spare):
+    """``H - C * wm`` or ``H - (C * wm + S)``, the workspace target, in H,
+    which holds the drive, with the target formed in ``spare``: 1 * W is
+    W, ``x + -0`` is x and ``+-0 + +0`` is +0, so each entry is H_W - W,
+    or H_M minus the exactly symmetric target ``(lam lam') * M`` or
+    ``diag(lam**2)``, bit for bit."""
+    np.multiply(target[0], wm, spare)
+    if len(target) > 1:
+        spare += target[1]
+    h -= spare
+    return h
+
+
+def _averaged_drive(f, g, h_w, h_m, corr=None, twice=None):
+    """The expected drive ``[F G, F G F']`` on the covariance g into H's
+    blocks, F the learner's filter: ``F G - W`` once less its target, and
+    the lateral drive before its 1/tau rate. ``F G F'`` is symmetric only
+    up to rounding, so it is symmetrized here, once: the drive and every
+    M that a step forms from it are then exactly symmetric."""
+    fg = np.matmul(f, g, h_w)
+    corr = np.matmul(fg, f.mT, corr)
+    np.multiply(np.add(corr, corr.mT, twice), 0.5, h_m)
+
+
 class _Workspace:
-    """What steps of ``[W | M]`` of one shape and task write into, made
-    once per stack shape and chunk of steps: two C-contiguous buffers,
-    each with its W, M and (read-only) diagonal views, ``cur`` read by a
-    step and ``nxt`` written, which swap only after the new weights pass
-    the step's tests; the increment ``h`` with its blocks ``h_w`` and
-    ``h_m``; and ``rate``, a chunk's one row of rates shaped like wm (a
-    broadcast costs more than the copy), or None. ``d`` is cur's diagonal
-    as an update tested it, or None: a contiguous copy, which the two-step
-    pass reads faster than a view. ``target`` is what :func:`_increment`
-    subtracts, shaped like wm so that no update broadcasts: ``(C,)`` with
-    ``C = [1 | lam lam']`` for projection, ``(C, S)`` with ``C = [1 | 0]``
-    and ``S = [-0 | diag(lam**2)]`` for whitening. The first cur is the
-    array given, only read by the first step: a caller that steps more
-    than once gives an array of its own."""
+    """The arrays that steps of ``[W | M]`` of one shape, task and
+    variant write into: the weights ``wm`` given, only read (by the first
+    step), a spare buffer, the increment ``h`` and the ``target`` that H
+    less its drive is, shaped like wm so that no update broadcasts:
+    ``(C,)`` with ``C = [1 | lam lam']`` for projection, ``(C, S)`` with
+    ``C = [1 | 0]`` and ``S = [-0 | diag(lam**2)]`` for whitening. Made
+    for ``online`` (True) or averaged (False) steps, not for the field
+    alone (None, :func:`averaged_increment`), it also binds its ``step``
+    once (:meth:`_bind`), from ``d``, the given weights' tested diagonal
+    or None, and ``rate``, a chunk's one row of rates or None; then
+    ``current()`` gives the weights stepped to and their tested diagonal.
+    Later workspaces of a stack come from :meth:`like`."""
 
-    __slots__ = ("cur", "nxt", "d", "h", "h_w", "h_m", "rate", "lam", "task", "target")
+    __slots__ = ("wm", "spare", "h", "lam", "task", "variant", "online", "rate", "target",
+                 "step", "current", "y")
 
-    def __init__(self, wm, lam, task, d=None, rate=None):
-        n, h = wm.shape[-1] - wm.shape[-2], np.empty(wm.shape)
-        self.cur, self.nxt = [(a, a[..., :n], a[..., n:], a.diagonal(n, -2, -1))
-                              for a in (wm, np.empty(wm.shape))]
-        self.d, self.h, self.h_w, self.h_m = d, h, h[..., :n], h[..., n:]
-        self.rate = None if rate is None else np.broadcast_to(rate, wm.shape).copy()
-        self.lam, self.task, c = lam, task, np.ones(wm.shape)
+    def __init__(self, wm, lam, task, variant, online=None, d=None, rate=None):
+        self.wm, self.spare, self.h = wm, np.empty(wm.shape), np.empty(wm.shape)
+        self.lam, self.task, self.variant = lam, task, variant
+        self.online, self.rate = online, rate
+        n, c = wm.shape[-1] - wm.shape[-2], np.ones(wm.shape)
         if task is Task.PSP:
             c[..., n:] = np.multiply.outer(lam, lam)
             self.target = (c,)
@@ -219,54 +247,89 @@ class _Workspace:
             square = np.full(wm.shape, -0.0)
             square[..., n:] = np.diag(lam * lam)
             self.target = (c, square)
+        if online is not None:
+            self._bind(d)
 
     def like(self, wm, d=None, rate=None):
-        """A workspace of the same task for wm."""
-        return _Workspace(wm, self.lam, self.task, d, rate)
+        """A workspace of the same task, variant and steps for wm."""
+        return _Workspace(wm, self.lam, self.task, self.variant, self.online, d, rate)
+
+    def _bind(self, d):
+        """Build ``step(x, row)`` with every array it touches bound: two
+        buffers, ``cur`` read and ``nxt`` written, with their W, M and
+        diagonal views, which swap only after the new weights pass the
+        tests; H and its blocks, the target, the rate (``row`` when it is
+        None) and the drive's temporaries. Online, x is a sample and the
+        drive the one product ``y [x, y]'`` into H from ``u = [x | y]``,
+        whose tail y (``self.y``) the last subtraction of the pass writes;
+        variant None steps on a given pair ``x = (x, y)``. Averaged, x is a
+        covariance. Then ``wm + rate * (H less its target)`` goes into nxt,
+        entrywise, so an exactly symmetric M stays so. An overflow in any
+        slice (:func:`linalg.all_finite`: finite weights whose squares
+        overflow pass), tested first so that an infinite or NaN diagonal is
+        named as one, or a diagonal at the floor is divergence. Every
+        intermediate is written into a bound buffer: but for the exact
+        inverse, a step allocates only the copy of its new diagonal."""
+        wm, h, target, variant, online = self.wm, self.h, self.target, self.variant, self.online
+        lead, k, n = wm.shape[:-2], wm.shape[-2], wm.shape[-1] - wm.shape[-2]
+        exact = variant is Variant.EXACT_INVERSE
+        rate = None if self.rate is None else np.broadcast_to(self.rate, wm.shape).copy()
+        cur, nxt = [(a, a[..., :n], a[..., n:], a.diagonal(n, -2, -1)) for a in (wm, self.spare)]
+        if online:
+            b, ff, lateral, u = (np.empty(lead + (size,)) for size in (k, k, k, n + k))
+            head, y, y_col, u_row = u[..., :n], u[..., n:], u[..., n:, None], u[..., None, :]
+            self.y = y
+        else:
+            f, ff, lateral = (np.empty(lead + (k, n)) for _ in range(3))
+            corr, twice = np.empty(lead + (k, k)), np.empty(lead + (k, k))
+            h_w, h_m = h[..., :n], h[..., n:]
+
+        def step(x, row):
+            nonlocal cur, nxt, d
+            wm, w, m, _ = cur
+            if exact:
+                inverse = linalg.lu_factor(m)
+            elif variant is not None:
+                tested = _tested_diagonal(m) if d is None else d
+            if online:
+                if variant is None:
+                    x, given = x
+                    np.copyto(y, given)
+                else:
+                    np.matvec(w, x, b)
+                    if exact:
+                        np.matvec(inverse, b, y)
+                    else:
+                        _two_step(np.matvec, m, b, tested, y, ff, lateral, b)
+                np.copyto(head, x)
+                np.multiply(y_col, u_row, h)
+            else:
+                if exact:
+                    np.matmul(inverse, w, f)
+                else:
+                    _two_step(np.matmul, m, w, tested[..., None], f, ff, lateral, f)
+                _averaged_drive(f, x, h_w, h_m, corr, twice)
+            _less_target(h, target, wm, nxt[0])
+            np.multiply(h, row if rate is None else rate, h)
+            np.add(wm, h, nxt[0])
+            if not linalg.all_finite(nxt[0]):
+                raise DegenerateDiagonalError("weights overflowed")
+            new = nxt[3].copy()
+            if not all(map(DIAGONAL_FLOOR.__lt__, new.ravel().tolist())):
+                raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
+            cur, nxt, d = nxt, cur, new
+
+        self.step, self.current = step, lambda: (cur[0], d)
 
 
-def _increment(ws):
-    """``H - C * wm`` or ``H - (C * wm + S)`` (the workspace's target) in
-    its ``H = [H_W | H_M]``, which holds the drive, with the target formed
-    in the spare buffer: 1 * W is W, ``x + -0`` is x and ``+-0 + +0`` is
-    +0, so each entry is H_W - W, or H_M minus the exactly symmetric
-    target ``(lam lam') * M`` or ``diag(lam**2)``, bit for bit."""
-    wm, target, h = ws.cur[0], ws.nxt[0], ws.h
-    np.multiply(ws.target[0], wm, out=target)
-    if ws.task is Task.PSW:
-        target += ws.target[1]
-    h -= target
-    return h
-
-
-def online_increment(variant, ws, x, y=None):
-    """The online update direction of the workspace's ``[W | M]`` for the
-    sample x: :func:`_increment` of the drive ``y [x, y]'``, written into
-    H's two blocks (``y y'`` is exactly symmetric), with y the output of
-    the pre-update weights, or the y given."""
-    if y is None:
-        _, w, m, _ = ws.cur
-        y = _lateral_solve(m, np.matvec(w, x), variant, ws.d)
-    y = y[..., :, None]
-    np.multiply(y, x[..., None, :], out=ws.h_w)
-    np.multiply(y, y.mT, out=ws.h_m)
-    return _increment(ws)
-
-
-def averaged_increment(variant, ws, g):
-    """The averaged update direction of the workspace's ``[W | M]`` on the
-    covariance g, the expectation of :func:`online_increment`:
-    :func:`_increment` of the drive ``[F G, F G F']``, written into H's
-    two blocks, with F the learner's filter; that is ``F G - W`` and the
-    lateral drive before its 1/tau rate. ``F G F'`` is symmetric only up
-    to rounding, so it is symmetrized here, once: the drive and every M
-    that a step forms from it are then exactly symmetric."""
-    _, w, m, _ = ws.cur
-    f = _lateral_solve(m, w, variant, ws.d)
-    fg = np.matmul(f, g, out=ws.h_w)
-    corr = fg @ f.mT
-    np.multiply(corr + corr.mT, 0.5, out=ws.h_m)
-    return _increment(ws)
+def averaged_increment(ws, g):
+    """The averaged update direction of the weights of a workspace on the
+    covariance g, the expectation of the online one: :func:`_averaged_drive`
+    of the learner's filter, less the target, in ``ws.h``."""
+    wm, h, n = ws.wm, ws.h, ws.wm.shape[-1] - ws.wm.shape[-2]
+    _averaged_drive(_lateral_solve(wm[..., n:], wm[..., :n], ws.variant), g,
+                    h[..., :n], h[..., n:])
+    return _less_target(h, ws.target, wm, ws.spare)
 
 
 def _rates(alphas, tau, n, out):
@@ -283,38 +346,22 @@ def _rates(alphas, tau, n, out):
     return out
 
 
-def _step(ws, x, row, increment):
-    """The array step: ``wm + rate * increment(ws, x)`` for the learner or
-    stack ``[W | M]`` of a workspace and input x, into its spare buffer, at
-    ``ws.rate`` or one row of :func:`_rates` broadcast over the rows of W
-    and M and over the stack: one scale and one add, entrywise, so an
-    exactly symmetric M block stays so. An overflow in any slice
-    (:func:`linalg.all_finite`: finite weights whose squares overflow
-    pass), tested first so that an infinite or NaN diagonal is named as
-    one, or a diagonal at the floor is divergence; new weights that pass
-    become current, with the copy of their diagonal that was tested."""
-    h = increment(ws, x)
-    h *= row if ws.rate is None else ws.rate
-    nxt = ws.nxt
-    np.add(ws.cur[0], h, out=nxt[0])
-    if not linalg.all_finite(nxt[0]):
-        raise DegenerateDiagonalError("weights overflowed")
-    d = nxt[3].copy()
-    if not all(map(DIAGONAL_FLOOR.__lt__, d.ravel().tolist())):
-        raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
-    ws.cur, ws.nxt, ws.d = nxt, ws.cur, d
+def _frozen(state, wm):
+    """Learner ``wm`` of the stack ``state`` as a state of its own, on a
+    read-only copy that no later step can change."""
+    wm = wm.copy()
+    wm.setflags(write=False)
+    return ModelState._unchecked(wm, state.lam, state.tau)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in advance
-def _stepped(state, x, alpha, task, increment):
-    """:func:`_step` of a state or stack at rate alpha in a fresh
-    workspace of the task, as a new state whose wm is read-only."""
-    rate = _rates((alpha,), state.tau, state.n, np.empty((1, state.wm.shape[-1])))[0]
-    ws = _Workspace(state.wm, state.lam, task)
-    _step(ws, x, rate, increment)
-    wm = ws.cur[0]
-    wm.setflags(write=False)
-    return ModelState._unchecked(wm, state.lam, state.tau)
+def _stepped(state, x, alpha, task, variant, online):
+    """One step of a state or stack at rate alpha in a fresh workspace:
+    the output y (online, a copy; None averaged) and the new state, whose
+    wm is a read-only copy."""
+    ws = _Workspace(state.wm, state.lam, task, variant, online)
+    ws.step(x, _rates((alpha,), state.tau, state.n, np.empty((1, state.wm.shape[-1])))[0])
+    return ws.y.copy() if online else None, _frozen(state, ws.current()[0])
 
 
 def plasticity(state, x, y, alpha, task):
@@ -323,7 +370,7 @@ def plasticity(state, x, y, alpha, task):
     (projection) or ``diag(lam**2)`` (whitening), at 1/tau of the W rate;
     both from the one outer product ``y [x, y]'``. ``y y'`` is exactly
     symmetric, so M stays so."""
-    return _stepped(state, x, alpha, task, lambda ws, x: online_increment(None, ws, x, y))
+    return _stepped(state, (x, y), alpha, task, None, True)[1]
 
 
 def online_step(state, x, alpha, task, variant):
@@ -333,34 +380,26 @@ def online_step(state, x, alpha, task, variant):
     state; plasticity is applied afterwards. For a stack of learners, x
     holds one sample per learner and all of them step at rate ``alpha``.
     """
-    y = forward(state, x, variant)
-    return y, plasticity(state, x, y, alpha, task)
+    return _stepped(state, x, alpha, task, variant, True)
 
 
-def _frozen(state, wm):
-    """Learner ``wm`` of the stack ``state`` as a state of its own, on a
-    read-only copy that no later step can change."""
-    wm = wm.copy()
-    wm.setflags(write=False)
-    return ModelState._unchecked(wm, state.lam, state.tau)
-
-
-def _replay(live, ws, x, t, row, increment, diverge):
+def _replay(live, ws, x, t, row, diverge):
     """Step t again one trial at a time, after the stack's step raised,
-    from ``ws.cur``, which the failed step left as it was; a trial whose
-    own step fails goes to ``diverge``. Returns a workspace of the others
-    at the rate of ``ws`` (None if no trial is left) and their indices in
-    ``live``."""
+    from the weights of ``ws``, which the failed step left as they were; a
+    trial whose own step fails goes to ``diverge``. Returns a workspace of
+    the others at the rate of ``ws`` (None if no trial is left) and their
+    indices in ``live``."""
+    wm, d = ws.current()
     kept, steps = [], []
     for j, position in enumerate(live):
-        trial = ws.like(ws.cur[0][j], None if ws.d is None else ws.d[j])
+        trial = ws.like(wm[j], None if d is None else d[j])
         try:
-            _step(trial, x[j], row, increment)
+            trial.step(x[j], row)
         except MODEL_ERRORS as exc:
             diverge(t, position, exc)
         else:
             kept.append(j)
-            steps.append((trial.cur[0], trial.d))
+            steps.append(trial.current())
     if not steps:
         return None, kept
     wms, ds = zip(*steps)
@@ -368,22 +407,23 @@ def _replay(live, ws, x, t, row, increment, diverge):
     return ws.like(np.stack(wms), np.stack(ds), None if ws.rate is None else row), kept
 
 
-def advance(state, task, t_max, points, schedule, increment, draw, visit, diverge):
+def advance(state, task, variant, online, t_max, points, schedule, draw, visit, diverge):
     """Step a stack of learners from ``state`` through step ``t_max``.
 
-    The loop steps the stack's raw ``[W | M]`` in one :class:`_Workspace`
-    of the task with :func:`_step`, along ``increment(ws, x)`` at the
-    rates of :func:`_rates`, one table per chunk of ``_SAMPLE_CHUNK``
-    steps from ``schedule.rate``. ``draw(live, count)`` gives the inputs of the
-    trials at stack positions ``live``, one column each: ``count`` rows,
-    or one row for every step. ``visit(t, position, state)`` sees each
-    live trial at each t in ``points`` (at t = 0 when ``t_max == 0``) as
-    a state of its own on a read-only copy, and returns whether it goes
-    on; ``diverge(t, position, exc)`` gets a trial whose own step raised a
-    model error. A trial that ends leaves the stack; the others go on.
+    The loop steps the stack's raw ``[W | M]`` with the bound step of a
+    :class:`_Workspace` of the task and variant, online or averaged, at
+    the rates of :func:`_rates`, one table and one workspace per chunk of
+    ``_SAMPLE_CHUNK`` steps from ``schedule.rate``. ``draw(live, count)``
+    gives the inputs of the trials at stack positions ``live``, one
+    column each: ``count`` rows, or one row for every step. ``visit(t,
+    position, state)`` sees each live trial at each t in ``points`` (at t
+    = 0 when ``t_max == 0``) as a state of its own on a read-only copy,
+    and returns whether it goes on; ``diverge(t, position, exc)`` gets a
+    trial whose own step raised a model error. A trial that ends leaves
+    the stack; the others go on.
     """
     live = list(range(len(state.wm)))
-    ws = _Workspace(state.wm.copy(), state.lam, task)  # cur: a buffer of its own
+    wm, d = state.wm.copy(), None  # a buffer of its own
     table = np.empty((min(_SAMPLE_CHUNK, t_max), state.wm.shape[-1]))  # refilled per chunk
     t = 0
     # a diverging step, or the readout of weights too large, overflows on
@@ -398,22 +438,24 @@ def advance(state, task, t_max, points, schedule, increment, draw, visit, diverg
             rates = _rates(map(schedule.rate, range(t + 1, t + count + 1)), state.tau,
                            state.n, table[:count])
             one = rates[0] if (rates == rates[0]).all() else None
-            ws = ws.like(ws.cur[0], ws.d, one)
+            ws = _Workspace(wm, state.lam, task, variant, online, d, one)
             for r, row in enumerate(rates):
                 t += 1
                 x = block[r % len(block)]
                 try:
-                    _step(ws, x, row, increment)
+                    ws.step(x, row)
                 except MODEL_ERRORS:
-                    ws, kept = _replay(live, ws, x, t, row, increment, diverge)
+                    ws, kept = _replay(live, ws, x, t, row, diverge)
                     live, block = [live[j] for j in kept], block[:, kept]
                 if t in points and live:
-                    wm = ws.cur[0]
+                    wm, d = ws.current()
                     kept = [j for j, position in enumerate(live)
                             if visit(t, position, _frozen(state, wm[j]))]
                     if len(kept) < len(live):
                         live, block = [live[j] for j in kept], block[:, kept]
-                        ws = ws.like(wm[kept], ws.d[kept], one)
+                        ws = ws.like(wm[kept], d[kept], one)
                 if not live:
                     break
+            else:
+                wm, d = ws.current()
             del block, x  # freed before the next chunk draws its own

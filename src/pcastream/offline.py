@@ -11,8 +11,6 @@ upper-triangular M) coordinates, whose perturbed states are all
 evaluated as one stack.
 """
 
-from functools import partial
-
 import numpy as np
 
 from . import linalg, metrics
@@ -32,7 +30,7 @@ from .model import (
 def offline_step(state, g, alpha, task, variant):
     """One forward-Euler step of the averaged dynamics; a stack of learners
     steps on one covariance each, every slice bit for bit as alone."""
-    return _stepped(state, g, alpha, task, partial(averaged_increment, variant))
+    return _stepped(state, g, alpha, task, variant, False)[1]
 
 
 def construct_fixed_point(g, lam, task, signs=None, tau=None, order=None):
@@ -58,7 +56,7 @@ def fixed_point_residual(state, g, task, variant):
     the lateral drive (against ``(lam lam') * M`` for projection,
     ``diag(lam^2)`` for whitening).
     """
-    field = averaged_increment(variant, _Workspace(state.wm, state.lam, task), g)
+    field = averaged_increment(_Workspace(state.wm, state.lam, task, variant), g)
     n = state.n
     return linalg.frobenius(field[..., :n]) + linalg.frobenius(field[..., n:])
 
@@ -84,7 +82,7 @@ def _jacobian(state, g, task, variant, eps):
     wm[:, coord] = np.concatenate([base + step, base - step])
     wm = wm.reshape(-1, k, n + k)
     wm[..., n:] += np.triu(wm[..., n:], 1).mT
-    field = averaged_increment(variant, _Workspace(wm, state.lam, task), g)
+    field = averaged_increment(_Workspace(wm, state.lam, task, variant), g)
     field[..., n:] /= state.tau
     field = field.reshape(2 * dim, -1)[:, coord]
     return ((field[:dim] - field[dim:]) / (2.0 * eps)).T
@@ -134,7 +132,6 @@ def run_offline(initial, g, schedule, t_max, checkpoints=(), *,
         raise TrialDivergedError(t, exc) from exc
 
     stack = ModelState.stack([initial])
-    advance(stack, task, t_max, wanted | {t_max}, schedule,
-            partial(averaged_increment, variant),
+    advance(stack, task, variant, False, t_max, wanted | {t_max}, schedule,
             lambda live, count: np.asarray(g, dtype=float)[None, None], visit, diverge)
     return snaps

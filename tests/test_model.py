@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,8 +67,9 @@ class TestModelState:
         # wm, and for a stack the broadcast of a learner's
         st = random_state(1)
         n = st.n
-        (psp,) = model._Workspace(st.wm, st.lam, Task.PSP).target
-        psw, square = model._Workspace(st.wm, st.lam, Task.PSW).target
+        free = Variant.ITERATION_FREE
+        (psp,) = model._Workspace(st.wm, st.lam, Task.PSP, free).target
+        psw, square = model._Workspace(st.wm, st.lam, Task.PSW, free).target
         assert (psp[:, :n] == 1).all() and (square[:, :n] == 0).all()
         assert np.array_equal(psp[:, n:], np.outer(st.lam, st.lam))
         assert np.array_equal(square[:, n:], np.diag(st.lam**2))
@@ -78,7 +77,7 @@ class TestModelState:
         assert np.signbit(square[:, :n]).all() and not np.signbit(psw).any()
         stack = ModelState.stack([st, random_state(2)])
         for task in Task:
-            one = model._Workspace(st.wm, st.lam, task)
+            one = model._Workspace(st.wm, st.lam, task, free)
             full = one.like(stack.wm)
             assert full.task is task and len(full.target) == len(one.target)
             for a, b in zip(one.target, full.target):
@@ -133,6 +132,28 @@ class TestApproxInverse:
     def test_degenerate_diagonal(self):
         with pytest.raises(DegenerateDiagonalError):
             model.approx_inverse(np.array([[0.0, 1.0], [1.0, 1.0]]))
+
+
+def _solver_paths(variant):
+    """Each call that reads out or steps learners in the variant."""
+    st, stack = random_state(27), ModelState.stack([random_state(27), random_state(28)])
+    rng = np.random.default_rng(27)
+    x, xs, gs = rng.normal(size=10), rng.normal(size=(4, 2, 10)), np.stack([np.eye(10)] * 2)
+
+    def advance(online):
+        draw = (lambda live, count: xs[:count][:, live]) if online else (
+            lambda live, count: gs[live][None])
+        model.advance(stack, Task.PSP, variant, online, 4, {2}, data.Constant(0.01), draw,
+                      lambda t, position, state: True, diverge=None)
+
+    return {"online_step": lambda: model.online_step(st, x, 0.01, Task.PSP, variant),
+            "neural_filter": lambda: model.neural_filter(st, variant),
+            "advance-online": lambda: advance(True),
+            "advance-averaged": lambda: advance(False),
+            "offline_step": lambda: offline.offline_step(stack, gs, 0.01, Task.PSW, variant)}
+
+
+SOLVER_PATHS = list(_solver_paths(Variant.ITERATION_FREE))
 
 
 class TestForward:
@@ -352,6 +373,13 @@ class TestOverflowGuard:
             for a in (new.w, new.m):
                 assert np.isfinite(a).all() and not np.isfinite(np.vdot(a, a))
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_online_step_overflow_raises_without_warning(self, variant):
+        # W x, and so the output, overflows before the update's tests name it
+        state = ModelState(np.eye(2), 1e200 * np.eye(2, 3), LAM2, 1.0)
+        with pytest.raises(DegenerateDiagonalError, match="^weights overflowed$"):
+            model.online_step(state, np.array([1e200, 1.0, 0.0]), 0.01, Task.PSP, variant)
+
 
 class TestOnlineStep:
     def test_zero_step_reduces_to_forward(self):
@@ -422,17 +450,24 @@ class TestNeuralFilter:
         states[-1].m[2, 2] = np.nan  # as d.min() < floor decides: a NaN passes
         model.forward(ModelState.stack(states), x, Variant.ITERATION_FREE)
 
-    def test_iteration_free_path_avoids_solvers(self, monkeypatch):
-        st = random_state(27)
-        x = np.random.default_rng(27).normal(size=10)
+    @pytest.mark.parametrize("path", SOLVER_PATHS)
+    def test_iteration_free_path_avoids_solvers(self, monkeypatch, path):
+        call = _solver_paths(Variant.ITERATION_FREE)[path]
 
         def boom(*args, **kwargs):
             raise AssertionError("solver invoked on the iteration-free path")
 
         monkeypatch.setattr(linalg, "lu_factor", boom)
         monkeypatch.setattr(linalg, "sym_eig", boom)
-        model.online_step(st, x, 0.01, Task.PSP, Variant.ITERATION_FREE)
-        model.neural_filter(st, Variant.ITERATION_FREE)
+        call()
+
+    @pytest.mark.parametrize("path", SOLVER_PATHS)
+    def test_exact_path_calls_the_solver_patched_in(self, monkeypatch, path):
+        # linalg.lu_factor is looked up after the patch, not bound at import
+        call, calls, real = _solver_paths(Variant.EXACT_INVERSE)[path], [], linalg.lu_factor
+        monkeypatch.setattr(linalg, "lu_factor", lambda m: calls.append(m.shape) or real(m))
+        call()
+        assert calls
 
 
 # a weight scale: mostly 1, now and then 1e150 - 1e300
@@ -467,8 +502,6 @@ def stacked_steps(draw):
             draw(st.sampled_from(list(Variant))))
 
 
-# random stacks include weights whose products overflow
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestStackedStep:
     @settings(max_examples=300, deadline=None)
     @given(stacked_steps())
@@ -548,9 +581,8 @@ class TestAdvance:
                 return not (t == 5 and indices[position] in drop)
 
             stack = ModelState.stack([states[i] for i in indices])
-            increment = partial(model.online_increment, Variant.ITERATION_FREE)
-            model.advance(stack, Task.PSP, 20, {5, 20}, data.InverseTime(10.0, 250.0),
-                          increment,
+            model.advance(stack, Task.PSP, Variant.ITERATION_FREE, True, 20, {5, 20},
+                          data.InverseTime(10.0, 250.0),
                           lambda live, count: xs[:count][:, [indices[p] for p in live]],
                           visit, diverge=None)
             return seen
@@ -757,12 +789,11 @@ class TestAdvanceMatchesOneShot:
             seen[position, "diverged"] = (t, type(exc), str(exc))
 
         if online:
-            increment = partial(model.online_increment, variant)
             draw = lambda live, count: inputs[:count][:, live]
         else:
-            increment = partial(model.averaged_increment, variant)
             draw = lambda live, count: inputs[live][None]
-        model.advance(state, task, t_max, points, schedule, increment, draw, visit, diverge)
+        model.advance(state, task, variant, online, t_max, points, schedule, draw, visit,
+                      diverge)
 
         expected = {}
         for i in range(len(state.wm)):
@@ -785,6 +816,72 @@ class TestAdvanceMatchesOneShot:
         assert seen == expected
 
 
+def _workspace_arrays(made):
+    """Every array that the workspaces ``made`` hold or their steps bind,
+    but for the weights each was given (and views of them): its own."""
+    own = []
+    for ws in made:
+        items = [ws.spare, ws.h, *ws.target]
+        for cell in ws.step.__closure__:
+            try:
+                items.append(cell.cell_contents)
+            except ValueError:  # a name that only the other kind of step binds
+                pass
+        flat = [a for item in items for a in (item if isinstance(item, tuple) else (item,))]
+        own += [a for a in flat if isinstance(a, np.ndarray) and not np.shares_memory(a, ws.wm)]
+    return own
+
+
+class TestOutputsOwnTheirMemory:
+    """The output y of ``online_step``, the states of the one-shot steps
+    and the states a visit gets share no memory with any workspace buffer,
+    and later steps of the same state or workspace leave their bits."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("online", [True, False], ids=["online", "averaged"])
+    def test_handed_out_arrays_are_their_own(self, monkeypatch, online, variant):
+        made = []
+
+        class Recorded(model._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(model, "_Workspace", Recorded)
+        stack = ModelState.stack([random_state(90), random_state(91)])
+        rng = np.random.default_rng(90)
+        xs, a = rng.normal(size=(6, 2, 10)), rng.normal(size=(2, 10, 10))
+        gs = a @ a.mT / 10
+        if online:
+            y, new = model.online_step(stack, xs[0], 0.01, Task.PSP, variant)
+            handed = [y, new, model.plasticity(stack, xs[1], y, 0.01, Task.PSP)]
+            step = lambda s: model.online_step(s, xs[2], 0.01, Task.PSP, variant)
+            draw = lambda live, count: xs[:count][:, live]
+        else:
+            handed = [offline.offline_step(stack, gs, 0.01, Task.PSP, variant)]
+            step = lambda s: offline.offline_step(s, gs, 0.01, Task.PSP, variant)
+            draw = lambda live, count: gs[live][None]
+        handed = [h if isinstance(h, np.ndarray) else h.wm for h in handed]
+
+        def visit(t, position, state):
+            handed.append(state.wm)
+            return True
+
+        model.advance(stack, Task.PSP, variant, online, 6, {2, 4}, data.Constant(0.01), draw,
+                      visit, diverge=None)
+        assert len(handed) == (3 if online else 1) + 4
+        bits = [h.tobytes() for h in handed]
+        for s in (stack, ModelState._unchecked(handed[online], stack.lam, stack.tau)):
+            step(s)
+        model.advance(stack, Task.PSP, variant, online, 6, set(), data.Constant(0.01), draw,
+                      visit, diverge=None)
+        arrays = _workspace_arrays(made)
+        assert len(made) > 4 and arrays
+        for h, before in zip(handed, bits):
+            assert h.tobytes() == before
+            assert not any(np.shares_memory(h, a) for a in arrays)
+
+
 class TestVisitedStatesStayFrozen:
     """``visit`` may keep the states it gets without copying them: each is
     read-only and no later step of the stack changes it."""
@@ -799,12 +896,10 @@ class TestVisitedStatesStayFrozen:
         gs = a @ a.mT / 10
         stack = ModelState.stack(states)
         if online:
-            increment = partial(model.online_increment, variant)
             draw = lambda live, count: xs[:count][:, live]
             step = lambda s, i, t: model.online_step(s, xs[t - 1, i], 0.01, Task.PSW,
                                                      variant)[1]
         else:
-            increment = partial(model.averaged_increment, variant)
             draw = lambda live, count: gs[live][None]
             step = lambda s, i, t: offline.offline_step(s, gs[i], 0.01, Task.PSW, variant)
         kept = {}
@@ -813,8 +908,8 @@ class TestVisitedStatesStayFrozen:
             kept[t, position] = state
             return True
 
-        model.advance(stack, Task.PSW, 8, {1, 2, 3}, data.Constant(0.01), increment, draw,
-                      visit, diverge=None)
+        model.advance(stack, Task.PSW, variant, online, 8, {1, 2, 3}, data.Constant(0.01),
+                      draw, visit, diverge=None)
         assert sorted(kept) == [(t, i) for t in (1, 2, 3) for i in (0, 1)]
         for i, state in enumerate(states):
             for t in (1, 2, 3):

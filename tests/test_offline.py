@@ -228,8 +228,7 @@ def reference_jacobian(state, g, task, variant, eps):
         m = m + np.triu(m, 1).T
         moved = ModelState._unchecked(
             np.concatenate((vec[: k * n].reshape(k, n), m), -1), state.lam, state.tau)
-        ws = model._Workspace(moved.wm, moved.lam, task)
-        field = model.averaged_increment(variant, ws, g)
+        field = model.averaged_increment(model._Workspace(moved.wm, moved.lam, task, variant), g)
         return np.concatenate([field[:, :n].ravel(), (field[:, n:] / state.tau)[iu]])
 
     base = np.concatenate([state.w.ravel(), state.m[iu]])
