@@ -515,6 +515,9 @@ def run_experiment(config, workers=None):
 
     stacks = trial_stacks(config.trials, workers)
     if len(stacks) > 1:
+        # a trial's config error (a W drawn infinite) raises before the pool starts
+        for i in range(config.trials):
+            _Trial(config, i, rotation)
         # loaded here, not at import: a single-stack run never needs it
         from concurrent.futures import ProcessPoolExecutor
 

@@ -1,7 +1,7 @@
 """Dense linear algebra for small matrices, backed by LAPACK.
 
-Every kernel is a thin wrapper over ``numpy.linalg`` (``lu_factor``
-over its LAPACK inverse gufunc) that adds the package's contracts: input
+Every kernel is a thin wrapper over ``numpy.linalg`` (``sym_eig`` and
+``lu_factor`` over its LAPACK gufuncs) that adds the package's contracts: input
 checks, descending eigenvalue and singular value order, a nonnegative
 diagonal of R, a singularity test to working precision, and the
 package's error types in place of ``LinAlgError``.
@@ -111,9 +111,10 @@ def sym_eig(a):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     try:
         # eigh reads one triangle; symmetrize so both contribute.
-        w, v = np.linalg.eigh(0.5 * (a + a.T))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
+        w, v = _lapack(_umath_linalg.eigh_lo, 0.5 * (a + a.T), "d->dd")
+    except FloatingPointError as exc:
+        raise NoConvergenceError(
+            "eigensolver did not converge: Eigenvalues did not converge") from exc
     return w[::-1], v[:, ::-1]
 
 
@@ -160,14 +161,13 @@ def svd_small(a):
 
 
 @np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
-def _inverse(a):
-    """The inverse of each matrix of a C-contiguous float array from
-    NumPy's LAPACK gufunc itself, the one call ``np.linalg.inv`` makes;
-    for K <= 10 its Python wrapper costs more than the factorization. The
-    gufunc flags a zero pivot as an invalid operation, which this errstate
-    raises as FloatingPointError; as a decorator it costs less per call
-    than a ``with`` block."""
-    return _umath_linalg.inv(a, signature="d->d")
+def _lapack(gufunc, a, signature):
+    """NumPy's LAPACK gufunc itself, the one call ``np.linalg.inv`` (``inv``)
+    or ``np.linalg.eigh`` (``eigh_lo``) makes; for K <= 10 their wrappers
+    cost more than LAPACK. A zero pivot or an eigensolver that did not
+    converge is flagged as an invalid operation, which this errstate raises
+    as FloatingPointError; as a decorator it costs less than a ``with``."""
+    return gufunc(a, signature=signature)
 
 
 def lu_factor(a):
@@ -187,7 +187,7 @@ def lu_factor(a):
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeMismatchError("expected square matrix")
     try:
-        inv = _inverse(a)
+        inv = _lapack(_umath_linalg.inv, a, "d->d")
     except FloatingPointError as exc:
         raise SingularMatrixError("matrix is singular: Singular matrix") from exc
     # Each matrix's condition number is at most the product of the whole

@@ -22,7 +22,8 @@ GAP_FLOOR = 1e-10
 def leading_separated(values, k):
     """Whether the leading k+1 of the descending ``values`` (or all of
     them, if fewer) are each more than GAP_FLOOR apart."""
-    return bool((-np.diff(values[: k + 1]) > GAP_FLOOR).all())
+    v = values[: k + 1].tolist()
+    return all(a - b > GAP_FLOOR for a, b in zip(v, v[1:]))
 
 
 class GroundTruth:
@@ -161,17 +162,19 @@ def optimal_filter(c, lam, task, signs=None, order=None):
     if not leading_separated(w, k) or w[k - 1] <= GAP_FLOOR:
         raise DegenerateSpectrumError(
             f"top-{k} eigenvalues must be more than {GAP_FLOOR:g} apart and above 0")
-    order = np.arange(k) if order is None else np.asarray(order, dtype=int)
-    if sorted(order.tolist()) != list(range(k)):
-        raise ValueError("order must be a permutation of range(k)")
-    s = np.ones(k) if signs is None else np.asarray(signs, dtype=float)
-    if not np.all(np.abs(s) == 1.0):
+    eigvals, v = w[:k], v[:, :k]  # the default order; F is C-ordered either way
+    if order is not None:
+        order = np.asarray(order, dtype=int)
+        if sorted(order.tolist()) != list(range(k)):
+            raise ValueError("order must be a permutation of range(k)")
+        eigvals, v = eigvals[order], v[:, order]
+    s = 1.0 if signs is None else np.asarray(signs, dtype=float)
+    if signs is not None and not np.all(np.abs(s) == 1.0):
         raise ValueError("signs must be +/-1")
-    eigvals = w[order]
     coef = lam * s
     if task is Task.PSW:
         coef = coef / np.sqrt(eigvals)
-    return eigvals, coef[:, None] * v[:, order].T
+    return eigvals, np.multiply(coef[:, None], v.T, order="C")
 
 
 def closed_form_optimum(x, lam, task, signs=None):

@@ -25,6 +25,7 @@ one-shot steps call too.
 
 import math
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -81,9 +82,9 @@ class ModelState:
         linalg.check_finite(lam, "lam")
         if not linalg.is_symmetric(m):
             raise ValueError("lateral matrix must be symmetric")
-        rows, cols = np.tril_indices(k, -1)
-        m[rows, cols] = m[cols, rows]
-        if not (np.diagonal(m) > DIAGONAL_FLOOR).all():
+        rows, cols = upper_triangle(k)
+        m[cols, rows] = m[rows, cols]
+        if not all(map(DIAGONAL_FLOOR.__lt__, np.diagonal(m).tolist())):  # NaN fails
             raise DegenerateDiagonalError("lateral diagonal not strictly positive")
         if not linalg.is_positive_decreasing(lam):
             raise ValueError("gain entries must be strictly decreasing and positive")
@@ -124,6 +125,13 @@ class ModelState:
 
     def __repr__(self):
         return f"ModelState(k={self.k}, n={self.n}, tau={self.tau})"
+
+
+@cache
+def upper_triangle(k):
+    """``np.triu_indices(k)`` as the rows of one array made once per k, a
+    broadcast view, which is read-only: no caller can change it for the next."""
+    return np.broadcast_to(np.triu_indices(k), (2, k * (k + 1) // 2))
 
 
 def outside_horizon(points, t_max):

@@ -24,6 +24,7 @@ from .model import (
     averaged_increment,
     neural_filter,  # noqa: F401  (the name perfbench/tracing.py binds)
     outside_horizon,
+    upper_triangle,
 )
 
 
@@ -72,7 +73,7 @@ def _jacobian(state, g, task, variant, eps):
     plus its strict part transposed, so the diagonal is never doubled.
     """
     k, n = state.k, state.n
-    rows, cols = np.triu_indices(k)
+    rows, cols = upper_triangle(k)
     w_pos = np.arange(k * n)
     coord = np.concatenate([w_pos + w_pos // n * k, rows * (n + k) + n + cols])
     base = state.wm.ravel()[coord]

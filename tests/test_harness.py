@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -1238,9 +1239,22 @@ class TestCli:
         proc = run_cli("run", "--config", str(cfg_path), "--out", str(out),
                        "--format", "json", "--workers", workers)
         assert proc.returncode == 2
-        # with two stacks, the other one may step (and warn) before this ends
-        assert proc.stderr.endswith("config error: w_init_std 1e+308 draws infinite weights\n")
-        assert "Traceback" not in proc.stderr and not out.exists()
+        assert proc.stderr == "config error: w_init_std 1e+308 draws infinite weights\n"
+        assert not out.exists()
+
+    def test_config_error_in_one_stack_ends_the_run_at_once(self, tmp_path):
+        # seed 1 draws finite weights for trial 0 and infinite ones for
+        # trial 1; M of 1e308 keeps trial 0's filter of order one, so alone
+        # its stack would run 2e6 steps (about 30 s); two workers at most
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(custom_config(
+            mode="offline", variant="iteration_free", w_init_std=1e308, m_init=1e308,
+            trials=2, seed=1, t_max=2_000_000))
+        start = time.perf_counter()
+        proc = run_cli("run", "--config", str(cfg_path), "--workers", "2")
+        assert time.perf_counter() - start < 10.0
+        assert proc.returncode == 2
+        assert proc.stderr == "config error: w_init_std 1e+308 draws infinite weights\n"
 
     def test_gain_whose_square_overflows_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pcastream import linalg
 from pcastream.errors import (
+    NoConvergenceError,
     NotSymmetricError,
     RankDeficientError,
     ShapeMismatchError,
@@ -434,6 +436,37 @@ class TestLuFactorGufunc:
             warnings.simplefilter("error")
             with pytest.raises(SingularMatrixError, match=message):
                 linalg.lu_factor(bad)
+        assert np.geterr() == before
+
+
+class TestSymEigGufunc:
+    """``sym_eig`` calls NumPy's private LAPACK eigh gufunc; a NumPy release
+    that changes it must fail here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), rank_frac=st.floats(0, 1), seed=seeds, scale=scales)
+    def test_matches_numpy_eigh_bit_for_bit(self, n, rank_frac, seed, scale):
+        # symmetric within tolerance only, so that the symmetrization counts
+        b = random_matrix(n, n, round(rank_frac * n), seed, scale)
+        a = b + b.T + np.triu(1e-12 * b, 1)
+        w, v = np.linalg.eigh(0.5 * (a + a.T))
+        got_w, got_v = linalg.sym_eig(a)
+        assert got_w.tobytes() == w[::-1].tobytes()
+        assert got_v.shape == (n, n) and got_v.tobytes() == v[:, ::-1].tobytes()
+
+    def test_no_convergence_is_named_without_warning(self, monkeypatch):
+        # the gufunc flags an eigensolver that did not converge as an
+        # invalid operation, as the square root of -1 is one
+        def eigh_lo(a, signature):
+            return np.sqrt(-np.ones(len(a))), np.full(a.shape, np.nan)
+
+        monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(eigh_lo=eigh_lo))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergenceError, match="^eigensolver did not converge: "
+                               "Eigenvalues did not converge$"):
+                linalg.sym_eig(np.eye(3))
         assert np.geterr() == before
 
 

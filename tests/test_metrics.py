@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pcastream import data, linalg, metrics, model, offline
 from pcastream.data import RngStream
@@ -13,6 +17,46 @@ def small_covariance(stream):
     pre = data.small_problem()
     spec = pre.draw_covariance(RngStream(40, stream))
     return data.build_covariance(spec), pre
+
+
+def diff_separated(values, k):
+    """The ``np.diff`` form of ``metrics.leading_separated``: the reference."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return bool((-np.diff(values[: k + 1]) > metrics.GAP_FLOOR).all())
+
+
+# entries at and around the gap floor, signed zeros and the non-finite ones
+EDGES = [0.0, -0.0, 1e-10, -1e-10, 2e-10, 1.0, 1.0 - 1e-10, 1.0 - 2e-10,
+         math.inf, -math.inf, math.nan]
+
+
+class TestLeadingSeparated:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(EDGES)), max_size=8),
+           st.integers(0, 9))
+    @example([1.0, 1.0 - 1e-10, 0.5], 2)
+    @example([1.0, math.nan, 0.5], 2)
+    @example([math.inf, math.inf, 1.0], 1)
+    @example([math.inf, 1.0, -math.inf], 2)
+    def test_same_decision_as_the_diff_form(self, values, k):
+        values = np.array(values, dtype=float)
+        assert metrics.leading_separated(values, k) is diff_separated(values, k)
+
+
+class TestOptimalFilter:
+    @pytest.mark.parametrize("task", list(Task))
+    @pytest.mark.parametrize("preset", [data.small_problem, data.large_problem])
+    def test_default_order_and_signs_are_the_identity_bit_for_bit(self, task, preset):
+        # the default path slices where an explicit order fancy-indexes
+        pre = preset()
+        for stream in range(3):
+            g = data.build_covariance(pre.draw_covariance(RngStream(41, stream)))
+            default = metrics.optimal_filter(g, pre.lam, task)
+            explicit = metrics.optimal_filter(g, pre.lam, task, signs=np.ones(pre.k),
+                                              order=np.arange(pre.k))
+            for got, expected in zip(default, explicit):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            assert default[1].flags.c_contiguous and explicit[1].flags.c_contiguous
 
 
 class TestGroundTruth:

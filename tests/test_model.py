@@ -62,6 +62,20 @@ class TestModelState:
         assert (st.m == st.m.T).all()
         assert np.array_equal(np.triu(st.m), np.triu(m))
 
+    def test_upper_triangle_is_cached_read_only(self):
+        # ModelState and offline._jacobian share one pair of index arrays
+        # per k; writing to them raises, so no caller corrupts the next
+        assert model.upper_triangle(4) is model.upper_triangle(4)
+        rows, cols = model.upper_triangle(4)
+        expected = np.triu_indices(4)
+        assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+        for index in (rows, cols):
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 3
+            with pytest.raises(ValueError, match="read-only"):
+                index += 1
+        assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+
     def test_workspace_targets(self):
         # what the increment of [W | M] subtracts, per task: shaped like
         # wm, and for a stack the broadcast of a learner's
