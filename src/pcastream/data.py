@@ -107,13 +107,17 @@ class StepSchedule:
     A schedule is an immutable value: schedules of one type with equal
     fields are equal and hash alike, and the repr names the fields, as in
     ``Constant(alpha=0.1)``. A subclass lists its fields in ``__slots__``
-    and sets each once, in ``__init__``, by ``object.__setattr__``.
+    and sets each once, in ``__init__``, by ``object.__setattr__``, and
+    may vectorize ``rates(first, count)``, ``rate`` at count steps from first.
     """
 
     __slots__ = ()
 
     def rate(self, t):
         raise NotImplementedError
+
+    def rates(self, first, count):
+        return [self.rate(t) for t in range(first, first + count)]
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -151,6 +155,9 @@ class Constant(StepSchedule):
     def rate(self, t):
         return self.alpha
 
+    def rates(self, first, count):
+        return np.full(count, self.alpha, dtype=float)
+
 
 class InverseTime(StepSchedule):
     """rate(t) = numerator / (offset + t)."""
@@ -166,6 +173,9 @@ class InverseTime(StepSchedule):
 
     def rate(self, t):
         return self.numerator / (self.offset + t)
+
+    def rates(self, first, count):  # t and float fields convert exactly below 2**53
+        return self.numerator / (self.offset + np.arange(first, first + count, dtype=float))
 
 
 class PiecewiseConstant(StepSchedule):

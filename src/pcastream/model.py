@@ -15,17 +15,18 @@ share the gain and time constant: ``[W | M]`` of shape B x K x (N + K)
 and one input per learner, B x N. Every operation acts on each slice
 alone, with the same arithmetic as on a single learner, so each slice of
 a stacked result equals the single-learner result bit for bit; a check
-that fails on any slice fails the whole call. ``advance`` is the one
-loop that steps such a stack through time, online or averaged (along
-the expectation over a known covariance, ``averaged_increment``): the
-two forms of the one update rule, in the one step that each
-``_Workspace`` binds once with every buffer it writes, which the
-one-shot steps call too.
+that fails on any slice fails the whole call. ``advance`` steps such a
+stack through time, online or averaged (along the expectation over a
+known covariance, ``averaged_increment``): the two forms of the one
+update rule, in the one loop, ``run``, that each ``_Workspace`` binds
+once with every buffer it writes, called once per run of inputs between
+evaluation points, and by the one-shot steps on one input.
 """
 
 import math
 from enum import Enum
 from functools import cache
+from itertools import repeat
 
 import numpy as np
 
@@ -233,19 +234,19 @@ class _Workspace:
     ``(C,)`` with ``C = [1 | lam lam']`` for projection, ``(C, S)`` with
     ``C = [1 | 0]`` and ``S = [-0 | diag(lam**2)]`` for whitening. Made
     for ``online`` (True) or averaged (False) steps, not for the field
-    alone (None, :func:`averaged_increment`), it also binds its ``step``
+    alone (None, :func:`averaged_increment`), it also binds its ``run``
     once (:meth:`_bind`), from ``d``, the given weights' tested diagonal
     or None, and ``rate``, a chunk's one row of rates or None; then
-    ``current()`` gives the weights stepped to and their tested diagonal.
-    Later workspaces of a stack come from :meth:`like`."""
+    ``current()`` gives the weights stepped to and their tested diagonal
+    and ``error()`` the model error that ended the last run. Later
+    workspaces of a stack come from :meth:`like`."""
 
     __slots__ = ("wm", "spare", "h", "lam", "task", "variant", "online", "rate", "target",
-                 "step", "current", "y")
+                 "run", "current", "error", "y")
 
     def __init__(self, wm, lam, task, variant, online=None, d=None, rate=None):
-        self.wm, self.spare, self.h = wm, np.empty(wm.shape), np.empty(wm.shape)
-        self.lam, self.task, self.variant = lam, task, variant
-        self.online, self.rate = online, rate
+        self.wm, self.spare, self.h, self.lam = wm, np.empty(wm.shape), np.empty(wm.shape), lam
+        self.task, self.variant, self.online, self.rate = task, variant, online, rate
         n, c = wm.shape[-1] - wm.shape[-2], np.ones(wm.shape)
         if task is Task.PSP:
             c[..., n:] = np.multiply.outer(lam, lam)
@@ -263,24 +264,22 @@ class _Workspace:
         return _Workspace(wm, self.lam, self.task, self.variant, self.online, d, rate)
 
     def _bind(self, d):
-        """Build ``step(x, row)`` with every array it touches bound: two
-        buffers, ``cur`` read and ``nxt`` written, with their W, M and
-        diagonal views, which swap only after the new weights pass the
-        tests; H and its blocks, the target, the rate (``row`` when it is
-        None) and the drive's temporaries. Online, x is a sample and the
-        drive the one product ``y [x, y]'`` into H from ``u = [x | y]``,
-        whose tail y (``self.y``) the last subtraction of the pass writes;
-        variant None steps on a given pair ``x = (x, y)``. Averaged, x is a
-        covariance. Then ``wm + rate * (H less its target)`` goes into nxt,
-        entrywise, so an exactly symmetric M stays so. An overflow in any
-        slice (:func:`linalg.all_finite`: finite weights whose squares
+        """Build ``run(xs, rows)``: one loop that steps the weights on each
+        input of xs at its row of rates (or ``self.rate``), every array it
+        touches bound and each callee a local, looked up once per run.
+        Online, x is a sample and the drive the one product ``y [x, y]'``
+        into H from ``u = [x | y]``, whose tail y (``self.y``) the pass
+        writes; variant None steps on a given pair ``x = (x, y)``. Averaged,
+        x is a covariance. Then ``wm + rate * (H less its target)``,
+        entrywise (an exactly symmetric M stays so), goes into the buffer
+        not read, and the two swap once it passes the tests. An overflow in
+        any slice (:func:`linalg.all_finite`: finite weights whose squares
         overflow pass), tested first so that an infinite or NaN diagonal is
-        named as one, or a diagonal at the floor is divergence. Every
-        intermediate is written into a bound buffer: but for the exact
-        inverse, a step allocates only the copy of its new diagonal."""
+        named as one, or a diagonal at the floor is divergence: a model
+        error ends the run, which returns the number of steps done."""
         wm, h, target, variant, online = self.wm, self.h, self.target, self.variant, self.online
         lead, k, n = wm.shape[:-2], wm.shape[-2], wm.shape[-1] - wm.shape[-2]
-        exact = variant is Variant.EXACT_INVERSE
+        exact, error = variant is Variant.EXACT_INVERSE, None
         rate = None if self.rate is None else np.broadcast_to(self.rate, wm.shape).copy()
         cur, nxt = [(a, a[..., :n], a[..., n:], a.diagonal(n, -2, -1)) for a in (wm, self.spare)]
         if online:
@@ -292,42 +291,51 @@ class _Workspace:
             corr, twice = np.empty(lead + (k, k)), np.empty(lead + (k, k))
             h_w, h_m = h[..., :n], h[..., n:]
 
-        def step(x, row):
-            nonlocal cur, nxt, d
-            wm, w, m, _ = cur
-            if exact:
-                inverse = linalg.lu_factor(m)
-            elif variant is not None:
-                tested = _tested_diagonal(m) if d is None else d
-            if online:
-                if variant is None:
-                    x, given = x
-                    np.copyto(y, given)
-                else:
-                    np.matvec(w, x, b)
+        def run(xs, rows):
+            nonlocal cur, nxt, d, error
+            factor, two_step, less, drive, finite, matvec, matmul, multiply, add, copyto = (
+                linalg.lu_factor, _two_step, _less_target, _averaged_drive, linalg.all_finite,
+                np.matvec, np.matmul, np.multiply, np.add, np.copyto)
+            above, done = DIAGONAL_FLOOR.__lt__, 0
+            try:
+                for x, row in zip(xs, rows if rate is None else repeat(rate, len(rows))):
+                    wm, w, m, _ = cur
                     if exact:
-                        np.matvec(inverse, b, y)
+                        inverse = factor(m)
+                    elif variant is not None:
+                        tested = _tested_diagonal(m) if d is None else d
+                    if online:
+                        if variant is None:
+                            x, given = x
+                            copyto(y, given)
+                        else:
+                            matvec(w, x, b)
+                            if exact:
+                                matvec(inverse, b, y)
+                            else:
+                                two_step(matvec, m, b, tested, y, ff, lateral, b)
+                        copyto(head, x)
+                        multiply(y_col, u_row, h)
                     else:
-                        _two_step(np.matvec, m, b, tested, y, ff, lateral, b)
-                np.copyto(head, x)
-                np.multiply(y_col, u_row, h)
-            else:
-                if exact:
-                    np.matmul(inverse, w, f)
-                else:
-                    _two_step(np.matmul, m, w, tested[..., None], f, ff, lateral, f)
-                _averaged_drive(f, x, h_w, h_m, corr, twice)
-            _less_target(h, target, wm, nxt[0])
-            np.multiply(h, row if rate is None else rate, h)
-            np.add(wm, h, nxt[0])
-            if not linalg.all_finite(nxt[0]):
-                raise DegenerateDiagonalError("weights overflowed")
-            new = nxt[3].copy()
-            if not all(map(DIAGONAL_FLOOR.__lt__, new.ravel().tolist())):
-                raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
-            cur, nxt, d = nxt, cur, new
+                        if exact:
+                            matmul(inverse, w, f)
+                        else:
+                            two_step(matmul, m, w, tested[..., None], f, ff, lateral, f)
+                        drive(f, x, h_w, h_m, corr, twice)
+                    less(h, target, wm, nxt[0])
+                    multiply(h, row, h)
+                    add(wm, h, nxt[0])
+                    if not finite(nxt[0]):
+                        raise DegenerateDiagonalError("weights overflowed")
+                    new = nxt[3].copy()
+                    if not all(map(above, new.ravel().tolist())):
+                        raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
+                    cur, nxt, d, done = nxt, cur, new, done + 1
+            except MODEL_ERRORS as exc:
+                error = exc
+            return done
 
-        self.step, self.current = step, lambda: (cur[0], d)
+        self.run, self.current, self.error = run, lambda: (cur[0], d), lambda: error
 
 
 def averaged_increment(ws, g):
@@ -345,12 +353,11 @@ def _rates(alphas, tau, n, out):
     on W's n columns and ``alpha / tau`` on M's (an overflow is infinite,
     as in Python). A negative or non-finite alpha is an input error, not a
     divergence: it raises before any step uses it."""
-    alpha = np.fromiter(alphas, dtype=float, count=len(out))
+    alpha = np.asarray(alphas, dtype=float).reshape(len(out))
     if not ((alpha >= 0) & (alpha < math.inf)).all():
         raise ValueError("alpha must be nonnegative and finite")
     out[:, :n] = alpha[:, None]
-    with np.errstate(over="ignore"):
-        out[:, n:] = (alpha / tau)[:, None]
+    out[:, n:] = (alpha / tau)[:, None]  # under the callers' errstate
     return out
 
 
@@ -368,7 +375,8 @@ def _stepped(state, x, alpha, task, variant, online):
     the output y (online, a copy; None averaged) and the new state, whose
     wm is a read-only copy."""
     ws = _Workspace(state.wm, state.lam, task, variant, online)
-    ws.step(x, _rates((alpha,), state.tau, state.n, np.empty((1, state.wm.shape[-1])))[0])
+    if not ws.run((x,), _rates((alpha,), state.tau, state.n, np.empty((1, state.wm.shape[-1])))):
+        raise ws.error()
     return ws.y.copy() if online else None, _frozen(state, ws.current()[0])
 
 
@@ -398,37 +406,35 @@ def _replay(live, ws, x, t, row, diverge):
     the others at the rate of ``ws`` (None if no trial is left) and their
     indices in ``live``."""
     wm, d = ws.current()
-    kept, steps = [], []
+    steps = {}
     for j, position in enumerate(live):
         trial = ws.like(wm[j], None if d is None else d[j])
-        try:
-            trial.step(x[j], row)
-        except MODEL_ERRORS as exc:
-            diverge(t, position, exc)
+        if trial.run((x[j],), (row,)):
+            steps[j] = trial.current()
         else:
-            kept.append(j)
-            steps.append(trial.current())
+            diverge(t, position, trial.error())
     if not steps:
-        return None, kept
-    wms, ds = zip(*steps)
+        return None, []
+    wms, ds = zip(*steps.values())
     # ws.rate, when set, equals every row of its chunk
-    return ws.like(np.stack(wms), np.stack(ds), None if ws.rate is None else row), kept
+    return ws.like(np.stack(wms), np.stack(ds), None if ws.rate is None else row), list(steps)
 
 
 def advance(state, task, variant, online, t_max, points, schedule, draw, visit, diverge):
     """Step a stack of learners from ``state`` through step ``t_max``.
 
-    The loop steps the stack's raw ``[W | M]`` with the bound step of a
-    :class:`_Workspace` of the task and variant, online or averaged, at
-    the rates of :func:`_rates`, one table and one workspace per chunk of
-    ``_SAMPLE_CHUNK`` steps from ``schedule.rate``. ``draw(live, count)``
-    gives the inputs of the trials at stack positions ``live``, one
-    column each: ``count`` rows, or one row for every step. ``visit(t,
-    position, state)`` sees each live trial at each t in ``points`` (at t
-    = 0 when ``t_max == 0``) as a state of its own on a read-only copy,
-    and returns whether it goes on; ``diverge(t, position, exc)`` gets a
-    trial whose own step raised a model error. A trial that ends leaves
-    the stack; the others go on.
+    The stack's raw ``[W | M]`` is stepped by :class:`_Workspace` runs of
+    the task and variant, online or averaged: one workspace and one table
+    of :func:`_rates` from ``schedule.rates`` per chunk of
+    ``_SAMPLE_CHUNK`` steps, one run per segment of it up to each point.
+    ``draw(live, count)`` gives the inputs of the trials at stack positions
+    ``live``, one column each: ``count`` rows, or one row for every step.
+    ``visit(t, position, state)`` sees each live trial at each t in
+    ``points`` (at t = 0 when ``t_max == 0``) as a state of its own on a
+    read-only copy, and returns whether it goes on; ``diverge(t,
+    position, exc)`` gets a trial whose own step raised a model error, in
+    a one-trial replay of the step that ended a run. A trial that ends
+    leaves the stack; the others go on.
     """
     live = list(range(len(state.wm)))
     wm, d = state.wm.copy(), None  # a buffer of its own
@@ -443,27 +449,26 @@ def advance(state, task, variant, online, t_max, points, schedule, draw, visit, 
         while t < t_max and live:
             count = min(_SAMPLE_CHUNK, t_max - t)
             block = draw(live, count)  # (rows, trials, ...)
-            rates = _rates(map(schedule.rate, range(t + 1, t + count + 1)), state.tau,
-                           state.n, table[:count])
+            rates = _rates(schedule.rates(t + 1, count), state.tau, state.n, table[:count])
             one = rates[0] if (rates == rates[0]).all() else None
-            ws = _Workspace(wm, state.lam, task, variant, online, d, one)
-            for r, row in enumerate(rates):
-                t += 1
-                x = block[r % len(block)]
-                try:
-                    ws.step(x, row)
-                except MODEL_ERRORS:
-                    ws, kept = _replay(live, ws, x, t, row, diverge)
-                    live, block = [live[j] for j in kept], block[:, kept]
-                if t in points and live:
+            ws, r = _Workspace(wm, state.lam, task, variant, online, d, one), 0  # r steps done
+            for stop in [*filter(points.__contains__, range(t + 1, t + count)), t + count]:
+                while t + r < stop and live:
+                    xs = repeat(block[0]) if len(block) == 1 else block[r:stop - t]
+                    r += ws.run(xs, rates[r:stop - t])
+                    if t + r < stop:  # step t + r + 1 raised
+                        ws, kept = _replay(live, ws, block[r % len(block)], t + r + 1,
+                                           rates[r], diverge)
+                        live, block, r = [live[j] for j in kept], block[:, kept], r + 1
+                if stop in points and live:
                     wm, d = ws.current()
                     kept = [j for j, position in enumerate(live)
-                            if visit(t, position, _frozen(state, wm[j]))]
+                            if visit(stop, position, _frozen(state, wm[j]))]
                     if len(kept) < len(live):
                         live, block = [live[j] for j in kept], block[:, kept]
                         ws = ws.like(wm[kept], d[kept], one)
                 if not live:
                     break
             else:
-                wm, d = ws.current()
-            del block, x  # freed before the next chunk draws its own
+                wm, d, t = *ws.current(), t + count
+            del block, xs  # freed before the next chunk draws its own

@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcastream import data, linalg
 from pcastream.data import (
@@ -216,6 +218,42 @@ class TestSchedules:
         for back in (pickle.loads(pickle.dumps(sched)), copy.copy(sched),
                      copy.deepcopy(sched)):
             assert type(back) is type(sched) and back == sched
+
+
+def _same_rates(sched, first, count):
+    """``rates(first, count)`` against ``rate`` at each of the steps, as the
+    float64 bits that the learner's rate table holds."""
+    got = np.asarray(sched.rates(first, count), dtype=float)
+    want = np.array([sched.rate(t) for t in range(first, first + count)], dtype=float)
+    return got.shape == (count,) and got.tobytes() == want.tobytes()
+
+
+# steps of a run from the start, near a chunk edge and near 1e7
+firsts = st.one_of(st.integers(1, 2100), st.integers(10**7 - 2100, 10**7 + 2100))
+
+
+class TestRates:
+    """A chunk's rates from one call equal the per-step rates bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1e-300, 1e308), firsts, st.integers(1, 1100))
+    def test_constant(self, alpha, first, count):
+        assert _same_rates(Constant(alpha), first, count)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-300, 1e308),
+           st.one_of(st.floats(1e-300, 1e308), st.sampled_from([250.0, 1e16, 1e300, 1e308])),
+           firsts, st.integers(1, 1100))
+    def test_inverse_time(self, numerator, offset, first, count):
+        assert _same_rates(InverseTime(numerator, offset), first, count)
+
+    @pytest.mark.parametrize("first, count", [
+        (1, 1024), (1023, 3), (1024, 1), (1025, 1024), (2040, 20), (3000, 7)])
+    def test_piecewise_constant_across_chunk_edges(self, first, count):
+        sched = PiecewiseConstant(((1024.0, 3e-2), (1025.0, 2e-2), (2048.0, 1e-2),
+                                   (math.inf, 1e-3)))
+        assert _same_rates(sched, first, count)
+        assert _same_rates(PiecewiseConstant(((math.inf, 0.1),)), first, count)
 
 
 class TestPresets:

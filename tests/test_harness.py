@@ -658,6 +658,44 @@ class TestRunExperiment:
         assert harness.run_experiment(cfg, workers=8).comparable() == stacked.comparable()
         assert in_process_pool == [min(8, os.cpu_count() or 1)]
 
+    @pytest.mark.parametrize("online", [True, False], ids=["online", "averaged"])
+    def test_a_schedule_with_only_rate_runs_in_chunks(self, monkeypatch, online):
+        # BadRate defines rate alone; in chunks of 3, its good rates step
+        # the stack as Constant(0.01) does, and its bad rate at step 7
+        # raises before step 7, the first of its chunk, runs
+        monkeypatch.setattr(model, "_SAMPLE_CHUNK", 3)
+        stack = ModelState.stack([ModelState(np.eye(2), np.full((2, 3), 0.1 * i),
+                                             np.array([1.0, 0.5]), 0.5) for i in (1, 2)])
+        xs = np.random.default_rng(7).normal(size=(9, 2, 3))
+        gs = np.stack([np.diag([2.0, 1.0, 0.5])] * 2)[None]
+
+        def run(schedule):
+            seen, drawn = {}, [0]
+
+            def draw(live, count):
+                if not online:
+                    return gs[:, live]
+                drawn[0] += count
+                return xs[drawn[0] - count:drawn[0]][:, live]
+
+            def visit(t, position, state):
+                seen[t, position] = state.wm.tobytes()
+                return True
+
+            try:
+                model.advance(stack, Task.PSP, Variant.ITERATION_FREE, online, 9,
+                              set(range(1, 10)), schedule, draw, visit, diverge=None)
+            except ValueError as exc:
+                return seen, str(exc)
+            return seen, None
+
+        constant = run(data.Constant(0.01))
+        assert len(constant[0]) == 18
+        assert run(BadRate(math.nan, at=10)) == constant
+        assert run(BadRate(math.nan, at=7)) == (
+            {key: bits for key, bits in constant[0].items() if key[0] < 7},
+            "alpha must be nonnegative and finite")
+
     @pytest.mark.parametrize("bad", [math.nan, -0.01])
     def test_bad_rate_is_an_input_error(self, bad):
         # inside the first chunk of steps, online and averaged

@@ -780,6 +780,54 @@ def stack_runs(draw):
             draw(st.sampled_from(list(Task))), draw(st.sampled_from(list(Variant))))
 
 
+def _advanced(state, online, inputs, schedule, t_max, points, ends, task, variant):
+    """What ``advance`` shows of each trial of the stack: the bits of each
+    visited state, and the step, type and message of a divergence; a
+    visit ends the trials at positions ``ends``."""
+    seen = {}
+
+    def visit(t, position, visited):
+        assert (position, t) not in seen  # each point once
+        seen[position, t] = visited.wm.tobytes()
+        return position not in ends
+
+    def diverge(t, position, exc):
+        seen[position, "diverged"] = (t, type(exc), str(exc))
+
+    done = [0]  # steps drawn so far: each chunk draws the next rows
+
+    def draw(live, count):
+        if not online:
+            return inputs[live][None]
+        done[0] += count
+        return inputs[done[0] - count:done[0]][:, live]
+
+    model.advance(state, task, variant, online, t_max, points, schedule, draw, visit, diverge)
+    return seen
+
+
+def _folded(state, online, inputs, schedule, t_max, points, ends, task, variant):
+    """The same from a fold of the one-shot step on each trial alone."""
+    expected = {}
+    for i in range(len(state.wm)):
+        one = state[[i]]
+        for t in range(1, t_max + 1):
+            alpha = schedule.rate(t)
+            try:
+                if online:
+                    one = model.online_step(one, inputs[t - 1, [i]], alpha, task, variant)[1]
+                else:
+                    one = offline.offline_step(one, inputs[[i]], alpha, task, variant)
+            except MODEL_ERRORS as exc:
+                expected[i, "diverged"] = (t, type(exc), str(exc))
+                break
+            if t in points:
+                expected[i, t] = one.wm[0].tobytes()
+                if i in ends:
+                    break
+    return expected
+
+
 # random stacks include weights whose products overflow
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestAdvanceMatchesOneShot:
@@ -792,54 +840,45 @@ class TestAdvanceMatchesOneShot:
     @settings(max_examples=200, deadline=None)
     @given(stack_runs())
     def test_trial_by_trial(self, case):
-        state, online, inputs, schedule, t_max, points, ends, task, variant = case
-        seen = {}
+        assert _advanced(*case) == _folded(*case)
 
-        def visit(t, position, visited):
-            seen[position, t] = visited.wm.tobytes()
-            return position not in ends
+    @settings(max_examples=200, deadline=None)
+    @given(stack_runs())
+    def test_trial_by_trial_in_chunks_of_three(self, case):
+        # up to 12 steps in chunks of 3: chunk and segment edges, points at
+        # t = 1 and on chunk edges, and failures on the first and the last
+        # step of a run all occur
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_SAMPLE_CHUNK", 3)
+            seen = _advanced(*case)
+        assert seen == _folded(*case)
 
-        def diverge(t, position, exc):
-            seen[position, "diverged"] = (t, type(exc), str(exc))
-
-        if online:
-            draw = lambda live, count: inputs[:count][:, live]
-        else:
-            draw = lambda live, count: inputs[live][None]
-        model.advance(state, task, variant, online, t_max, points, schedule, draw, visit,
-                      diverge)
-
-        expected = {}
-        for i in range(len(state.wm)):
-            one = state[[i]]
-            for t in range(1, t_max + 1):
-                alpha = schedule.rate(t)
-                try:
-                    if online:
-                        one = model.online_step(one, inputs[t - 1, [i]], alpha, task,
-                                                variant)[1]
-                    else:
-                        one = offline.offline_step(one, inputs[[i]], alpha, task, variant)
-                except MODEL_ERRORS as exc:
-                    expected[i, "diverged"] = (t, type(exc), str(exc))
-                    break
-                if t in points:
-                    expected[i, t] = one.wm[0].tobytes()
-                    if i in ends:
-                        break
-        assert seen == expected
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_divergence_and_drop_on_a_point_at_a_chunk_edge(self, monkeypatch, variant):
+        # in chunks of 3, trial 0 overflows on step 3, an evaluation point,
+        # where the visit ends trial 1; trial 2 steps on through t = 7
+        monkeypatch.setattr(model, "_SAMPLE_CHUNK", 3)
+        state = ModelState.stack([random_state(seed, k=2, n=4) for seed in (60, 61, 62)])
+        inputs = np.random.default_rng(60).normal(size=(7, 3, 4))
+        inputs[2, 0] = 1e200
+        case = (state, True, inputs, data.InverseTime(1.0, 5.0), 7, {3, 6}, {1}, Task.PSP,
+                variant)
+        seen = _advanced(*case)
+        assert seen == _folded(*case)
+        assert seen[0, "diverged"] == (3, DegenerateDiagonalError, "weights overflowed")
+        assert sorted(key for key in seen if key[1] != "diverged") == [(1, 3), (2, 3), (2, 6)]
 
 
 def _workspace_arrays(made):
-    """Every array that the workspaces ``made`` hold or their steps bind,
+    """Every array that the workspaces ``made`` hold or their runs bind,
     but for the weights each was given (and views of them): its own."""
     own = []
     for ws in made:
         items = [ws.spare, ws.h, *ws.target]
-        for cell in ws.step.__closure__:
+        for cell in ws.run.__closure__:
             try:
                 items.append(cell.cell_contents)
-            except ValueError:  # a name that only the other kind of step binds
+            except ValueError:  # a name that only the other kind of run binds
                 pass
         flat = [a for item in items for a in (item if isinstance(item, tuple) else (item,))]
         own += [a for a in flat if isinstance(a, np.ndarray) and not np.shares_memory(a, ws.wm)]
