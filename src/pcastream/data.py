@@ -144,12 +144,22 @@ class StepSchedule:
         return type(self), self._fields()
 
 
+def _positive_float(x, message):
+    """float(x) if x and its float are positive and finite, else
+    ``ValueError(message)``: an int beyond the float range fails here."""
+    try:
+        if linalg.is_positive_finite(x) and linalg.is_positive_finite(float(x)):
+            return float(x)
+    except OverflowError:
+        pass
+    raise ValueError(message)
+
+
 class Constant(StepSchedule):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha):
-        if not linalg.is_positive_finite(alpha):
-            raise ValueError("alpha must be positive and finite")
+        alpha = _positive_float(alpha, "alpha must be positive and finite")
         object.__setattr__(self, "alpha", alpha)
 
     def rate(self, t):
@@ -165,16 +175,14 @@ class InverseTime(StepSchedule):
     __slots__ = ("numerator", "offset")
 
     def __init__(self, numerator, offset):
-        if not (linalg.is_positive_finite(numerator)
-                and linalg.is_positive_finite(offset)):
-            raise ValueError("numerator and offset must be positive and finite")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "offset", offset)
+        message = "numerator and offset must be positive and finite"
+        object.__setattr__(self, "numerator", _positive_float(numerator, message))
+        object.__setattr__(self, "offset", _positive_float(offset, message))
 
     def rate(self, t):
         return self.numerator / (self.offset + t)
 
-    def rates(self, first, count):  # t and float fields convert exactly below 2**53
+    def rates(self, first, count):  # t converts exactly below 2**53
         return self.numerator / (self.offset + np.arange(first, first + count, dtype=float))
 
 

@@ -20,7 +20,7 @@ stack through time, online or averaged (along the expectation over a
 known covariance, ``averaged_increment``): the two forms of the one
 update rule, in the one loop, ``run``, that each ``_Workspace`` binds
 once with every buffer it writes, called once per run of inputs between
-evaluation points, and by the one-shot steps on one input.
+evaluation points (tested once, at its end), and by the one-shot steps.
 """
 
 import math
@@ -228,7 +228,7 @@ def _averaged_drive(f, g, h_w, h_m, corr=None, twice=None):
 
 class _Workspace:
     """The arrays that steps of ``[W | M]`` of one shape, task and
-    variant write into: the weights ``wm`` given, only read (by the first
+    variant write into: the weights ``wm`` given (read by a run's first
     step), a spare buffer, the increment ``h`` and the ``target`` that H
     less its drive is, shaped like wm so that no update broadcasts:
     ``(C,)`` with ``C = [1 | lam lam']`` for projection, ``(C, S)`` with
@@ -265,23 +265,31 @@ class _Workspace:
 
     def _bind(self, d):
         """Build ``run(xs, rows)``: one loop that steps the weights on each
-        input of xs at its row of rates (or ``self.rate``), every array it
-        touches bound and each callee a local, looked up once per run.
-        Online, x is a sample and the drive the one product ``y [x, y]'``
-        into H from ``u = [x | y]``, whose tail y (``self.y``) the pass
-        writes; variant None steps on a given pair ``x = (x, y)``. Averaged,
-        x is a covariance. Then ``wm + rate * (H less its target)``,
-        entrywise (an exactly symmetric M stays so), goes into the buffer
-        not read, and the two swap once it passes the tests. An overflow in
-        any slice (:func:`linalg.all_finite`: finite weights whose squares
-        overflow pass), tested first so that an infinite or NaN diagonal is
-        named as one, or a diagonal at the floor is divergence: a model
-        error ends the run, which returns the number of steps done."""
+        input of xs (a sequence or an endless iterator) at its row of rates
+        (or ``self.rate``), every array it touches bound and each callee a
+        local, looked up once per run. Online, x is a sample and the drive
+        the one product ``y [x, y]'`` into H from ``u = [x | y]``, whose
+        tail y (``self.y``) the pass writes; variant None steps on a given
+        pair ``x = (x, y)``. Averaged, x is a covariance. Then ``wm + rate
+        * (H less its target)``, entrywise (an exactly symmetric M stays
+        so), goes into the buffer not read, the two swap, and the new
+        diagonal, which the next step reads, goes into the run's row of
+        diagonals. An overflow in any slice (:func:`linalg.all_finite`:
+        finite weights whose squares overflow pass), tested first so that
+        an infinite or NaN diagonal is named as one, or a diagonal at the
+        floor is divergence: a model error ends the run, which returns the
+        number of steps done. A run of more than one step is tested once,
+        at its end (last weights, every diagonal): at rates of at least 0,
+        an entry that is not finite is NaN after the next step (``inf - C
+        inf`` and ``0 * inf`` are NaN, C being 0 or positive). If it fails,
+        or a model error ends it, it steps again from a copy of its first
+        weights, each step tested, never writing the wm given."""
         wm, h, target, variant, online = self.wm, self.h, self.target, self.variant, self.online
         lead, k, n = wm.shape[:-2], wm.shape[-2], wm.shape[-1] - wm.shape[-2]
         exact, error = variant is Variant.EXACT_INVERSE, None
         rate = None if self.rate is None else np.broadcast_to(self.rate, wm.shape).copy()
-        cur, nxt = [(a, a[..., :n], a[..., n:], a.diagonal(n, -2, -1)) for a in (wm, self.spare)]
+        views = lambda a: (a, a[..., :n], a[..., n:], a.diagonal(n, -2, -1))
+        cur, nxt = buffers = views(wm), views(self.spare)
         if online:
             b, ff, lateral, u = (np.empty(lead + (size,)) for size in (k, k, k, n + k))
             head, y, y_col, u_row = u[..., :n], u[..., n:], u[..., n:, None], u[..., None, :]
@@ -296,44 +304,52 @@ class _Workspace:
             factor, two_step, less, drive, finite, matvec, matmul, multiply, add, copyto = (
                 linalg.lu_factor, _two_step, _less_target, _averaged_drive, linalg.all_finite,
                 np.matvec, np.matmul, np.multiply, np.add, np.copyto)
-            above, done = DIAGONAL_FLOOR.__lt__, 0
-            try:
-                for x, row in zip(xs, rows if rate is None else repeat(rate, len(rows))):
-                    wm, w, m, _ = cur
-                    if exact:
-                        inverse = factor(m)
-                    elif variant is not None:
-                        tested = _tested_diagonal(m) if d is None else d
-                    if online:
-                        if variant is None:
-                            x, given = x
-                            copyto(y, given)
-                        else:
-                            matvec(w, x, b)
-                            if exact:
-                                matvec(inverse, b, y)
-                            else:
-                                two_step(matvec, m, b, tested, y, ff, lateral, b)
-                        copyto(head, x)
-                        multiply(y_col, u_row, h)
-                    else:
+            above, steps = DIAGONAL_FLOOR.__lt__, len(rows)
+            rows, checked = rows if rate is None else [rate] * steps, steps < 2
+            start = None if checked else (views(cur[0].copy()), d)
+            diags = np.empty((steps,) + lead + (k,))
+            while True:
+                done, error = 0, None
+                try:
+                    for x, row, new in zip(xs, rows, diags):
+                        wm, w, m, _ = cur
                         if exact:
-                            matmul(inverse, w, f)
+                            inverse = factor(m)
+                        elif variant is not None:
+                            tested = _tested_diagonal(m) if d is None else d
+                        if online:
+                            if variant is None:
+                                x, given = x
+                                copyto(y, given)
+                            else:
+                                matvec(w, x, b)
+                                if exact:
+                                    matvec(inverse, b, y)
+                                else:
+                                    two_step(matvec, m, b, tested, y, ff, lateral, b)
+                            copyto(head, x)
+                            multiply(y_col, u_row, h)
                         else:
-                            two_step(matmul, m, w, tested[..., None], f, ff, lateral, f)
-                        drive(f, x, h_w, h_m, corr, twice)
-                    less(h, target, wm, nxt[0])
-                    multiply(h, row, h)
-                    add(wm, h, nxt[0])
-                    if not finite(nxt[0]):
-                        raise DegenerateDiagonalError("weights overflowed")
-                    new = nxt[3].copy()
-                    if not all(map(above, new.ravel().tolist())):
-                        raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
-                    cur, nxt, d, done = nxt, cur, new, done + 1
-            except MODEL_ERRORS as exc:
-                error = exc
-            return done
+                            if exact:
+                                matmul(inverse, w, f)
+                            else:
+                                two_step(matmul, m, w, tested[..., None], f, ff, lateral, f)
+                            drive(f, x, h_w, h_m, corr, twice)
+                        less(h, target, wm, nxt[0])
+                        multiply(h, row, h)
+                        add(wm, h, nxt[0])
+                        if checked and not finite(nxt[0]):
+                            raise DegenerateDiagonalError("weights overflowed")
+                        copyto(new, nxt[3])
+                        if checked and not all(map(above, new.ravel().tolist())):
+                            raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
+                        cur, nxt, d, done = nxt, cur, new, done + 1
+                except MODEL_ERRORS as exc:
+                    error = exc
+                if checked or error is None and finite(cur[0]) and (
+                        diags[:done].min(initial=math.inf) > DIAGONAL_FLOOR):  # NaN fails
+                    return done
+                (cur, d), nxt, checked = start, buffers[1], True
 
         self.run, self.current, self.error = run, lambda: (cur[0], d), lambda: error
 
@@ -369,7 +385,7 @@ def _frozen(state, wm):
     return ModelState._unchecked(wm, state.lam, state.tau)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as in advance
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as in advance
 def _stepped(state, x, alpha, task, variant, online):
     """One step of a state or stack at rate alpha in a fresh workspace:
     the output y (online, a copy; None averaged) and the new state, whose
@@ -433,16 +449,17 @@ def advance(state, task, variant, online, t_max, points, schedule, draw, visit, 
     ``points`` (at t = 0 when ``t_max == 0``) as a state of its own on a
     read-only copy, and returns whether it goes on; ``diverge(t,
     position, exc)`` gets a trial whose own step raised a model error, in
-    a one-trial replay of the step that ended a run. A trial that ends
-    leaves the stack; the others go on.
+    a one-trial replay of the step that ended a run (the run's own tested
+    replay finds it). A trial that ends leaves the stack; the others go on.
     """
     live = list(range(len(state.wm)))
     wm, d = state.wm.copy(), None  # a buffer of its own
     table = np.empty((min(_SAMPLE_CHUNK, t_max), state.wm.shape[-1]))  # refilled per chunk
     t = 0
     # a diverging step, or the readout of weights too large, overflows on
-    # its way to the tests that name it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # its way to the tests that name it (a run's, at its end, after it may
+    # divide by a diagonal at the floor)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if t_max == 0:  # the initial state is the only snapshot
             for j in live:
                 visit(0, j, _frozen(state, state.wm[j]))

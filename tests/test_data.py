@@ -176,6 +176,23 @@ class TestSchedules:
         with pytest.raises(ValueError):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Constant(10**400), "alpha must be positive and finite"),
+        (lambda: InverseTime(10**400, 250.0), "numerator and offset must be positive and finite"),
+        (lambda: InverseTime(10.0, 10**400), "numerator and offset must be positive and finite"),
+    ], ids=["constant", "numerator", "offset"])
+    def test_ints_beyond_the_float_range_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    def test_fields_are_floats(self):
+        """An int field is its float, so that ``rate`` rounds as ``rates``."""
+        for sched, fields in [(Constant(2), (2.0,)),
+                              (InverseTime(2**53 + 1, 2**53 + 1), (2.0**53, 2.0**53))]:
+            assert all(type(f) is float for f in sched._fields())
+            assert sched._fields() == fields
+            assert _same_rates(sched, 1, 5)
+
     def test_value_semantics(self):
         """Equal by type and fields, hashed alike, and shown by field."""
         assert Constant(0.1) == Constant(0.1)

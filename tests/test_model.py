@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -393,6 +395,20 @@ class TestOverflowGuard:
         state = ModelState(np.eye(2), 1e200 * np.eye(2, 3), LAM2, 1.0)
         with pytest.raises(DegenerateDiagonalError, match="^weights overflowed$"):
             model.online_step(state, np.array([1e200, 1.0, 0.0]), 0.01, Task.PSP, variant)
+
+    def test_diagonal_at_zero_mid_run_raises_without_warning(self):
+        # alpha 0.5 at tau 0.5 is rate 1 on M, so M[0, 0] steps to y_0 ** 2:
+        # the zero input of step 3 makes it exactly 0, and step 4 of the
+        # run, tested only at its end, divides by it before the test
+        state = ModelState(np.eye(2), np.full((2, 3), 0.5), LAM2, 0.5)
+        xs = np.ones((5, 1, 3))
+        xs[2] = 0.0
+        failed = []
+        model.advance(ModelState.stack([state]), Task.PSP, Variant.ITERATION_FREE, True, 5,
+                      {5}, data.Constant(0.5), lambda live, count: xs[:count][:, live],
+                      lambda t, position, visited: True,
+                      lambda t, position, exc: failed.append((t, position, str(exc))))
+        assert failed == [(3, 0, "updated lateral diagonal hit the floor")]
 
 
 class TestOnlineStep:
@@ -867,6 +883,110 @@ class TestAdvanceMatchesOneShot:
         assert seen == _folded(*case)
         assert seen[0, "diverged"] == (3, DegenerateDiagonalError, "weights overflowed")
         assert sorted(key for key in seen if key[1] != "diverged") == [(1, 3), (2, 3), (2, 6)]
+
+
+@st.composite
+def poisoned_steps(draw):
+    """A stack of 1-3 learners with one entry of ``[W | M]`` set to inf,
+    -inf or NaN, in a workspace online, averaged or on a given pair
+    (variant None), with one input and a row of rates: any floats at
+    least 0, zero and infinity included."""
+    b, k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = rng.normal(size=(b, k, k))
+    wm = np.concatenate((rng.normal(size=(b, k, n)), np.eye(k) + 0.1 * (e + e.mT)), -1)
+    wm *= draw(weight_scales)
+    entry = tuple(draw(st.integers(0, size - 1)) for size in wm.shape)
+    wm[entry] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    kind = draw(st.sampled_from(["online", "averaged", "given"]))
+    variant = None if kind == "given" else draw(st.sampled_from(list(Variant)))
+    if kind == "averaged":
+        a = rng.normal(size=(b, n, n))
+        x = a @ a.mT / n
+    else:
+        x = rng.normal(size=(b, n))
+        x = (x, rng.normal(size=(b, k))) if kind == "given" else x
+    rate = st.one_of(st.sampled_from([0.0, -0.0, math.inf]), st.floats(min_value=0.0))
+    row = np.array(draw(st.lists(rate, min_size=n + k, max_size=n + k)))
+    ws = model._Workspace(wm, np.linspace(1.0, 0.6, k), draw(st.sampled_from(list(Task))),
+                          variant, kind != "averaged", wm[..., n:].diagonal(0, -2, -1).copy())
+    return ws, x, row, entry
+
+
+class TestNotFiniteStaysNaN:
+    """The invariant that lets a run test its weights once, at its end: an
+    entry of ``[W | M]`` that is not finite is NaN after the next step, at
+    any rates of at least 0, in every task, variant and kind of step."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(poisoned_steps())
+    def test_entry_is_nan_after_one_step(self, case):
+        ws, x, row, entry = case
+        # a one-step run tests its step: the workspace catches its model error
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert ws.run((x,), (row,)) == 0
+        error = ws.error()
+        if isinstance(error, SingularMatrixError):
+            # the exact inverse of a non-finite M fails before the update
+            assert ws.variant is Variant.EXACT_INVERSE
+            return
+        assert isinstance(error, DegenerateDiagonalError) and str(error) == "weights overflowed"
+        assert math.isnan(ws.spare[entry])  # the update, which the step leaves in the spare
+
+
+class TestRunTestedAtItsEnd:
+    """A run of many steps tests its weights once, at its end; when that
+    test fails it steps again from its first weights, each step tested,
+    and so stops at the step that failed, with that step's error, holding
+    the weights of the step before, bit for bit."""
+
+    def test_floor_dip_that_recovers_within_the_run(self):
+        # step 2 (y = 0, alpha 2) takes M[0, 0] to (1 - 2 * 1**2) m < 0;
+        # step 3 (y_0 = 10) lifts it to 49.5, so the last diagonal is fine
+        lam, x = np.array([1.0, 0.5]), np.ones((1, 3))
+        wm = np.concatenate((np.full((1, 2, 3), 0.1), np.eye(2)[None]), -1)
+        ys = [[0.5, 0.5], [0.0, 0.0], [10.0, 0.5], [0.5, 0.5]]
+        alphas = [0.01, 2.0, 0.5, 0.01]
+        rows = model._rates(alphas, 1.0, 3, np.empty((4, 5)))
+        ws = model._Workspace(wm.copy(), lam, Task.PSP, None, True)
+        assert ws.run([(x, np.array([y])) for y in ys], rows) == 1
+        assert str(ws.error()) == "updated lateral diagonal hit the floor"
+        first = model.plasticity(ModelState._unchecked(wm, lam, 1.0), x, np.array([ys[0]]),
+                                 alphas[0], Task.PSP)
+        weights, diagonal = ws.current()
+        assert _same_bits(weights, first.wm)
+        assert _same_bits(diagonal, np.diagonal(first.m, 0, -2, -1))
+        # the workspace steps on from the weights it holds
+        assert ws.run([(x, np.array([ys[0]]))] * 2, rows[[0, 0]]) == 2
+        for _ in range(2):
+            first = model.plasticity(first, x, np.array([ys[0]]), alphas[0], Task.PSP)
+        assert _same_bits(ws.current()[0], first.wm)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_overflow_in_w_mid_segment(self, variant):
+        # inputs without a first coordinate keep W's first column small,
+        # so the spike of step 500 overflows y x' (W's drive) but not y y'
+        state = ModelState.stack([random_state(seed, k=2, n=4) for seed in (70, 71)])
+        state.w[..., 0] = 0.01
+        xs = np.random.default_rng(70).normal(size=(1024, 2, 4))
+        xs[..., 0] = 0.0
+        xs[499, 1, 0] = 1e156
+        rows = model._rates(np.full(1024, 1e-3), state.tau, state.n, np.empty((1024, 6)))
+        ws = model._Workspace(state.wm.copy(), state.lam, Task.PSP, variant, True)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert ws.run(xs, rows) == 499
+            folded = state
+            for t in range(499):
+                folded = model.online_step(folded, xs[t], 1e-3, Task.PSP, variant)[1]
+            y = model.forward(folded, xs[499], variant)
+            assert not np.isfinite(y[1, :, None] * xs[499, 1]).all()
+            assert np.isfinite(y[1, :, None] * y[1]).all()
+        assert str(ws.error()) == "weights overflowed"
+        weights, diagonal = ws.current()
+        assert _same_bits(weights, folded.wm)
+        assert _same_bits(diagonal, np.diagonal(folded.m, 0, -2, -1))
+        with pytest.raises(DegenerateDiagonalError, match="^weights overflowed$"):
+            model.online_step(folded, xs[499], 1e-3, Task.PSP, variant)
 
 
 def _workspace_arrays(made):
