@@ -197,15 +197,17 @@ class PiecewiseConstant(StepSchedule):
     __slots__ = ("pieces",)
 
     def __init__(self, pieces):
-        pieces = tuple((float(t), float(a)) for t, a in pieces)
+        pieces = tuple(pieces)
         if not pieces:
             raise ValueError("pieces must be nonempty")
-        bounds = [-math.inf] + [t for t, _ in pieces]  # NaN fails each comparison
+        try:
+            bounds = [-math.inf] + [float(t) for t, _ in pieces]  # NaN fails each comparison
+        except OverflowError:
+            raise ValueError("thresholds must lie within the float range") from None
         if not all(a < b for a, b in zip(bounds, bounds[1:])):
             raise ValueError("thresholds must be strictly increasing, above -inf")
-        if not all(linalg.is_positive_finite(a) for _, a in pieces):
-            raise ValueError("rates must be positive and finite")
-        object.__setattr__(self, "pieces", pieces)
+        rates = [_positive_float(a, "rates must be positive and finite") for _, a in pieces]
+        object.__setattr__(self, "pieces", tuple(zip(bounds[1:], rates)))
 
     def rate(self, t):
         for threshold, alpha in self.pieces:

@@ -228,25 +228,23 @@ def _averaged_drive(f, g, h_w, h_m, corr=None, twice=None):
 
 class _Workspace:
     """The arrays that steps of ``[W | M]`` of one shape, task and
-    variant write into: the weights ``wm`` given (read by a run's first
-    step), a spare buffer, the increment ``h`` and the ``target`` that H
-    less its drive is, shaped like wm so that no update broadcasts:
+    variant write into: the weights ``wm`` given (read by the first run's
+    first step), a spare buffer, the increment ``h`` and the ``target``
+    that H less its drive is, shaped like wm so that no update broadcasts:
     ``(C,)`` with ``C = [1 | lam lam']`` for projection, ``(C, S)`` with
     ``C = [1 | 0]`` and ``S = [-0 | diag(lam**2)]`` for whitening. Made
     for ``online`` (True) or averaged (False) steps, not for the field
     alone (None, :func:`averaged_increment`), it also binds its ``run``
-    once (:meth:`_bind`), from ``d``, the given weights' tested diagonal
-    or None, and ``rate``, a chunk's one row of rates or None; then
-    ``current()`` gives the weights stepped to and their tested diagonal
-    and ``error()`` the model error that ended the last run. Later
-    workspaces of a stack come from :meth:`like`."""
+    once (:meth:`_bind`); between runs it holds only the weights, which
+    ``current()`` gives, and ``error()`` the model error that ended the
+    last run. Workspaces for a stack's kept trials come from :meth:`like`."""
 
-    __slots__ = ("wm", "spare", "h", "lam", "task", "variant", "online", "rate", "target",
+    __slots__ = ("wm", "spare", "h", "lam", "task", "variant", "online", "target",
                  "run", "current", "error", "y")
 
-    def __init__(self, wm, lam, task, variant, online=None, d=None, rate=None):
+    def __init__(self, wm, lam, task, variant, online=None):
         self.wm, self.spare, self.h, self.lam = wm, np.empty(wm.shape), np.empty(wm.shape), lam
-        self.task, self.variant, self.online, self.rate = task, variant, online, rate
+        self.task, self.variant, self.online = task, variant, online
         n, c = wm.shape[-1] - wm.shape[-2], np.ones(wm.shape)
         if task is Task.PSP:
             c[..., n:] = np.multiply.outer(lam, lam)
@@ -257,37 +255,38 @@ class _Workspace:
             square[..., n:] = np.diag(lam * lam)
             self.target = (c, square)
         if online is not None:
-            self._bind(d)
+            self._bind()
 
-    def like(self, wm, d=None, rate=None):
+    def like(self, wm):
         """A workspace of the same task, variant and steps for wm."""
-        return _Workspace(wm, self.lam, self.task, self.variant, self.online, d, rate)
+        return _Workspace(wm, self.lam, self.task, self.variant, self.online)
 
-    def _bind(self, d):
+    def _bind(self):
         """Build ``run(xs, rows)``: one loop that steps the weights on each
         input of xs (a sequence or an endless iterator) at its row of rates
-        (or ``self.rate``), every array it touches bound and each callee a
-        local, looked up once per run. Online, x is a sample and the drive
-        the one product ``y [x, y]'`` into H from ``u = [x | y]``, whose
-        tail y (``self.y``) the pass writes; variant None steps on a given
-        pair ``x = (x, y)``. Averaged, x is a covariance. Then ``wm + rate
-        * (H less its target)``, entrywise (an exactly symmetric M stays
-        so), goes into the buffer not read, the two swap, and the new
-        diagonal, which the next step reads, goes into the run's row of
-        diagonals. An overflow in any slice (:func:`linalg.all_finite`:
-        finite weights whose squares overflow pass), tested first so that
-        an infinite or NaN diagonal is named as one, or a diagonal at the
-        floor is divergence: a model error ends the run, which returns the
-        number of steps done. A run of more than one step is tested once,
-        at its end (last weights, every diagonal): at rates of at least 0,
-        an entry that is not finite is NaN after the next step (``inf - C
-        inf`` and ``0 * inf`` are NaN, C being 0 or positive). If it fails,
-        or a model error ends it, it steps again from a copy of its first
-        weights, each step tested, never writing the wm given."""
+        (a run of many steps at one rate: that row broadcast to wm's shape),
+        every array it touches bound and each callee a local, looked up
+        once per run. Online, x is a sample and the drive the one product
+        ``y [x, y]'`` into H from ``u = [x | y]``, whose tail y (``self.y``)
+        the pass writes; variant None steps on a given pair ``x = (x, y)``.
+        Averaged, x is a covariance. Then ``wm + rate * (H less its
+        target)``, entrywise (an exactly symmetric M stays so), goes into
+        the buffer not read, the two swap, and the new diagonal, which the
+        next step reads, goes into the run's row of diagonals (a run's first
+        iteration-free step tests its own, :func:`_tested_diagonal`). An
+        overflow in any slice (:func:`linalg.all_finite`: finite weights
+        whose squares overflow pass), tested first so that an infinite or
+        NaN diagonal is named as one, or a diagonal at the floor is
+        divergence: a model error ends the run, which returns the number of
+        steps done. A run of more than one step is tested once, at its end
+        (last weights, every diagonal): at rates of at least 0, an entry
+        that is not finite is NaN after the next step (``inf - C inf`` and
+        ``0 * inf`` are NaN, C being 0 or positive). If it fails, or a model
+        error ends it, it steps again from a copy of its first weights,
+        each step tested, never writing the wm given."""
         wm, h, target, variant, online = self.wm, self.h, self.target, self.variant, self.online
         lead, k, n = wm.shape[:-2], wm.shape[-2], wm.shape[-1] - wm.shape[-2]
         exact, error = variant is Variant.EXACT_INVERSE, None
-        rate = None if self.rate is None else np.broadcast_to(self.rate, wm.shape).copy()
         views = lambda a: (a, a[..., :n], a[..., n:], a.diagonal(n, -2, -1))
         cur, nxt = buffers = views(wm), views(self.spare)
         if online:
@@ -300,16 +299,18 @@ class _Workspace:
             h_w, h_m = h[..., :n], h[..., n:]
 
         def run(xs, rows):
-            nonlocal cur, nxt, d, error
+            nonlocal cur, nxt, error
             factor, two_step, less, drive, finite, matvec, matmul, multiply, add, copyto = (
                 linalg.lu_factor, _two_step, _less_target, _averaged_drive, linalg.all_finite,
                 np.matvec, np.matmul, np.multiply, np.add, np.copyto)
             above, steps = DIAGONAL_FLOOR.__lt__, len(rows)
-            rows, checked = rows if rate is None else [rate] * steps, steps < 2
-            start = None if checked else (views(cur[0].copy()), d)
+            checked = steps < 2
+            if not checked and (rows == rows[0]).all():
+                rows = repeat(np.broadcast_to(rows[0], cur[0].shape).copy())
+            start = None if checked else views(cur[0].copy())
             diags = np.empty((steps,) + lead + (k,))
             while True:
-                done, error = 0, None
+                done, error, d = 0, None, None
                 try:
                     for x, row, new in zip(xs, rows, diags):
                         wm, w, m, _ = cur
@@ -349,9 +350,9 @@ class _Workspace:
                 if checked or error is None and finite(cur[0]) and (
                         diags[:done].min(initial=math.inf) > DIAGONAL_FLOOR):  # NaN fails
                     return done
-                (cur, d), nxt, checked = start, buffers[1], True
+                cur, nxt, checked = start, buffers[1], True
 
-        self.run, self.current, self.error = run, lambda: (cur[0], d), lambda: error
+        self.run, self.current, self.error = run, lambda: cur[0], lambda: error
 
 
 def averaged_increment(ws, g):
@@ -393,7 +394,7 @@ def _stepped(state, x, alpha, task, variant, online):
     ws = _Workspace(state.wm, state.lam, task, variant, online)
     if not ws.run((x,), _rates((alpha,), state.tau, state.n, np.empty((1, state.wm.shape[-1])))):
         raise ws.error()
-    return ws.y.copy() if online else None, _frozen(state, ws.current()[0])
+    return ws.y.copy() if online else None, _frozen(state, ws.current())
 
 
 def plasticity(state, x, y, alpha, task):
@@ -419,32 +420,29 @@ def _replay(live, ws, x, t, row, diverge):
     """Step t again one trial at a time, after the stack's step raised,
     from the weights of ``ws``, which the failed step left as they were; a
     trial whose own step fails goes to ``diverge``. Returns a workspace of
-    the others at the rate of ``ws`` (None if no trial is left) and their
-    indices in ``live``."""
-    wm, d = ws.current()
-    steps = {}
+    the others (None if no trial is left) and their indices in ``live``."""
+    wm, steps = ws.current(), {}
     for j, position in enumerate(live):
-        trial = ws.like(wm[j], None if d is None else d[j])
+        trial = ws.like(wm[j])
         if trial.run((x[j],), (row,)):
             steps[j] = trial.current()
         else:
             diverge(t, position, trial.error())
     if not steps:
         return None, []
-    wms, ds = zip(*steps.values())
-    # ws.rate, when set, equals every row of its chunk
-    return ws.like(np.stack(wms), np.stack(ds), None if ws.rate is None else row), list(steps)
+    return ws.like(np.stack(list(steps.values()))), list(steps)
 
 
 def advance(state, task, variant, online, t_max, points, schedule, draw, visit, diverge):
     """Step a stack of learners from ``state`` through step ``t_max``.
 
-    The stack's raw ``[W | M]`` is stepped by :class:`_Workspace` runs of
-    the task and variant, online or averaged: one workspace and one table
-    of :func:`_rates` from ``schedule.rates`` per chunk of
-    ``_SAMPLE_CHUNK`` steps, one run per segment of it up to each point.
-    ``draw(live, count)`` gives the inputs of the trials at stack positions
-    ``live``, one column each: ``count`` rows, or one row for every step.
+    The stack's raw ``[W | M]`` is stepped by runs of one
+    :class:`_Workspace` of the task and variant, online or averaged, made
+    once and again only when trials leave the stack: one table of
+    :func:`_rates` from ``schedule.rates`` per chunk of ``_SAMPLE_CHUNK``
+    steps, one run per segment of it up to each point. ``draw(live,
+    count)`` gives the inputs of the trials at stack positions ``live``,
+    one column each: ``count`` rows, or one row for every step.
     ``visit(t, position, state)`` sees each live trial at each t in
     ``points`` (at t = 0 when ``t_max == 0``) as a state of its own on a
     read-only copy, and returns whether it goes on; ``diverge(t,
@@ -453,7 +451,6 @@ def advance(state, task, variant, online, t_max, points, schedule, draw, visit, 
     replay finds it). A trial that ends leaves the stack; the others go on.
     """
     live = list(range(len(state.wm)))
-    wm, d = state.wm.copy(), None  # a buffer of its own
     table = np.empty((min(_SAMPLE_CHUNK, t_max), state.wm.shape[-1]))  # refilled per chunk
     t = 0
     # a diverging step, or the readout of weights too large, overflows on
@@ -463,12 +460,13 @@ def advance(state, task, variant, online, t_max, points, schedule, draw, visit, 
         if t_max == 0:  # the initial state is the only snapshot
             for j in live:
                 visit(0, j, _frozen(state, state.wm[j]))
+            return
+        ws = _Workspace(state.wm.copy(), state.lam, task, variant, online)  # a buffer of its own
         while t < t_max and live:
             count = min(_SAMPLE_CHUNK, t_max - t)
             block = draw(live, count)  # (rows, trials, ...)
             rates = _rates(schedule.rates(t + 1, count), state.tau, state.n, table[:count])
-            one = rates[0] if (rates == rates[0]).all() else None
-            ws, r = _Workspace(wm, state.lam, task, variant, online, d, one), 0  # r steps done
+            r = 0  # steps done
             for stop in [*filter(points.__contains__, range(t + 1, t + count)), t + count]:
                 while t + r < stop and live:
                     xs = repeat(block[0]) if len(block) == 1 else block[r:stop - t]
@@ -478,14 +476,11 @@ def advance(state, task, variant, online, t_max, points, schedule, draw, visit, 
                                            rates[r], diverge)
                         live, block, r = [live[j] for j in kept], block[:, kept], r + 1
                 if stop in points and live:
-                    wm, d = ws.current()
+                    wm = ws.current()
                     kept = [j for j, position in enumerate(live)
                             if visit(stop, position, _frozen(state, wm[j]))]
                     if len(kept) < len(live):
                         live, block = [live[j] for j in kept], block[:, kept]
-                        ws = ws.like(wm[kept], d[kept], one)
-                if not live:
-                    break
-            else:
-                wm, d, t = *ws.current(), t + count
+                        ws = ws.like(wm[kept])
+            t += count
             del block, xs  # freed before the next chunk draws its own

@@ -180,7 +180,11 @@ class TestSchedules:
         (lambda: Constant(10**400), "alpha must be positive and finite"),
         (lambda: InverseTime(10**400, 250.0), "numerator and offset must be positive and finite"),
         (lambda: InverseTime(10.0, 10**400), "numerator and offset must be positive and finite"),
-    ], ids=["constant", "numerator", "offset"])
+        (lambda: PiecewiseConstant(((10**400, 1e-3),)),
+         "thresholds must lie within the float range"),
+        (lambda: PiecewiseConstant(((1.0, 10**400),)), "rates must be positive and finite"),
+        (lambda: PiecewiseConstant(((math.inf, 10**400),)), "rates must be positive and finite"),
+    ], ids=["constant", "numerator", "offset", "piece-threshold", "piece-rate", "tail-rate"])
     def test_ints_beyond_the_float_range_rejected(self, build, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             build()
