@@ -215,6 +215,11 @@ class PiecewiseConstant(StepSchedule):
                 return alpha
         return self.pieces[-1][1]
 
+    def rates(self, first, count):  # the first threshold >= t, past the last: the last
+        thresholds, alphas = np.array(self.pieces).T
+        t = np.arange(first, first + count, dtype=float)  # exact below 2**53
+        return alphas[np.searchsorted(thresholds, t).clip(max=len(alphas) - 1)]
+
 
 class ProblemPreset:
     """Named problem: covariance spectrum plus all learner settings.

@@ -181,6 +181,8 @@ def lu_factor(a):
     the stack bound below fails, each matrix takes its two norms from
     :func:`frobenius`, so the decision holds at any scale of a, and the
     first matrix over the threshold is named by its condition number.
+    The exact learner's longer runs call the gufunc alone and test a
+    window of steps at once (:func:`well_conditioned`).
     """
     # a view of M is copied once: the gufunc and both dots read it faster
     a = np.ascontiguousarray(a, dtype=float)
@@ -202,6 +204,18 @@ def lu_factor(a):
         if not cond * _PIVOT_RTOL <= 1.0:  # also catches a NaN or Inf inverse
             raise SingularMatrixError(f"condition number {cond:.3e} above threshold")
     return inv
+
+
+def well_conditioned(a, inv):
+    """Whether each matrix of the stack a, with ``inv`` the inverse that
+    NumPy's inverse gufunc wrote for it (NaN where a is singular), is one
+    that :func:`lu_factor` passes: one vectorized test, with a margin for
+    the rounding of its sums of squares, that their product (at least 1)
+    is at most ``((1 - 1e-9) / _PIVOT_RTOL) ** 2``. A NaN or an infinity,
+    or a squared norm that overflows (as the other does when one falls far
+    below the normal range), makes the product NaN or infinite and fails."""
+    a, inv = (x.reshape(x.shape[:-2] + (-1,)) for x in (a, inv))
+    return bool((np.vecdot(a, a) * np.vecdot(inv, inv) <= ((1 - 1e-9) / _PIVOT_RTOL) ** 2).all())
 
 
 def lu_solve(factors, b):

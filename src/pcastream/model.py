@@ -20,7 +20,7 @@ stack through time, online or averaged (along the expectation over a
 known covariance, ``averaged_increment``): the two forms of the one
 update rule, in the one loop, ``run``, that each ``_Workspace`` binds
 once with every buffer it writes, called once per run of inputs between
-evaluation points (tested once, at its end), and by the one-shot steps.
+evaluation points (tested by windows of steps), and by the one-shot steps.
 """
 
 import math
@@ -29,12 +29,14 @@ from functools import cache
 from itertools import repeat
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import linalg
 from .errors import MODEL_ERRORS, DegenerateDiagonalError
 
 DIAGONAL_FLOOR = 1e-12
 _SAMPLE_CHUNK = 1024
+_WINDOW = 64  # steps of a run tested at once (_Workspace._bind)
 
 
 class Task(Enum):
@@ -87,11 +89,16 @@ class ModelState:
         m[cols, rows] = m[rows, cols]
         if not all(map(DIAGONAL_FLOOR.__lt__, np.diagonal(m).tolist())):  # NaN fails
             raise DegenerateDiagonalError("lateral diagonal not strictly positive")
+        self._set(np.concatenate((w, m), axis=1), *self._checked_gain(lam, tau))
+
+    @staticmethod
+    def _checked_gain(lam, tau):
+        """(lam, tau), if the gain and tau of a state are valid."""
         if not linalg.is_positive_decreasing(lam):
             raise ValueError("gain entries must be strictly decreasing and positive")
         if not linalg.is_positive_finite(tau):
             raise ValueError("tau must be positive and finite")
-        self._set(np.concatenate((w, m), axis=1), lam, tau)
+        return lam, tau
 
     def _set(self, wm, lam, tau):
         n = wm.shape[-1] - wm.shape[-2]
@@ -235,9 +242,10 @@ class _Workspace:
     ``C = [1 | 0]`` and ``S = [-0 | diag(lam**2)]`` for whitening. Made
     for ``online`` (True) or averaged (False) steps, not for the field
     alone (None, :func:`averaged_increment`), it also binds its ``run``
-    once (:meth:`_bind`); between runs it holds only the weights, which
-    ``current()`` gives, and ``error()`` the model error that ended the
-    last run. Workspaces for a stack's kept trials come from :meth:`like`."""
+    once (:meth:`_bind`) with its window buffers; between runs it holds
+    only the weights, which ``current()`` gives, and ``error()`` the model
+    error that ended the last run. Workspaces for a stack's kept trials
+    come from :meth:`like`."""
 
     __slots__ = ("wm", "spare", "h", "lam", "task", "variant", "online", "target",
                  "run", "current", "error", "y")
@@ -263,7 +271,7 @@ class _Workspace:
 
     def _bind(self):
         """Build ``run(xs, rows)``: one loop that steps the weights on each
-        input of xs (a sequence or an endless iterator) at its row of rates
+        input of xs (a sequence, or ``repeat`` of one) at its row of rates
         (a run of many steps at one rate: that row broadcast to wm's shape),
         every array it touches bound and each callee a local, looked up
         once per run. Online, x is a sample and the drive the one product
@@ -271,24 +279,34 @@ class _Workspace:
         the pass writes; variant None steps on a given pair ``x = (x, y)``.
         Averaged, x is a covariance. Then ``wm + rate * (H less its
         target)``, entrywise (an exactly symmetric M stays so), goes into
-        the buffer not read, the two swap, and the new diagonal, which the
-        next step reads, goes into the run's row of diagonals (a run's first
-        iteration-free step tests its own, :func:`_tested_diagonal`). An
-        overflow in any slice (:func:`linalg.all_finite`: finite weights
-        whose squares overflow pass), tested first so that an infinite or
-        NaN diagonal is named as one, or a diagonal at the floor is
-        divergence: a model error ends the run, which returns the number of
-        steps done. A run of more than one step is tested once, at its end
-        (last weights, every diagonal): at rates of at least 0, an entry
-        that is not finite is NaN after the next step (``inf - C inf`` and
-        ``0 * inf`` are NaN, C being 0 or positive). If it fails, or a model
-        error ends it, it steps again from a copy of its first weights,
-        each step tested, never writing the wm given."""
+        the buffer not read, and the two swap. An overflow in any slice
+        (:func:`linalg.all_finite`: finite weights whose squares overflow
+        pass), tested first so that an infinite or NaN diagonal is named as
+        one, a diagonal at the floor or (exact) an M that
+        :func:`linalg.lu_factor` rejects is divergence: a model error ends
+        the run, which returns the number of steps done. A run of one step
+        tests it as it goes; a longer one steps by windows of ``_WINDOW``
+        steps untested, keeping each step's new diagonal (which the next
+        iteration-free step reads; a run's first tests its own,
+        :func:`_tested_diagonal`) or, exact, a copy of its M and the inverse
+        that NumPy's gufunc alone writes for it. A window passes if its last
+        weights are finite, every new diagonal is above the floor and every
+        kept pair :func:`linalg.well_conditioned`; if not, it steps again
+        from a copy of its first weights, each step tested, and stops at
+        the same step with the same error. Under ``advance``'s errstate this
+        is sound: at rates of at least 0 an entry that is not finite is NaN
+        after the next step (``inf - C inf`` and ``0 * inf`` are NaN, C
+        being 0 or positive); the gufunc writes NaN for a singular M; and a
+        window passes only M that ``lu_factor`` passes, whose inverse is
+        the gufunc's, bit for bit."""
         wm, h, target, variant, online = self.wm, self.h, self.target, self.variant, self.online
         lead, k, n = wm.shape[:-2], wm.shape[-2], wm.shape[-1] - wm.shape[-2]
         exact, error = variant is Variant.EXACT_INVERSE, None
         views = lambda a: (a, a[..., :n], a[..., n:], a.diagonal(n, -2, -1))
-        cur, nxt = buffers = views(wm), views(self.spare)
+        cur, nxt, first = views(wm), views(self.spare), views(np.empty(wm.shape))
+        # per step of a window: its new diagonal, or (exact) a copy of its M and that M's inverse
+        slots, inverses = np.empty((2, _WINDOW) + lead + (k, k)) if exact else (
+            np.empty((_WINDOW,) + lead + (k,)), repeat(None))
         if online:
             b, ff, lateral, u = (np.empty(lead + (size,)) for size in (k, k, k, n + k))
             head, y, y_col, u_row = u[..., :n], u[..., n:], u[..., n:, None], u[..., None, :]
@@ -298,59 +316,74 @@ class _Workspace:
             corr, twice = np.empty(lead + (k, k)), np.empty(lead + (k, k))
             h_w, h_m = h[..., :n], h[..., n:]
 
+        def passes(count):  # the window of count untested steps just done (NaN fails)
+            if not exact:
+                return linalg.all_finite(cur[0]) and slots[:count].min() > DIAGONAL_FLOOR
+            diagonal = slots[1:count].diagonal(0, -2, -1).min(initial=cur[3].min())
+            return (linalg.all_finite(cur[0]) and diagonal > DIAGONAL_FLOOR
+                    and linalg.well_conditioned(slots[:count], inverses[:count]))
+
         def run(xs, rows):
-            nonlocal cur, nxt, error
-            factor, two_step, less, drive, finite, matvec, matmul, multiply, add, copyto = (
-                linalg.lu_factor, _two_step, _less_target, _averaged_drive, linalg.all_finite,
-                np.matvec, np.matmul, np.multiply, np.add, np.copyto)
-            above, steps = DIAGONAL_FLOOR.__lt__, len(rows)
-            checked = steps < 2
-            if not checked and (rows == rows[0]).all():
+            nonlocal cur, nxt, first, error
+            factor, inv, two_step, less, drive, finite, matvec, matmul, multiply, add, copyto = (
+                linalg.lu_factor, _umath_linalg.inv, _two_step, _less_target, _averaged_drive,
+                linalg.all_finite, np.matvec, np.matmul, np.multiply, np.add, np.copyto)
+            above, steps, done, error, d = DIAGONAL_FLOOR.__lt__, len(rows), 0, None, None
+            if steps > 1 and (rows == rows[0]).all():
                 rows = repeat(np.broadcast_to(rows[0], cur[0].shape).copy())
-            start = None if checked else views(cur[0].copy())
-            diags = np.empty((steps,) + lead + (k,))
-            while True:
-                done, error, d = 0, None, None
-                try:
-                    for x, row, new in zip(xs, rows, diags):
-                        wm, w, m, _ = cur
-                        if exact:
-                            inverse = factor(m)
-                        elif variant is not None:
-                            tested = _tested_diagonal(m) if d is None else d
-                        if online:
-                            if variant is None:
-                                x, given = x
-                                copyto(y, given)
-                            else:
-                                matvec(w, x, b)
-                                if exact:
-                                    matvec(inverse, b, y)
-                                else:
-                                    two_step(matvec, m, b, tested, y, ff, lateral, b)
-                            copyto(head, x)
-                            multiply(y_col, u_row, h)
-                        else:
+            while done < steps and error is None:
+                size, checked = min(len(slots), steps - done), steps < 2
+                window = [a if isinstance(a, repeat) else a[done:done + size] for a in (xs, rows)]
+                copyto(first[0], cur[0])
+                while True:
+                    count, error = 0, None
+                    try:
+                        if d is None and variant is Variant.ITERATION_FREE:
+                            d = _tested_diagonal(cur[2])
+                        for x, row, slot, inverse in zip(*window, slots[:size], inverses):
+                            wm, w, m, _ = cur
                             if exact:
-                                matmul(inverse, w, f)
+                                if checked:
+                                    inverse = factor(m)
+                                else:
+                                    copyto(slot, m)
+                                    inv(slot, inverse)
+                            if online:
+                                if variant is None:
+                                    x, given = x
+                                    copyto(y, given)
+                                else:
+                                    matvec(w, x, b)
+                                    if exact:
+                                        matvec(inverse, b, y)
+                                    else:
+                                        two_step(matvec, m, b, d, y, ff, lateral, b)
+                                copyto(head, x)
+                                multiply(y_col, u_row, h)
                             else:
-                                two_step(matmul, m, w, tested[..., None], f, ff, lateral, f)
-                            drive(f, x, h_w, h_m, corr, twice)
-                        less(h, target, wm, nxt[0])
-                        multiply(h, row, h)
-                        add(wm, h, nxt[0])
-                        if checked and not finite(nxt[0]):
-                            raise DegenerateDiagonalError("weights overflowed")
-                        copyto(new, nxt[3])
-                        if checked and not all(map(above, new.ravel().tolist())):
-                            raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
-                        cur, nxt, d, done = nxt, cur, new, done + 1
-                except MODEL_ERRORS as exc:
-                    error = exc
-                if checked or error is None and finite(cur[0]) and (
-                        diags[:done].min(initial=math.inf) > DIAGONAL_FLOOR):  # NaN fails
-                    return done
-                cur, nxt, checked = start, buffers[1], True
+                                if exact:
+                                    matmul(inverse, w, f)
+                                else:
+                                    two_step(matmul, m, w, d[..., None], f, ff, lateral, f)
+                                drive(f, x, h_w, h_m, corr, twice)
+                            less(h, target, wm, nxt[0])
+                            multiply(h, row, h)
+                            add(wm, h, nxt[0])
+                            if not exact:
+                                copyto(slot, nxt[3])
+                            if checked and not finite(nxt[0]):
+                                raise DegenerateDiagonalError("weights overflowed")
+                            if checked and not all(map(above, nxt[3].ravel().tolist())):
+                                raise DegenerateDiagonalError(
+                                    "updated lateral diagonal hit the floor")
+                            cur, nxt, d, count = nxt, cur, slot, count + 1
+                    except MODEL_ERRORS as exc:
+                        error = exc
+                    if checked or error is None and passes(count):
+                        break
+                    cur, first, checked, d = first, cur, True, None  # the window, tested
+                done += count
+            return done
 
         self.run, self.current, self.error = run, lambda: cur[0], lambda: error
 

@@ -46,8 +46,11 @@ def construct_fixed_point(g, lam, task, signs=None, tau=None, order=None):
     eigvals, f = metrics.optimal_filter(g, lam, task, signs, order)
     if tau is None:
         tau = 0.5 if task is Task.PSP else 1.0
+    # M, diagonal and above GAP_FLOOR, is valid; W = M F overflows on a huge G
     m = np.diag(eigvals)
-    return ModelState(m, m @ f, lam, tau)
+    wm = linalg.check_finite(np.concatenate((m @ f, m), axis=1), "w")
+    return ModelState._unchecked(wm, *ModelState._checked_gain(np.array(lam, dtype=float),
+                                                               float(tau)))
 
 
 def fixed_point_residual(state, g, task, variant):

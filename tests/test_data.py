@@ -276,6 +276,18 @@ class TestRates:
         assert _same_rates(sched, first, count)
         assert _same_rates(PiecewiseConstant(((math.inf, 0.1),)), first, count)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-5, 2200), st.floats(-5.0, 2200.0)),
+                    min_size=1, max_size=6, unique=True),
+           st.booleans(), st.integers(1, 2100), st.integers(1, 1100), st.data())
+    def test_piecewise_constant(self, thresholds, inf_tail, first, count, data_):
+        # integer and fractional thresholds on and beside the steps of the
+        # run, before it and after it, with or without an inf tail
+        thresholds = sorted({float(t) for t in thresholds}) + [math.inf] * inf_tail
+        alphas = data_.draw(st.lists(st.floats(1e-300, 1e308), min_size=len(thresholds),
+                                     max_size=len(thresholds)))
+        assert _same_rates(PiecewiseConstant(zip(thresholds, alphas)), first, count)
+
 
 class TestPresets:
     def test_small_problem_constants(self):

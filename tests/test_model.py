@@ -1,4 +1,5 @@
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -491,13 +492,45 @@ class TestNeuralFilter:
         monkeypatch.setattr(linalg, "sym_eig", boom)
         call()
 
-    @pytest.mark.parametrize("path", SOLVER_PATHS)
+    @pytest.mark.parametrize("path", [p for p in SOLVER_PATHS if not p.startswith("advance")])
     def test_exact_path_calls_the_solver_patched_in(self, monkeypatch, path):
         # linalg.lu_factor is looked up after the patch, not bound at import
         call, calls, real = _solver_paths(Variant.EXACT_INVERSE)[path], [], linalg.lu_factor
         monkeypatch.setattr(linalg, "lu_factor", lambda m: calls.append(m.shape) or real(m))
         call()
         assert calls
+
+    @pytest.mark.parametrize("online", [True, False], ids=["advance-online", "advance-averaged"])
+    def test_exact_run_looks_up_its_kernel_once_per_run(self, monkeypatch, online):
+        # each run looks the inverse gufunc up once, when called; patched in
+        # to write NaN, it fails every window, whose tested replay calls
+        # linalg.lu_factor at each step and so steps as the gufunc would
+        stack = ModelState.stack([random_state(27), random_state(28)])
+        rng = np.random.default_rng(27)
+        xs, gs = rng.normal(size=(6, 2, 10)), np.stack([np.eye(10)] * 2)
+        draw = (lambda live, count: xs[:count][:, live]) if online else (
+            lambda live, count: gs[live][None])
+
+        def visited():
+            seen = []
+            model.advance(stack, Task.PSP, Variant.EXACT_INVERSE, online, 6, {3},
+                          data.Constant(0.01), draw,
+                          lambda t, position, state: seen.append(state.wm.tobytes()) or True,
+                          diverge=None)
+            return seen
+
+        expected, lookups, factored, real = visited(), [], [], linalg.lu_factor
+
+        class Kernels:
+            def __getattr__(self, name):
+                lookups.append(name)
+                return lambda m, out: out.fill(math.nan)
+
+        monkeypatch.setattr(model, "_umath_linalg", Kernels())
+        monkeypatch.setattr(linalg, "lu_factor", lambda m: factored.append(m.shape) or real(m))
+        assert visited() == expected
+        assert lookups == ["inv", "inv"]  # the runs of steps 1-3 and 4-6
+        assert factored == [(2, 3, 3)] * 6
 
 
 # a weight scale: mostly 1, now and then 1e150 - 1e300
@@ -786,6 +819,10 @@ def stack_runs(draw):
         st.sampled_from([(1.0, 5.0), (40.0, 2.0)]).map(lambda a: data.InverseTime(*a)),
         # a rate that changes and changes back within a run
         st.just(data.PiecewiseConstant(((2, 0.1), (4, 0.6), (math.inf, 0.1))))))
+    task = draw(st.sampled_from(list(Task)))
+    if k > 1 and draw(st.booleans()):
+        state = _singular_at(state, task, schedule, draw(st.integers(1, t_max)),
+                             draw(st.sampled_from([0.0, 1e-15])))
     online = draw(st.booleans())
     if online:
         inputs = rng.normal(size=(t_max, b, n))
@@ -794,8 +831,32 @@ def stack_runs(draw):
         inputs = a @ a.mT / n
     points = draw(st.sets(st.integers(1, t_max)))
     ends = draw(st.sets(st.integers(0, b - 1)))
-    return (state, online, inputs, schedule, t_max, points, ends,
-            draw(st.sampled_from(list(Task))), draw(st.sampled_from(list(Variant))))
+    return (state, online, inputs, schedule, t_max, points, ends, task,
+            draw(st.sampled_from(list(Variant))))
+
+
+def _singular_at(state, task, schedule, step, short):
+    """The stack with trial 0's W zero and the leading 2 x 2 block of its M,
+    alone in M, set so that the M that step ``step`` reads is singular to
+    working precision: ``[[p, c], [c, p]]`` with c = p (exactly singular)
+    or 1e-15 short of it on the first step, ``c**2`` about ``p q`` later.
+    With no drive each entry of M moves on its own, so a dry run sets c; a
+    dry run that fails leaves the stack as it was."""
+    wm, n = state.wm.copy(), state.n
+    wm[0, :, :n], m = 0.0, wm[0, :, n:]
+    m[1, 1] = m[0, 0]
+    m[:2, 2:] = m[2:, :2] = 0.0
+    m[0, 1] = m[1, 0] = 1e-3
+    dry = ModelState._unchecked(wm[[0]], state.lam, state.tau)
+    try:
+        for t in range(1, step):
+            dry = offline.offline_step(dry, np.zeros((1, n, n)), schedule.rate(t), task,
+                                       Variant.ITERATION_FREE)
+    except MODEL_ERRORS:
+        return state
+    (p, c), (_, q) = dry.m[0, :2, :2]
+    m[0, 1] = m[1, 0] = math.sqrt(p) * math.sqrt(q) * (1e-3 / c) * (1.0 - short)
+    return ModelState._unchecked(wm, state.lam, state.tau)
 
 
 def _advanced(state, online, inputs, schedule, t_max, points, ends, task, variant):
@@ -868,6 +929,16 @@ class TestAdvanceMatchesOneShot:
         # step of a run all occur
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(model, "_SAMPLE_CHUNK", 3)
+            seen = _advanced(*case)
+        assert seen == _folded(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack_runs())
+    def test_trial_by_trial_in_windows_of_three(self, case):
+        # up to 12 steps in windows of 3: failures on the first and the last
+        # step of a window, and windows that the tested replay passes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_WINDOW", 3)
             seen = _advanced(*case)
         assert seen == _folded(*case)
 
@@ -991,6 +1062,31 @@ class TestRunTestedAtItsEnd:
         assert _same_bits(ws.current(), folded.wm)
         with pytest.raises(DegenerateDiagonalError, match="^weights overflowed$"):
             model.online_step(folded, xs[499], 1e-3, Task.PSP, variant)
+
+    @pytest.mark.parametrize("c, message", [
+        (1.0, "matrix is singular: Singular matrix"),
+        (1.0 - 2.0**-50, r"condition number \S+ above threshold")])
+    def test_exact_lateral_singular_mid_window(self, c, message):
+        # averaged whitening on G = 0 has no drive: each step takes exactly
+        # alpha lam_i**2 off M's diagonal, so the M that step 500 (inside
+        # the eighth window of 64) reads is [[1, c], [c, 1]], well
+        # conditioned at every other step of its window
+        lam, alpha, gs = np.array([1.0, 0.5]), 2.0**-10, np.zeros((1, 3, 3))
+        m = np.array([[1.0 + 499 * alpha, c], [c, 1.0 + 499 * alpha / 4]])
+        state = ModelState._unchecked(np.concatenate((np.full((1, 2, 3), 0.1), m[None]), -1),
+                                      lam, 1.0)
+        rows = model._rates(np.full(1024, alpha), 1.0, 3, np.empty((1024, 5)))
+        ws = model._Workspace(state.wm.copy(), lam, Task.PSW, Variant.EXACT_INVERSE, False)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert ws.run(repeat(gs), rows) == 499
+        folded = state
+        for _ in range(499):
+            folded = offline.offline_step(folded, gs, alpha, Task.PSW, Variant.EXACT_INVERSE)
+        assert np.array_equal(folded.m[0], [[1.0, c], [c, 1.0]])
+        assert _same_bits(ws.current(), folded.wm)
+        with pytest.raises(SingularMatrixError, match=f"^{message}$") as raised:
+            offline.offline_step(folded, gs, alpha, Task.PSW, Variant.EXACT_INVERSE)
+        assert type(ws.error()) is SingularMatrixError and str(ws.error()) == str(raised.value)
 
 
 def _workspace_arrays(made):

@@ -182,6 +182,26 @@ class TestConstructFixedPoint:
             offline.construct_fixed_point(g, pre.lam, Task.PSP,
                                           signs=np.array([0.5, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("lam, tau, message", [
+        ([0.7, 0.85, 1.0], None, "gain entries must be strictly decreasing and positive"),
+        ([1.0, 0.85, -0.7], None, "gain entries must be strictly decreasing and positive"),
+        ([1.0, 0.85, 0.7], 0.0, "tau must be positive and finite"),
+        ([1.0, 0.85, 0.7], np.inf, "tau must be positive and finite"),
+        # W = M F overflows on a huge G with a large gain
+        ([3e8, 2e8, 1e8], None, "w contains non-finite entries")])
+    def test_state_checks_that_can_still_fail(self, lam, tau, message):
+        g = np.diag([3e300, 2e300, 1e300, 1.0]) if lam[0] > 1 else small_covariance(25)[0]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
+            offline.construct_fixed_point(g, np.array(lam), Task.PSP, tau=tau)
+
+    def test_state_equals_the_checked_construction(self):
+        g, pre = small_covariance(26)
+        for task in Task:
+            fp = offline.construct_fixed_point(g, pre.lam, task, signs=[1.0, -1.0, 1.0])
+            checked = ModelState(fp.m, fp.w, pre.lam, fp.tau)
+            assert fp.wm.tobytes() == checked.wm.tobytes() and fp.wm.flags.c_contiguous
+            assert fp.lam.tobytes() == checked.lam.tobytes() and fp.lam is not pre.lam
+
 
 class TestFixedPointResidual:
     def test_detects_scaled_weights(self):
