@@ -111,7 +111,7 @@ def sym_eig(a):
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     try:
         # eigh reads one triangle; symmetrize so both contribute.
-        w, v = _lapack(_umath_linalg.eigh_lo, 0.5 * (a + a.T), "d->dd")
+        w, v = _lapack(_umath_linalg.eigh_lo, 0.5 * a + 0.5 * a.T, "d->dd")
     except FloatingPointError as exc:
         raise NoConvergenceError(
             "eigensolver did not converge: Eigenvalues did not converge") from exc
@@ -177,14 +177,15 @@ def lu_factor(a):
     carried through to the explicit inverse, so that each later solve is
     one matrix product. Raises SingularMatrixError when a matrix is
     singular to working precision: exactly singular, or with Frobenius
-    condition number ``||a|| ||a^-1||`` above ``1 / _PIVOT_RTOL``. When
-    the stack bound below fails, each matrix takes its two norms from
-    :func:`frobenius`, so the decision holds at any scale of a, and the
-    first matrix over the threshold is named by its condition number.
-    The exact learner's longer runs call the gufunc alone and test a
-    window of steps at once (:func:`well_conditioned`).
+    condition number ``||a|| ||a^-1||`` above ``1 / _PIVOT_RTOL``. A stack
+    that :func:`well_conditioned` passes needs no more; otherwise each
+    matrix takes its two norms from :func:`frobenius`, so the decision
+    holds at any scale of a, and the first matrix over the threshold is
+    named by its condition number. The exact learner's steps call the
+    gufunc alone and call this only on the M of a window that
+    :func:`well_conditioned` rejects, to name the failure.
     """
-    # a view of M is copied once: the gufunc and both dots read it faster
+    # a view of M is copied once: the gufunc and the test read it faster
     a = np.ascontiguousarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ShapeMismatchError("expected square matrix")
@@ -192,11 +193,7 @@ def lu_factor(a):
         inv = _lapack(_umath_linalg.inv, a, "d->d")
     except FloatingPointError as exc:
         raise SingularMatrixError("matrix is singular: Singular matrix") from exc
-    # Each matrix's condition number is at most the product of the whole
-    # stack's norms, so a stack that passes this bound needs no per-matrix
-    # test: two dot products, where NumPy calls on tiny arrays cost more
-    # than the arithmetic. On one matrix the bound is the condition number.
-    if math.sqrt(np.vdot(a, a)) * math.sqrt(np.vdot(inv, inv)) * _PIVOT_RTOL <= 1.0:
+    if well_conditioned(a, inv):
         return inv
     n = a.shape[-1]
     for m, m_inv in zip(a.reshape(-1, n, n), inv.reshape(-1, n, n)):
@@ -206,6 +203,7 @@ def lu_factor(a):
     return inv
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def well_conditioned(a, inv):
     """Whether each matrix of the stack a, with ``inv`` the inverse that
     NumPy's inverse gufunc wrote for it (NaN where a is singular), is one
@@ -213,8 +211,10 @@ def well_conditioned(a, inv):
     the rounding of its sums of squares, that their product (at least 1)
     is at most ``((1 - 1e-9) / _PIVOT_RTOL) ** 2``. A NaN or an infinity,
     or a squared norm that overflows (as the other does when one falls far
-    below the normal range), makes the product NaN or infinite and fails."""
-    a, inv = (x.reshape(x.shape[:-2] + (-1,)) for x in (a, inv))
+    below the normal range), makes the product NaN or infinite and fails,
+    without a warning."""
+    shape = a.shape[:-2] + (-1,)
+    a, inv = a.reshape(shape), inv.reshape(shape)
     return bool((np.vecdot(a, a) * np.vecdot(inv, inv) <= ((1 - 1e-9) / _PIVOT_RTOL) ** 2).all())
 
 

@@ -20,7 +20,8 @@ stack through time, online or averaged (along the expectation over a
 known covariance, ``averaged_increment``): the two forms of the one
 update rule, in the one loop, ``run``, that each ``_Workspace`` binds
 once with every buffer it writes, called once per run of inputs between
-evaluation points (tested by windows of steps), and by the one-shot steps.
+evaluation points and by the one-shot steps; no step is tested on its
+own, but each window of steps, of one step or many, by one test.
 """
 
 import math
@@ -279,26 +280,27 @@ class _Workspace:
         the pass writes; variant None steps on a given pair ``x = (x, y)``.
         Averaged, x is a covariance. Then ``wm + rate * (H less its
         target)``, entrywise (an exactly symmetric M stays so), goes into
-        the buffer not read, and the two swap. An overflow in any slice
+        the buffer not read, and the two swap. A run steps by windows of at
+        most ``_WINDOW`` steps with no test inside one, keeping each step's
+        new diagonal (which the next iteration-free step reads; a run's
+        first tests its own, :func:`_tested_diagonal`) or, exact, a copy of
+        its M and the inverse that NumPy's gufunc alone writes for it. Each
+        window, of one step or many, then meets one test, which raises the
+        model error of the first divergence it finds, in the order a step
+        meets them: a kept M that :func:`linalg.well_conditioned` rejects
+        (named by :func:`linalg.lu_factor`, which passes the few that only
+        the margin rejects); weights overflowed in any slice
         (:func:`linalg.all_finite`: finite weights whose squares overflow
-        pass), tested first so that an infinite or NaN diagonal is named as
-        one, a diagonal at the floor or (exact) an M that
-        :func:`linalg.lu_factor` rejects is divergence: a model error ends
-        the run, which returns the number of steps done. A run of one step
-        tests it as it goes; a longer one steps by windows of ``_WINDOW``
-        steps untested, keeping each step's new diagonal (which the next
-        iteration-free step reads; a run's first tests its own,
-        :func:`_tested_diagonal`) or, exact, a copy of its M and the inverse
-        that NumPy's gufunc alone writes for it. A window passes if its last
-        weights are finite, every new diagonal is above the floor and every
-        kept pair :func:`linalg.well_conditioned`; if not, it steps again
-        from a copy of its first weights, each step tested, and stops at
-        the same step with the same error. Under ``advance``'s errstate this
-        is sound: at rates of at least 0 an entry that is not finite is NaN
-        after the next step (``inf - C inf`` and ``0 * inf`` are NaN, C
-        being 0 or positive); the gufunc writes NaN for a singular M; and a
-        window passes only M that ``lu_factor`` passes, whose inverse is
-        the gufunc's, bit for bit."""
+        pass), so that an infinite or NaN diagonal is named as one; a new
+        diagonal at the floor. A window of many steps that fails steps again
+        from a copy of its first weights, one step per window; a window of
+        one that fails ends the run, with its error and the weights of the
+        step before, and the run returns the steps done. Under
+        ``advance``'s errstate this is sound: at rates of at least 0 an
+        entry that is not finite is NaN after the next step (``inf - C
+        inf`` and ``0 * inf`` are NaN, C being 0 or positive); the gufunc
+        writes NaN for a singular M; and ``lu_factor``'s inverse is the
+        gufunc's, bit for bit."""
         wm, h, target, variant, online = self.wm, self.h, self.target, self.variant, self.online
         lead, k, n = wm.shape[:-2], wm.shape[-2], wm.shape[-1] - wm.shape[-2]
         exact, error = variant is Variant.EXACT_INVERSE, None
@@ -316,73 +318,65 @@ class _Workspace:
             corr, twice = np.empty(lead + (k, k)), np.empty(lead + (k, k))
             h_w, h_m = h[..., :n], h[..., n:]
 
-        def passes(count):  # the window of count untested steps just done (NaN fails)
-            if not exact:
-                return linalg.all_finite(cur[0]) and slots[:count].min() > DIAGONAL_FLOOR
-            diagonal = slots[1:count].diagonal(0, -2, -1).min(initial=cur[3].min())
-            return (linalg.all_finite(cur[0]) and diagonal > DIAGONAL_FLOOR
-                    and linalg.well_conditioned(slots[:count], inverses[:count]))
+        def test(count):  # the window of count steps just done (NaN fails)
+            if exact and not linalg.well_conditioned(slots[:count], inverses[:count]):
+                linalg.lu_factor(slots[:count])  # raises, unless only the margin rejected
+            if not linalg.all_finite(cur[0]):
+                raise DegenerateDiagonalError("weights overflowed")
+            new = slots[1:count].diagonal(0, -2, -1) if exact else slots[:count]
+            if not new.min(initial=cur[3].min()) > DIAGONAL_FLOOR:
+                raise DegenerateDiagonalError("updated lateral diagonal hit the floor")
 
         def run(xs, rows):
             nonlocal cur, nxt, first, error
-            factor, inv, two_step, less, drive, finite, matvec, matmul, multiply, add, copyto = (
-                linalg.lu_factor, _umath_linalg.inv, _two_step, _less_target, _averaged_drive,
-                linalg.all_finite, np.matvec, np.matmul, np.multiply, np.add, np.copyto)
-            above, steps, done, error, d = DIAGONAL_FLOOR.__lt__, len(rows), 0, None, None
+            inv, two_step, less, drive, matvec, matmul, multiply, add, copyto = (
+                _umath_linalg.inv, _two_step, _less_target, _averaged_drive, np.matvec,
+                np.matmul, np.multiply, np.add, np.copyto)
+            steps, done, replay, error, d = len(rows), 0, 0, None, None
             if steps > 1 and (rows == rows[0]).all():
                 rows = repeat(np.broadcast_to(rows[0], cur[0].shape).copy())
             while done < steps and error is None:
-                size, checked = min(len(slots), steps - done), steps < 2
+                size = 1 if done < replay else min(len(slots), steps - done)
                 window = [a if isinstance(a, repeat) else a[done:done + size] for a in (xs, rows)]
                 copyto(first[0], cur[0])
-                while True:
-                    count, error = 0, None
-                    try:
-                        if d is None and variant is Variant.ITERATION_FREE:
-                            d = _tested_diagonal(cur[2])
-                        for x, row, slot, inverse in zip(*window, slots[:size], inverses):
-                            wm, w, m, _ = cur
-                            if exact:
-                                if checked:
-                                    inverse = factor(m)
-                                else:
-                                    copyto(slot, m)
-                                    inv(slot, inverse)
-                            if online:
-                                if variant is None:
-                                    x, given = x
-                                    copyto(y, given)
-                                else:
-                                    matvec(w, x, b)
-                                    if exact:
-                                        matvec(inverse, b, y)
-                                    else:
-                                        two_step(matvec, m, b, d, y, ff, lateral, b)
-                                copyto(head, x)
-                                multiply(y_col, u_row, h)
+                try:
+                    if d is None and variant is Variant.ITERATION_FREE:
+                        d = _tested_diagonal(cur[2])
+                    for x, row, slot, inverse in zip(*window, slots[:size], inverses):
+                        wm, w, m, _ = cur
+                        if exact:
+                            copyto(slot, m)
+                            inv(slot, inverse)
+                        if online:
+                            if variant is None:
+                                x, given = x
+                                copyto(y, given)
                             else:
+                                matvec(w, x, b)
                                 if exact:
-                                    matmul(inverse, w, f)
+                                    matvec(inverse, b, y)
                                 else:
-                                    two_step(matmul, m, w, d[..., None], f, ff, lateral, f)
-                                drive(f, x, h_w, h_m, corr, twice)
-                            less(h, target, wm, nxt[0])
-                            multiply(h, row, h)
-                            add(wm, h, nxt[0])
-                            if not exact:
-                                copyto(slot, nxt[3])
-                            if checked and not finite(nxt[0]):
-                                raise DegenerateDiagonalError("weights overflowed")
-                            if checked and not all(map(above, nxt[3].ravel().tolist())):
-                                raise DegenerateDiagonalError(
-                                    "updated lateral diagonal hit the floor")
-                            cur, nxt, d, count = nxt, cur, slot, count + 1
-                    except MODEL_ERRORS as exc:
-                        error = exc
-                    if checked or error is None and passes(count):
-                        break
-                    cur, first, checked, d = first, cur, True, None  # the window, tested
-                done += count
+                                    two_step(matvec, m, b, d, y, ff, lateral, b)
+                            copyto(head, x)
+                            multiply(y_col, u_row, h)
+                        else:
+                            if exact:
+                                matmul(inverse, w, f)
+                            else:
+                                two_step(matmul, m, w, d[..., None], f, ff, lateral, f)
+                            drive(f, x, h_w, h_m, corr, twice)
+                        less(h, target, wm, nxt[0])
+                        multiply(h, row, h)
+                        add(wm, h, nxt[0])
+                        if not exact:
+                            copyto(slot, nxt[3])
+                        cur, nxt, d = nxt, cur, slot
+                    test(size)
+                    done += size
+                except MODEL_ERRORS as exc:
+                    cur, first, d = first, cur, None  # back to the window's first weights
+                    # its steps again, one per window; a step that fails ends the run
+                    replay, error = done + size, None if size > 1 else exc
             return done
 
         self.run, self.current, self.error = run, lambda: cur[0], lambda: error
@@ -480,8 +474,8 @@ def advance(state, task, variant, online, t_max, points, schedule, draw, visit, 
     ``points`` (at t = 0 when ``t_max == 0``) as a state of its own on a
     read-only copy, and returns whether it goes on; ``diverge(t,
     position, exc)`` gets a trial whose own step raised a model error, in
-    a one-trial replay of the step that ended a run (the run's own tested
-    replay finds it). A trial that ends leaves the stack; the others go on.
+    a one-trial replay of the step that ended a run (the run's own
+    replay, one step per window, finds it). A trial that ends leaves the stack; the others go on.
     """
     live = list(range(len(state.wm)))
     table = np.empty((min(_SAMPLE_CHUNK, t_max), state.wm.shape[-1]))  # refilled per chunk

@@ -48,7 +48,8 @@ def construct_fixed_point(g, lam, task, signs=None, tau=None, order=None):
         tau = 0.5 if task is Task.PSP else 1.0
     # M, diagonal and above GAP_FLOOR, is valid; W = M F overflows on a huge G
     m = np.diag(eigvals)
-    wm = linalg.check_finite(np.concatenate((m @ f, m), axis=1), "w")
+    with np.errstate(over="ignore"):  # the named error alone reports it
+        wm = linalg.check_finite(np.concatenate((m @ f, m), axis=1), "w")
     return ModelState._unchecked(wm, *ModelState._checked_gain(np.array(lam, dtype=float),
                                                                float(tau)))
 

@@ -93,6 +93,12 @@ class TestSymEig:
         with pytest.raises(ShapeMismatchError):
             linalg.sym_eig(np.zeros((2, 3)))
 
+    def test_symmetrizes_entries_near_the_float_limit_without_overflow(self):
+        # (a + a.T) would overflow here; half of each does not
+        w, v = linalg.sym_eig(np.diag([1.5e308, 1e308, 5e307, 1.0]))
+        assert w.tolist() == [1.5e308, 1e308, 5e307, 1.0]
+        assert np.array_equal(np.abs(v), np.eye(4))
+
     def test_rejects_nonfinite(self):
         a = np.eye(2)
         a[0, 1] = a[1, 0] = np.nan

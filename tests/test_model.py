@@ -1,10 +1,12 @@
 import math
+import types
 from itertools import repeat
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from pcastream import data, linalg, model, offline
 from pcastream.errors import MODEL_ERRORS, DegenerateDiagonalError, SingularMatrixError
@@ -171,6 +173,19 @@ def _solver_paths(variant):
 
 
 SOLVER_PATHS = list(_solver_paths(Variant.ITERATION_FREE))
+
+
+def _record_solver_calls(monkeypatch, calls):
+    """``linalg.lu_factor``, ``linalg.sym_eig`` and the inverse gufunc that a
+    step looks up in ``model._umath_linalg``, patched in as wrappers that
+    append their names to ``calls`` when called and call the real ones."""
+    def recording(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "lu_factor", recording("lu_factor", linalg.lu_factor))
+    monkeypatch.setattr(linalg, "sym_eig", recording("sym_eig", linalg.sym_eig))
+    monkeypatch.setattr(model, "_umath_linalg",
+                        types.SimpleNamespace(inv=recording("inv", _umath_linalg.inv)))
 
 
 class TestForward:
@@ -483,28 +498,25 @@ class TestNeuralFilter:
 
     @pytest.mark.parametrize("path", SOLVER_PATHS)
     def test_iteration_free_path_avoids_solvers(self, monkeypatch, path):
-        call = _solver_paths(Variant.ITERATION_FREE)[path]
-
-        def boom(*args, **kwargs):
-            raise AssertionError("solver invoked on the iteration-free path")
-
-        monkeypatch.setattr(linalg, "lu_factor", boom)
-        monkeypatch.setattr(linalg, "sym_eig", boom)
+        # every run looks the inverse gufunc up: a call counts, not a lookup
+        call, calls = _solver_paths(Variant.ITERATION_FREE)[path], []
+        _record_solver_calls(monkeypatch, calls)
         call()
+        assert calls == []
 
     @pytest.mark.parametrize("path", [p for p in SOLVER_PATHS if not p.startswith("advance")])
     def test_exact_path_calls_the_solver_patched_in(self, monkeypatch, path):
-        # linalg.lu_factor is looked up after the patch, not bound at import
-        call, calls, real = _solver_paths(Variant.EXACT_INVERSE)[path], [], linalg.lu_factor
-        monkeypatch.setattr(linalg, "lu_factor", lambda m: calls.append(m.shape) or real(m))
+        # each is looked up after the patch, not bound at import: the
+        # filter factors M, and a step calls the gufunc on its copy of M
+        call, calls = _solver_paths(Variant.EXACT_INVERSE)[path], []
+        _record_solver_calls(monkeypatch, calls)
         call()
-        assert calls
+        assert calls and set(calls) == {"lu_factor" if path == "neural_filter" else "inv"}
 
     @pytest.mark.parametrize("online", [True, False], ids=["advance-online", "advance-averaged"])
     def test_exact_run_looks_up_its_kernel_once_per_run(self, monkeypatch, online):
-        # each run looks the inverse gufunc up once, when called; patched in
-        # to write NaN, it fails every window, whose tested replay calls
-        # linalg.lu_factor at each step and so steps as the gufunc would
+        # each run looks the inverse gufunc up once, when called, and calls
+        # it once per step on the stack's M; its window tests need no factoring
         stack = ModelState.stack([random_state(27), random_state(28)])
         rng = np.random.default_rng(27)
         xs, gs = rng.normal(size=(6, 2, 10)), np.stack([np.eye(10)] * 2)
@@ -519,18 +531,19 @@ class TestNeuralFilter:
                           diverge=None)
             return seen
 
-        expected, lookups, factored, real = visited(), [], [], linalg.lu_factor
+        expected, lookups, called, factored, real = visited(), [], [], [], linalg.lu_factor
 
         class Kernels:
             def __getattr__(self, name):
                 lookups.append(name)
-                return lambda m, out: out.fill(math.nan)
+                kernel = getattr(_umath_linalg, name)
+                return lambda m, out: called.append(m.shape) or kernel(m, out)
 
         monkeypatch.setattr(model, "_umath_linalg", Kernels())
         monkeypatch.setattr(linalg, "lu_factor", lambda m: factored.append(m.shape) or real(m))
         assert visited() == expected
         assert lookups == ["inv", "inv"]  # the runs of steps 1-3 and 4-6
-        assert factored == [(2, 3, 3)] * 6
+        assert called == [(2, 3, 3)] * 6 and factored == []
 
 
 # a weight scale: mostly 1, now and then 1e150 - 1e300
@@ -1087,6 +1100,54 @@ class TestRunTestedAtItsEnd:
         with pytest.raises(SingularMatrixError, match=f"^{message}$") as raised:
             offline.offline_step(folded, gs, alpha, Task.PSW, Variant.EXACT_INVERSE)
         assert type(ws.error()) is SingularMatrixError and str(ws.error()) == str(raised.value)
+
+
+class TestConditioningMargin:
+    """An exact learner's M whose Frobenius condition number lies in the
+    margin of :func:`linalg.well_conditioned`, which rejects it, while
+    :func:`linalg.lu_factor` passes it, is no divergence: a one-shot step
+    and a run of more than one window (the last of one step) step on it
+    bit for bit as the separate updates do."""
+
+    @staticmethod
+    def margin_state():
+        # cond = 1e14 (1 - 5e-10), in ((1 - 1e-9) / _PIVOT_RTOL, 1 / _PIVOT_RTOL];
+        # W is small enough that y y' moves M by far less than an ulp
+        m = np.diag([1e4, 1e-10 * (1 + 5e-10)])
+        w = 1e-12 * np.random.default_rng(90).normal(size=(2, 4))
+        state = ModelState(m, w, np.array([1.0, 0.5]), 0.5)
+        assert not linalg.well_conditioned(state.m, np.linalg.inv(state.m))
+        linalg.lu_factor(state.m)
+        return state
+
+    @staticmethod
+    def inputs(online, steps):
+        """A stack of one's inputs, as ``advance`` draws them, and step t's."""
+        xs = np.random.default_rng(91).normal(size=(steps, 1, 4)) if online else np.eye(4)[None]
+        return xs, lambda t: xs[t, 0] if online else xs[0]
+
+    @pytest.mark.parametrize("online", [True, False], ids=["online", "averaged"])
+    def test_one_shot_step(self, online):
+        state, x = self.margin_state(), self.inputs(online, 1)[1](0)
+        if online:
+            got = model.online_step(state, x, 1e-30, Task.PSP, Variant.EXACT_INVERSE)[1]
+            w, m = _parent_online(state, x, 1e-30, Task.PSP, Variant.EXACT_INVERSE)
+        else:
+            got = offline.offline_step(state, x, 1e-30, Task.PSP, Variant.EXACT_INVERSE)
+            w, m = _parent_averaged(state, x, 1e-30, Task.PSP, Variant.EXACT_INVERSE)
+        assert _same_bits(got.w, w) and _same_bits(got.m, m)
+
+    @pytest.mark.parametrize("online", [True, False], ids=["online", "averaged"])
+    def test_run_of_more_than_one_window(self, online):
+        state, steps = self.margin_state(), model._WINDOW + 1
+        inputs, step_input = self.inputs(online, steps)
+        seen = _advanced(ModelState.stack([state]), online, inputs, data.Constant(1e-30),
+                         steps, {steps}, set(), Task.PSP, Variant.EXACT_INVERSE)
+        parent = _parent_online if online else _parent_averaged
+        for t in range(steps):
+            w, m = parent(state, step_input(t), 1e-30, Task.PSP, Variant.EXACT_INVERSE)
+            state = ModelState._unchecked(np.concatenate((w, m), -1), state.lam, state.tau)
+        assert seen == {(0, steps): state.wm.tobytes()}
 
 
 def _workspace_arrays(made):

@@ -194,6 +194,17 @@ class TestConstructFixedPoint:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
             offline.construct_fixed_point(g, np.array(lam), Task.PSP, tau=tau)
 
+    def test_covariance_near_the_float_limit_has_a_fixed_point(self):
+        g = np.diag([1.5e308, 1e308, 5e307, 1.0])
+        fp = offline.construct_fixed_point(g, np.array([1.0, 0.8, 0.6]), Task.PSP)
+        assert fp.k == 3 and np.isfinite(fp.wm).all()
+
+    def test_overflowing_w_is_named_without_a_warning(self):
+        # no errstate here: the named error, not NumPy's RuntimeWarning
+        with pytest.raises(ValueError, match="^w contains non-finite entries$"):
+            offline.construct_fixed_point(np.diag([3e300, 2e300, 1e300, 1.0]),
+                                          np.array([3e8, 2e8, 1e8]), Task.PSP)
+
     def test_state_equals_the_checked_construction(self):
         g, pre = small_covariance(26)
         for task in Task:
