@@ -21,7 +21,8 @@ def small_covariance(stream):
 
 def diff_separated(values, k):
     """The ``np.diff`` form of ``metrics.leading_separated``: the reference."""
-    with np.errstate(invalid="ignore"):  # inf - inf
+    # inf - inf is NaN; a difference past the float limit overflows to inf
+    with np.errstate(invalid="ignore", over="ignore"):
         return bool((-np.diff(values[: k + 1]) > metrics.GAP_FLOOR).all())
 
 
@@ -38,6 +39,7 @@ class TestLeadingSeparated:
     @example([1.0, math.nan, 0.5], 2)
     @example([math.inf, math.inf, 1.0], 1)
     @example([math.inf, 1.0, -math.inf], 2)
+    @example([3.3061094727442634e+295, -1.7976931348619852e+308], 1)
     def test_same_decision_as_the_diff_form(self, values, k):
         values = np.array(values, dtype=float)
         assert metrics.leading_separated(values, k) is diff_separated(values, k)
